@@ -218,12 +218,10 @@ std::optional<sor::telemetry::JsonValue> load_json(const std::string& path) {
   }
 }
 
-// Numeric flag parsing that fails loud instead of crashing: raw
-// std::stoull/std::stod throw on malformed input, which an uncaught main
-// turns into std::terminate (and stoull additionally wraps "-1" silently
-// to 2^64-1). Every numeric flag goes through these two instead: a bad
-// value prints WHICH flag was bad and exits 2, the CLI's usage-error
-// code.
+// Numeric flag parsing: raw std::stoull/std::stod name no flag when they
+// throw, accept trailing garbage, and stoull wraps "-1" silently to
+// 2^64-1. Every numeric flag goes through these two instead: a bad value
+// prints WHICH flag was bad and exits 2, the CLI's usage-error code.
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
   std::uint64_t v = 0;
@@ -261,12 +259,7 @@ int report_main(int argc, char** argv) {
   }
   const auto doc = load_json(argv[2]);
   if (!doc) return 2;
-  try {
-    sor::telemetry::render_artifact_report(*doc, std::cout);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  sor::telemetry::render_artifact_report(*doc, std::cout);
   return 0;
 }
 
@@ -277,12 +270,7 @@ int quality_main(int argc, char** argv) {
   }
   const auto doc = load_json(argv[2]);
   if (!doc) return 2;
-  try {
-    sor::telemetry::render_artifact_quality(*doc, std::cout);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  sor::telemetry::render_artifact_quality(*doc, std::cout);
   return 0;
 }
 
@@ -293,12 +281,7 @@ int profile_main(int argc, char** argv) {
   }
   const auto doc = load_json(argv[2]);
   if (!doc) return 2;
-  try {
-    sor::telemetry::render_artifact_profile(*doc, std::cout);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  sor::telemetry::render_artifact_profile(*doc, std::cout);
   return 0;
 }
 
@@ -420,13 +403,8 @@ int ledger_main(int argc, char** argv) {
 
   const auto doc = load_json(artifact_path);
   if (!doc) return 2;
-  sor::telemetry::LedgerRecord record;
-  try {
-    record = sor::telemetry::summarize_artifact(*doc, provenance);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  sor::telemetry::LedgerRecord record =
+      sor::telemetry::summarize_artifact(*doc, provenance);
   for (const auto& [name, factor] : scales) {
     const auto it = record.metrics.find(name);
     if (it == record.metrics.end()) {
@@ -675,13 +653,8 @@ EngineCli parse_engine_flags(int argc, char** argv, int start) {
     }
   }
   if (!cli.slo_config_path.empty()) {
-    try {
-      cli.config.engine.slo =
-          sor::telemetry::load_slo_config(cli.slo_config_path);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      std::exit(2);
-    }
+    cli.config.engine.slo =
+        sor::telemetry::load_slo_config(cli.slo_config_path);
   }
   return cli;
 }
@@ -1063,20 +1036,10 @@ int slo_main(int argc, char** argv) {
 
   sor::telemetry::SloConfig config;
   if (!slo_config_path.empty()) {
-    try {
-      config = sor::telemetry::load_slo_config(slo_config_path);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 2;
-    }
+    config = sor::telemetry::load_slo_config(slo_config_path);
   }
-  sor::telemetry::ArtifactSloReport report;
-  try {
-    report = sor::telemetry::evaluate_artifact_slo(*doc, config);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  const sor::telemetry::ArtifactSloReport report =
+      sor::telemetry::evaluate_artifact_slo(*doc, config);
 
   const auto print_list =
       [](const char* label,
@@ -1098,9 +1061,7 @@ int slo_main(int argc, char** argv) {
   return report.status;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int dispatch(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "engine") == 0) {
     return engine_main(argc, argv);
   }
@@ -1233,4 +1194,18 @@ int main(int argc, char** argv) {
   }
   if (!args.trace_out.empty() && !write_trace_out(args.trace_out)) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Any exception a subcommand lets escape — a malformed input file, an
+  // invalid artifact or SLO config — is a usage error: report it and exit
+  // 2 instead of aborting.
+  try {
+    return dispatch(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "graph/fingerprint.hpp"
+#include "lp/path_lp.hpp"
 
 namespace sor {
 
@@ -202,47 +202,11 @@ std::size_t PathActivation::num_active(Vertex s, Vertex t) const {
   return count;
 }
 
-std::uint64_t PathActivation::digest() const {
-  std::uint64_t h = mix_hash(0x41435456u /* "ACTV" */,
-                             static_cast<std::uint64_t>(system_ != nullptr));
-  if (system_ == nullptr) return h;
-  for (const VertexPair& pair : system_->pairs()) {
-    h = mix_hash(h, (static_cast<std::uint64_t>(pair.a) << 32) |
-                        static_cast<std::uint64_t>(pair.b));
-    const std::size_t count = system_->canonical_paths(pair.a, pair.b).size();
-    for (std::size_t i = 0; i < count; ++i) {
-      h = mix_hash(h, static_cast<std::uint64_t>(is_active(pair.a, pair.b, i)));
-    }
-  }
-  // Extras can exist for pairs outside the system; iterate their keys in
-  // sorted order so the digest is independent of map layout.
-  std::vector<VertexPair> extra_pairs;
-  extra_pairs.reserve(extras_.size());
-  for (const auto& [pair, list] : extras_) extra_pairs.push_back(pair);
-  std::sort(extra_pairs.begin(), extra_pairs.end(),
-            [](const VertexPair& x, const VertexPair& y) {
-              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-            });
-  for (const VertexPair& pair : extra_pairs) {
-    h = mix_hash(h, (static_cast<std::uint64_t>(pair.a) << 32) |
-                        static_cast<std::uint64_t>(pair.b));
-    for (const Extra& extra : extras_.at(pair)) {
-      h = mix_hash(h, static_cast<std::uint64_t>(extra.active));
-      h = mix_hash(h, (static_cast<std::uint64_t>(extra.path.src) << 32) |
-                          static_cast<std::uint64_t>(extra.path.dst));
-      for (EdgeId e : extra.path.edges) {
-        h = mix_hash(h, static_cast<std::uint64_t>(e));
-      }
-    }
-  }
-  return h;
-}
-
 std::vector<ActivationFlag> PathActivation::flag_snapshot() const {
   std::vector<ActivationFlag> flags;
   if (system_ == nullptr) return flags;
-  // Base candidates in the digest's enumeration order: sorted pairs,
-  // candidate-index order within each pair.
+  // Base candidates: sorted pairs, candidate-index order within each
+  // pair.
   for (const VertexPair& pair : system_->pairs()) {
     const std::uint64_t key = (static_cast<std::uint64_t>(pair.a) << 32) |
                               static_cast<std::uint64_t>(pair.b);
@@ -252,26 +216,18 @@ std::vector<ActivationFlag> PathActivation::flag_snapshot() const {
                        is_active(pair.a, pair.b, i)});
     }
   }
-  // Extras (which may cover pairs outside the system) in sorted pair
-  // order, install order within the pair.
-  std::vector<VertexPair> extra_pairs;
-  extra_pairs.reserve(extras_.size());
-  for (const auto& [pair, list] : extras_) extra_pairs.push_back(pair);
-  std::sort(extra_pairs.begin(), extra_pairs.end(),
-            [](const VertexPair& x, const VertexPair& y) {
-              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-            });
-  for (const VertexPair& pair : extra_pairs) {
+  // Extras, which may cover pairs outside the system.
+  for (const auto& [pair, list] : extras_) {
     const std::uint64_t key = (static_cast<std::uint64_t>(pair.a) << 32) |
                               static_cast<std::uint64_t>(pair.b);
-    const std::vector<Extra>& list = extras_.at(pair);
     for (std::size_t i = 0; i < list.size(); ++i) {
       flags.push_back({key, static_cast<std::uint32_t>(i), true,
                        list[i].active});
     }
   }
-  // Keep the overall vector sorted by (pair, extra, index) so snapshots
-  // from different epochs merge-compare directly.
+  // Sort by the unique key (pair, extra, index): the order is independent
+  // of map layout, and snapshots from different epochs merge-compare
+  // directly.
   std::sort(flags.begin(), flags.end(),
             [](const ActivationFlag& x, const ActivationFlag& y) {
               return std::tie(x.pair_key, x.extra, x.index) <
@@ -303,6 +259,56 @@ std::size_t activation_hamming(std::span<const ActivationFlag> before,
   }
   distance += (before.size() - i) + (after.size() - j);
   return distance;
+}
+
+SplitTable::SplitTable(std::vector<SplitRow> rows) {
+  std::erase_if(rows, [](const SplitRow& row) { return row.fraction <= 0; });
+  // Stable, so equal paths stay in input order and sum in that order.
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const SplitRow& x, const SplitRow& y) {
+                     return path_lexicographic_less(x.path, y.path);
+                   });
+  rows_.reserve(rows.size());
+  for (SplitRow& row : rows) {
+    SOR_CHECK_MSG(row.path.src < row.path.dst,
+                  "split row on a non-canonical path (" << row.path.src << ","
+                                                        << row.path.dst << ")");
+    if (!rows_.empty() && rows_.back().path == row.path) {
+      rows_.back().fraction += row.fraction;
+      continue;
+    }
+    const VertexPair pair{row.path.src, row.path.dst};
+    if (pairs_.empty() || !(pairs_.back().pair == pair)) {
+      pairs_.push_back({pair, static_cast<std::uint32_t>(rows_.size()), 0});
+    }
+    ++pairs_.back().count;
+    rows_.push_back(std::move(row));
+  }
+}
+
+SplitTable SplitTable::from_weights(
+    const RestrictedProblem& problem,
+    const std::vector<std::vector<double>>& weights) {
+  std::vector<SplitRow> rows;
+  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
+    const RestrictedCommodity& c = problem.commodities[j];
+    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
+      if (weights[j][p] <= 0) continue;
+      rows.push_back({c.candidates[p], weights[j][p] / c.demand});
+    }
+  }
+  return SplitTable(std::move(rows));
+}
+
+std::span<const SplitRow> SplitTable::rows(Vertex s, Vertex t) const {
+  const VertexPair key = VertexPair::canonical(s, t);
+  const auto it = std::lower_bound(
+      pairs_.begin(), pairs_.end(), key,
+      [](const SplitPair& e, const VertexPair& k) {
+        return std::tie(e.pair.a, e.pair.b) < std::tie(k.a, k.b);
+      });
+  if (it == pairs_.end() || !(it->pair == key)) return {};
+  return rows(*it);
 }
 
 PathSystem merge(const PathSystem& a, const PathSystem& b) {

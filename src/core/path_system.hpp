@@ -7,7 +7,8 @@
 // smaller vertex id); `paths_oriented` rewinds them for a requested
 // direction. Multiplicities are kept: a (λ·k)-sample draws with
 // replacement, and the weak-routing process weights paths per sampled
-// instance.
+// instance. A SplitTable records which of those paths carries what share
+// of each pair's demand once rates are solved.
 //
 // Thread-safety contract (see DESIGN.md "Serving layer" for the full
 // table): PathSystem and PathActivation are NOT internally synchronized.
@@ -15,7 +16,8 @@
 // thread mutates; mutation (add / deduplicate / set_active / add_extra /
 // set_extra_active) requires exclusive access. The serving layer never
 // hands either object to reader threads — lookups go through immutable
-// RouteSnapshots (src/serve) built on the control thread.
+// RouteSnapshots (src/serve) built on the control thread. A SplitTable
+// has no mutators, so const access from any thread is safe.
 
 #include <cstdint>
 #include <span>
@@ -27,6 +29,8 @@
 #include "graph/path.hpp"
 
 namespace sor {
+
+struct RestrictedProblem;  // lp/path_lp.hpp
 
 class PathSystem {
  public:
@@ -119,13 +123,6 @@ class PathActivation {
   /// Count of active candidates (base + extras) for the pair.
   std::size_t num_active(Vertex s, Vertex t) const;
 
-  /// Deterministic digest of the activation state: every base flag (in
-  /// sorted pair / candidate-index order) and every extra path with its
-  /// flag. Two masks over the same system have equal digests iff they
-  /// activate the same candidate sets — the epoch controller keys its
-  /// per-epoch candidate memo on this.
-  std::uint64_t digest() const;
-
   /// Deterministic flattened flag vector: base candidates of every pair
   /// in sorted pair / index order, then every extra (sorted pair order,
   /// install order within the pair). Keys are stable across epochs — the
@@ -146,16 +143,65 @@ class PathActivation {
   std::unordered_map<VertexPair, std::vector<Extra>, VertexPairHash> extras_;
 };
 
-/// A per-pair routing table: canonical pair → path (canonical
-/// orientation) → fraction of the pair's demand carried on that path.
-/// The common currency between the control plane and the serving layer —
-/// the engine's installed split, core::split_fractions extraction, and
-/// serve::RouteSnapshot::build all speak this type, so snapshots built
-/// from either source compare byte-identically.
-using SplitFractions =
-    std::unordered_map<VertexPair,
-                       std::unordered_map<Path, double, PathHash>,
-                       VertexPairHash>;
+/// One row of a SplitTable: a path in canonical orientation and the
+/// fraction of its pair's demand it carries.
+struct SplitRow {
+  Path path;
+  double fraction = 0;
+
+  friend bool operator==(const SplitRow&, const SplitRow&) = default;
+};
+
+/// A pair's slice of a SplitTable's rows.
+struct SplitPair {
+  VertexPair pair;
+  std::uint32_t begin = 0;
+  std::uint32_t count = 0;
+};
+
+/// The installed split as one sorted, canonical table: which path carries
+/// what share of each pair's demand. Pairs are sorted by (a, b); each
+/// pair's rows are contiguous, in path_lexicographic_less order, with
+/// equal paths merged and zero-fraction rows (and so empty pairs) dropped.
+/// The common currency of the control plane and the serving layer — the
+/// engine installs one per epoch, core::split_fractions extracts one from
+/// a FractionalRoute, warm start, the quality tracker and
+/// serve::RouteSnapshot read it directly — so its content alone fixes
+/// every byte derived from it. Immutable once built.
+class SplitTable {
+ public:
+  SplitTable() = default;
+
+  /// Canonicalizes `rows`: every path must be in canonical orientation
+  /// (src < dst; checked), rows with fraction <= 0 are dropped, and equal
+  /// paths are merged by summing their fractions in input order.
+  explicit SplitTable(std::vector<SplitRow> rows);
+
+  /// The split a restricted solve installs: candidate p of commodity j
+  /// carries weights[j][p] / demand_j of its pair. Commodity candidates
+  /// must be canonical (commodities from Demand::commodities() are).
+  static SplitTable from_weights(
+      const RestrictedProblem& problem,
+      const std::vector<std::vector<double>>& weights);
+
+  /// Pairs in sorted order.
+  std::span<const SplitPair> pairs() const { return pairs_; }
+  /// A pair's rows, in path order.
+  std::span<const SplitRow> rows(const SplitPair& pair) const {
+    return std::span<const SplitRow>(rows_).subspan(pair.begin, pair.count);
+  }
+  /// The pair {s,t}'s rows, empty iff the pair is absent (binary search;
+  /// allocation-free).
+  std::span<const SplitRow> rows(Vertex s, Vertex t) const;
+
+  bool empty() const { return pairs_.empty(); }
+  std::size_t num_pairs() const { return pairs_.size(); }
+  std::size_t num_rows() const { return rows_.size(); }
+
+ private:
+  std::vector<SplitPair> pairs_;
+  std::vector<SplitRow> rows_;  // pairs_' rows, back to back
+};
 
 /// Reverses a path in place representation (returns the reversed copy).
 Path reversed(const Path& p);

@@ -60,13 +60,12 @@ struct IntegralRoute {
   std::size_t improvement_steps = 0;
 };
 
-/// Snapshot extraction: the per-pair split fractions of a fractional
-/// route, keyed exactly like the engine's installed split (canonical pair
-/// → canonical-orientation path → fraction of the pair's demand; zero-
-/// weight candidates are dropped, both orientations of a pair accumulate
-/// onto the same keys). serve::RouteSnapshot::build over this table
-/// serves answers byte-identical to the route's own weights.
-SplitFractions split_fractions(const FractionalRoute& route);
+/// Snapshot extraction: the route's split as a SplitTable, built by the
+/// same SplitTable::from_weights the engine installs with, so
+/// serve::RouteSnapshot::build over it serves answers byte-identical to
+/// the route's own weights — and to a controller that solved the same
+/// problem.
+SplitTable split_fractions(const FractionalRoute& route);
 
 /// Thread-safety contract: the router holds no mutable state — every
 /// member is const and safe to call from any number of threads

@@ -32,37 +32,14 @@ EpochController::EpochController(const Graph& g, const PathSystem& system,
 }
 
 RestrictedProblem EpochController::build_problem(const Demand& demand) const {
+  SOR_SPAN("engine/build_problem");
   RestrictedProblem problem;
   problem.graph = graph_;
   const PathActivation& activation = repairer_.activation();
-  const std::uint64_t digest = activation.digest();
-  // The memo is shared mutable cache behind a const method; hold its lock
-  // for the whole build so concurrent build_problem calls (monitor
-  // threads, shadow solves) never race the invalidate/insert sequence.
-  // Uncontended in the single-control-thread common case.
-  const std::lock_guard<std::mutex> memo_lock(memo_mu_);
-  if (!memo_valid_ || digest != memo_digest_) {
-    candidate_memo_.clear();
-    memo_digest_ = digest;
-    memo_valid_ = true;
-    SOR_COUNTER("engine/candidate_memo_invalidations").add();
-  }
   for (const Commodity& c : demand.commodities()) {
     RestrictedCommodity rc;
     rc.demand = c.amount;
-    const std::uint64_t key = (static_cast<std::uint64_t>(c.src) << 32) |
-                              static_cast<std::uint64_t>(c.dst);
-    const auto memo_it = candidate_memo_.find(key);
-    if (memo_it != candidate_memo_.end()) {
-      rc.candidates = memo_it->second;
-      SOR_COUNTER("engine/candidate_memo_hits").add();
-    } else {
-      rc.candidates = activation.active_oriented(c.src, c.dst);
-      if (!rc.candidates.empty()) {
-        candidate_memo_.emplace(key, rc.candidates);
-      }
-      SOR_COUNTER("engine/candidate_memo_misses").add();
-    }
+    rc.candidates = activation.active_oriented(c.src, c.dst);
     if (rc.candidates.empty()) {
       // Pair outside the installed system (or its mandatory fallback was
       // unreachable) — last-resort surviving-graph shortest path, the
@@ -89,40 +66,22 @@ std::vector<std::vector<double>> EpochController::remap_fractions(
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
     const RestrictedCommodity& c = problem.commodities[j];
     fractions[j].assign(c.candidates.size(), 0.0);
-    const VertexPair pair = VertexPair::canonical(c.candidates.front().src,
-                                                  c.candidates.front().dst);
-    const auto it = installed_.find(pair);
-    if (it == installed_.end()) continue;
+    // Commodities come from Demand::commodities(), so every candidate is
+    // canonical and compares directly against the table's rows.
+    const std::span<const SplitRow> rows =
+        installed_.rows(c.candidates.front().src, c.candidates.front().dst);
     for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-      // Split fractions are stored on the canonical orientation so both
-      // directions of a pair share state.
-      const Path key = c.candidates[p].src < c.candidates[p].dst
-                           ? c.candidates[p]
-                           : reversed(c.candidates[p]);
-      const auto entry = it->second.find(key);
-      if (entry != it->second.end()) fractions[j][p] = entry->second;
+      const auto row = std::lower_bound(
+          rows.begin(), rows.end(), c.candidates[p],
+          [](const SplitRow& r, const Path& path) {
+            return path_lexicographic_less(r.path, path);
+          });
+      if (row != rows.end() && row->path == c.candidates[p]) {
+        fractions[j][p] = row->fraction;
+      }
     }
   }
   return fractions;
-}
-
-void EpochController::install(const RestrictedProblem& problem,
-                              const RestrictedSolution& solution) {
-  installed_.clear();
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const RestrictedCommodity& c = problem.commodities[j];
-    const VertexPair pair = VertexPair::canonical(c.candidates.front().src,
-                                                  c.candidates.front().dst);
-    auto& split = installed_[pair];
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-      if (solution.weights[j][p] <= 0) continue;
-      const Path key = c.candidates[p].src < c.candidates[p].dst
-                           ? c.candidates[p]
-                           : reversed(c.candidates[p]);
-      split[key] += solution.weights[j][p] / c.demand;
-    }
-  }
-  if (!solution.dual_lengths.empty()) warm_lengths_ = solution.dual_lengths;
 }
 
 EpochReport EpochController::step(std::span<const Event> events,
@@ -269,7 +228,11 @@ EpochReport EpochController::step(std::span<const Event> events,
          {"congestion", solution.congestion}});
   }
 
-  install(problem, solution);
+  {
+    SOR_SPAN("engine/install");
+    installed_ = SplitTable::from_weights(problem, solution.weights);
+    if (!solution.dual_lengths.empty()) warm_lengths_ = solution.dual_lengths;
+  }
 
   // Snapshot publish: freeze the just-installed split into an immutable
   // RouteSnapshot and RCU-swap it into the serving front-end. Readers on
@@ -294,6 +257,7 @@ EpochReport EpochController::step(std::span<const Event> events,
   if (predictor_->observations() == 0) {
     report.congestion = solution.congestion;
   } else {
+    SOR_SPAN("engine/reroute");
     const RestrictedProblem realized_problem = build_problem(realized);
     const RestrictedSolution applied = route_restricted_fractions(
         realized_problem, remap_fractions(realized_problem));
@@ -304,7 +268,11 @@ EpochReport EpochController::step(std::span<const Event> events,
   // MCF is deterministic and the sample points are a pure function of the
   // epoch index), so quality figures replay byte-identically — but they
   // stay out of the replay digest v1 (see EngineOptions::quality).
-  quality_.observe_install(repairer_.activation(), installed_, report.quality);
+  {
+    SOR_SPAN("engine/quality");
+    quality_.observe_install(repairer_.activation(), installed_,
+                             report.quality);
+  }
   if (quality_.shadow_due(report.epoch)) {
     SOR_SPAN("engine/shadow");
     ShadowSolveOptions shadow_options;

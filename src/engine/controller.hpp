@@ -24,9 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/path_system.hpp"
@@ -147,8 +145,8 @@ struct EpochReport {
 /// Thread-safety: step() runs on ONE control thread; serving readers see
 /// the controller's work only through the immutable RouteSnapshots it
 /// publishes (EngineOptions::service), never through shared mutable
-/// state. The candidate memo — the one piece of mutable state behind a
-/// const method — is mutex-guarded so concurrent const calls stay clean.
+/// state. Const members mutate nothing, so they are safe from any thread
+/// while no step() runs.
 class EpochController {
  public:
   /// `g` and `system` are referenced and must outlive the controller.
@@ -172,13 +170,13 @@ class EpochController {
   int health_status() const { return breaches_.empty() ? 0 : 1; }
 
  private:
+  /// One commodity per demand pair, in Demand::commodities() order, with
+  /// the mask's active candidates (canonical orientation).
   RestrictedProblem build_problem(const Demand& demand) const;
-  /// Previous-epoch split fractions remapped onto `problem`'s candidate
-  /// lists by path identity (0 for paths never routed before).
+  /// The installed split's fractions remapped onto `problem`'s candidate
+  /// lists by path equality (0 for paths not installed).
   std::vector<std::vector<double>> remap_fractions(
       const RestrictedProblem& problem) const;
-  void install(const RestrictedProblem& problem,
-               const RestrictedSolution& solution);
 
   const Graph* graph_;
   const PathSystem* system_;
@@ -186,22 +184,8 @@ class EpochController {
   PathRepairer repairer_;
   std::unique_ptr<DemandPredictor> predictor_;
   std::size_t epoch_ = 0;
-  /// Per-direction candidate lists memoized across epochs: repeated
-  /// re-solves rebuild the same oriented path copies unless the activation
-  /// mask actually changed. Keyed by the activation digest — any failure,
-  /// recovery, or fallback install changes the digest and drops the memo;
-  /// quiet epochs (the common case) reuse it. Empty candidate lists are
-  /// never memoized (their ad-hoc fallback depends on the surviving
-  /// graph, not just the mask). The memo is mutable cache state behind a
-  /// const method, so it is guarded by memo_mu_: build_problem is safe to
-  /// call concurrently (e.g. from a monitor thread while the serving
-  /// layer publishes) instead of silently racing on the map.
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<std::uint64_t, std::vector<Path>> candidate_memo_;
-  mutable std::uint64_t memo_digest_ = 0;
-  mutable bool memo_valid_ = false;
-  /// Installed split: pair → (path → fraction of the pair's demand).
-  InstalledSplit installed_;
+  /// The split installed by the last solve.
+  SplitTable installed_;
   std::vector<double> warm_lengths_;
   /// Controller-local solve-latency sketch: per-run quantiles for the
   /// EpochReport health snapshot (the global "engine/solve_seconds"

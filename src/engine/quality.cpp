@@ -1,7 +1,7 @@
 #include "engine/quality.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -12,109 +12,87 @@ namespace sor::engine {
 
 namespace {
 
-// Order by (src, dst, edge sequence) so top-path tie-breaks and row
-// ordering are deterministic (the shared graph/path.hpp total order).
-bool path_less(const Path& x, const Path& y) {
-  return path_lexicographic_less(x, y);
+// Σ fractions in path order.
+double weight_sum(std::span<const SplitRow> rows) {
+  double sum = 0;
+  for (const SplitRow& row : rows) sum += row.fraction;
+  return sum;
+}
+
+// The largest-fraction row; rows are path-sorted, so ties resolve to the
+// lexicographically smallest path.
+const Path& top_path(std::span<const SplitRow> rows) {
+  const SplitRow* top = &rows.front();
+  for (const SplitRow& row : rows) {
+    if (row.fraction > top->fraction) top = &row;
+  }
+  return top->path;
 }
 
 }  // namespace
 
-std::vector<QualityTracker::PairSplit> QualityTracker::flatten(
-    const InstalledSplit& installed) {
-  std::vector<PairSplit> split;
-  split.reserve(installed.size());
-  for (const auto& [pair, paths] : installed) {
-    PairSplit ps;
-    ps.pair = pair;
-    ps.rows.assign(paths.begin(), paths.end());
-    std::sort(ps.rows.begin(), ps.rows.end(),
-              [](const auto& x, const auto& y) {
-                return path_less(x.first, y.first);
-              });
-    // Rows are path-sorted, so the first strictly-larger fraction wins
-    // and ties resolve to the lexicographically smallest path.
-    double best = -1;
-    for (const auto& [path, fraction] : ps.rows) {
-      if (fraction > best) {
-        best = fraction;
-        ps.top = path;
-      }
-    }
-    split.push_back(std::move(ps));
-  }
-  std::sort(split.begin(), split.end(), [](const PairSplit& x,
-                                           const PairSplit& y) {
-    return std::tie(x.pair.a, x.pair.b) < std::tie(y.pair.a, y.pair.b);
-  });
-  return split;
-}
-
 void QualityTracker::observe_install(const PathActivation& activation,
-                                     const InstalledSplit& installed,
+                                     const SplitTable& installed,
                                      EpochQuality& q) {
   std::vector<ActivationFlag> flags = activation.flag_snapshot();
-  std::vector<PairSplit> split = flatten(installed);
 
   if (has_previous_) {
     q.mask_churn = activation_hamming(prev_flags_, flags);
 
     // Merge the sorted pair lists: L1 drift over the union, top-path
     // flips over the intersection.
+    const std::span<const SplitPair> prev = prev_split_.pairs();
+    const std::span<const SplitPair> cur = installed.pairs();
+    const auto pair_key = [](const SplitPair& sp) {
+      return std::tie(sp.pair.a, sp.pair.b);
+    };
     std::size_t i = 0;
     std::size_t j = 0;
-    const auto pair_key = [](const PairSplit& ps) {
-      return std::tie(ps.pair.a, ps.pair.b);
-    };
-    const auto weight_sum = [](const PairSplit& ps) {
-      double sum = 0;
-      for (const auto& [path, fraction] : ps.rows) sum += fraction;
-      return sum;
-    };
-    while (i < prev_split_.size() && j < split.size()) {
-      if (pair_key(prev_split_[i]) == pair_key(split[j])) {
+    while (i < prev.size() && j < cur.size()) {
+      if (pair_key(prev[i]) == pair_key(cur[j])) {
         // Both epochs installed this pair: row-level L1 over the union of
         // paths (both row lists are path-sorted).
-        const auto& before = prev_split_[i].rows;
-        const auto& after = split[j].rows;
+        const std::span<const SplitRow> before = prev_split_.rows(prev[i]);
+        const std::span<const SplitRow> after = installed.rows(cur[j]);
         std::size_t a = 0;
         std::size_t b = 0;
         while (a < before.size() && b < after.size()) {
-          if (before[a].first == after[b].first) {
-            q.weight_l1_drift += std::abs(after[b].second - before[a].second);
+          if (before[a].path == after[b].path) {
+            q.weight_l1_drift +=
+                std::abs(after[b].fraction - before[a].fraction);
             ++a;
             ++b;
-          } else if (path_less(before[a].first, after[b].first)) {
-            q.weight_l1_drift += before[a].second;
+          } else if (path_lexicographic_less(before[a].path, after[b].path)) {
+            q.weight_l1_drift += before[a].fraction;
             ++a;
           } else {
-            q.weight_l1_drift += after[b].second;
+            q.weight_l1_drift += after[b].fraction;
             ++b;
           }
         }
-        for (; a < before.size(); ++a) q.weight_l1_drift += before[a].second;
-        for (; b < after.size(); ++b) q.weight_l1_drift += after[b].second;
-        if (!(prev_split_[i].top == split[j].top)) ++q.top_path_flips;
+        for (; a < before.size(); ++a) q.weight_l1_drift += before[a].fraction;
+        for (; b < after.size(); ++b) q.weight_l1_drift += after[b].fraction;
+        if (!(top_path(before) == top_path(after))) ++q.top_path_flips;
         ++i;
         ++j;
-      } else if (pair_key(prev_split_[i]) < pair_key(split[j])) {
-        q.weight_l1_drift += weight_sum(prev_split_[i]);
+      } else if (pair_key(prev[i]) < pair_key(cur[j])) {
+        q.weight_l1_drift += weight_sum(prev_split_.rows(prev[i]));
         ++i;
       } else {
-        q.weight_l1_drift += weight_sum(split[j]);
+        q.weight_l1_drift += weight_sum(installed.rows(cur[j]));
         ++j;
       }
     }
-    for (; i < prev_split_.size(); ++i) {
-      q.weight_l1_drift += weight_sum(prev_split_[i]);
+    for (; i < prev.size(); ++i) {
+      q.weight_l1_drift += weight_sum(prev_split_.rows(prev[i]));
     }
-    for (; j < split.size(); ++j) {
-      q.weight_l1_drift += weight_sum(split[j]);
+    for (; j < cur.size(); ++j) {
+      q.weight_l1_drift += weight_sum(installed.rows(cur[j]));
     }
   }
 
   prev_flags_ = std::move(flags);
-  prev_split_ = std::move(split);
+  prev_split_ = installed;
   has_previous_ = true;
 }
 

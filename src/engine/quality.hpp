@@ -27,13 +27,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/path_system.hpp"
 #include "demand/demand.hpp"
 #include "engine/predictor.hpp"
-#include "graph/path.hpp"
 #include "telemetry/json.hpp"
 
 namespace sor::engine {
@@ -77,11 +75,6 @@ struct EpochQuality {
   std::size_t top_path_flips = 0;
 };
 
-/// The installed split the controller maintains: canonical pair → path
-/// (canonical orientation) → fraction of the pair's demand. Same type as
-/// the core SplitFractions table the serving layer snapshots.
-using InstalledSplit = SplitFractions;
-
 /// Tracks install-to-install stability. Feed every epoch's post-install
 /// state; churn fields compare against the previous call's snapshots.
 class QualityTracker {
@@ -98,23 +91,13 @@ class QualityTracker {
   /// Computes the churn fields of `q` against the previous epoch's
   /// snapshots, then stores this epoch's. First call: all churn zero.
   void observe_install(const PathActivation& activation,
-                       const InstalledSplit& installed, EpochQuality& q);
+                       const SplitTable& installed, EpochQuality& q);
 
  private:
-  /// Deterministic flattened split: sorted pairs, each with its top path
-  /// (largest fraction, ties to the lexicographically smallest path) and
-  /// sorted (path, fraction) rows for the L1 diff.
-  struct PairSplit {
-    VertexPair pair;
-    Path top;
-    std::vector<std::pair<Path, double>> rows;
-  };
-  static std::vector<PairSplit> flatten(const InstalledSplit& installed);
-
   QualityOptions options_;
   bool has_previous_ = false;
   std::vector<ActivationFlag> prev_flags_;
-  std::vector<PairSplit> prev_split_;
+  SplitTable prev_split_;
 };
 
 struct ControlLoopResult;  // controller.hpp

@@ -1,7 +1,10 @@
 #include "graph/io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace sor {
 
@@ -36,10 +39,20 @@ Graph read_edge_list(std::istream& is) {
   while (next_data_line(line)) {
     std::istringstream row(line);
     Vertex u = 0, v = 0;
-    double cap = 1.0;
     SOR_CHECK_MSG(static_cast<bool>(row >> u >> v),
                   "edge list: bad edge line: " << line);
-    if (!(row >> cap)) cap = 1.0;
+    // An absent capacity means 1; a present one must be a finite,
+    // positive number with nothing after it.
+    double cap = 1.0;
+    std::string field;
+    if (row >> field) {
+      const char* end = field.data() + field.size();
+      const auto [parsed, ec] = std::from_chars(field.data(), end, cap);
+      std::string rest;
+      SOR_CHECK_MSG(ec == std::errc() && parsed == end && std::isfinite(cap) &&
+                        cap > 0 && !(row >> rest),
+                    "edge list: bad capacity in line: " << line);
+    }
     g.add_edge(u, v, cap);
   }
   return g;

@@ -4,7 +4,8 @@
 //
 // Edge-list format:
 //   line 1:  "<num_vertices>"
-//   then one line per edge: "<u> <v> <capacity>"
+//   then one line per edge: "<u> <v> [capacity]" — an absent capacity
+//   means 1, a present one must be a finite positive number
 // Lines starting with '#' are comments. This round-trips exactly
 // (edge order and capacities preserved).
 

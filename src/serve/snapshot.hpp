@@ -4,12 +4,11 @@
 //
 // The TE-as-a-service consumer shape: the control loop re-solves split
 // fractions once per epoch, but route lookups happen per flow, many
-// orders of magnitude more often. A RouteSnapshot is the bridge: an
-// immutable, pre-sorted copy of the installed split (SplitFractions —
-// the same table EpochController::install maintains and
-// core::split_fractions extracts from a FractionalRoute), built once on
-// the control thread and then queried lock-free by any number of reader
-// threads through serve::RouteService.
+// orders of magnitude more often. A RouteSnapshot is the bridge: one
+// epoch's SplitTable (the table EpochController::install builds and
+// core::split_fractions extracts from a FractionalRoute) frozen with its
+// epoch and digest on the control thread, then queried lock-free by any
+// number of reader threads through serve::RouteService.
 //
 // Immutability is the whole thread-safety story: after build() returns,
 // nothing ever mutates the snapshot, so const lookups need no
@@ -17,11 +16,11 @@
 // RouteService::lookup); a LookupResult's spans view the snapshot's
 // storage and are valid exactly as long as that guard.
 //
-// Determinism: entries are stored in sorted VertexPair order and each
-// pair's rows in path_lexicographic_less order, so serialize() and
-// digest() are pure functions of the table's CONTENT — independent of
-// unordered_map iteration order, insertion order, thread count, and
-// process. Two snapshots built from equal tables are byte-identical.
+// Determinism: a SplitTable is canonical — pairs in sorted VertexPair
+// order, each pair's rows in path_lexicographic_less order — so
+// serialize() and digest() are pure functions of the table's CONTENT,
+// independent of thread count and process. Two snapshots built from
+// equal tables are byte-identical.
 
 #include <cstdint>
 #include <span>
@@ -32,15 +31,6 @@
 #include "graph/path.hpp"
 
 namespace sor::serve {
-
-/// One candidate of a served answer: a path in canonical orientation and
-/// the fraction of the pair's demand it carries.
-struct ServedPath {
-  Path path;
-  double fraction = 0;
-
-  friend bool operator==(const ServedPath&, const ServedPath&) = default;
-};
 
 /// Answer to a (src, dst) lookup. `paths` views the snapshot's storage
 /// (canonical orientation, path_lexicographic_less order) and is valid as
@@ -53,7 +43,7 @@ struct LookupResult {
   bool reverse = false;
   /// The epoch of the snapshot that answered.
   std::uint64_t epoch = 0;
-  std::span<const ServedPath> paths;
+  std::span<const SplitRow> paths;
 
   /// The answer's paths oriented src→dst (copies).
   std::vector<Path> oriented_paths() const;
@@ -65,21 +55,18 @@ class RouteSnapshot {
  public:
   RouteSnapshot() = default;
 
-  /// Freezes `split` as the routing table for `epoch`. Zero-fraction
-  /// rows, and pairs with no positive-fraction rows, are dropped —
-  /// matching what install/split_fractions emit, so tables equal up to
-  /// explicit zeros freeze byte-identically. Runs on the control thread;
-  /// the result is immutable and safe to share with readers.
-  static RouteSnapshot build(std::uint64_t epoch,
-                             const SplitFractions& split);
+  /// Freezes `table` as the routing table for `epoch`. Runs on the
+  /// control thread; the result is immutable and safe to share with
+  /// readers.
+  static RouteSnapshot build(std::uint64_t epoch, SplitTable table);
 
   /// Lock-free, allocation-free lookup (binary search over sorted pairs).
   /// Safe from any thread for the snapshot's whole lifetime.
   LookupResult lookup(Vertex s, Vertex t) const;
 
   std::uint64_t epoch() const { return epoch_; }
-  std::size_t num_pairs() const { return entries_.size(); }
-  std::size_t num_paths() const { return paths_.size(); }
+  std::size_t num_pairs() const { return table_.num_pairs(); }
+  std::size_t num_paths() const { return table_.num_rows(); }
 
   /// FNV-1a over the serialized table — equal iff serialize() is equal.
   /// Precomputed at build; readers use it to prove an answer came from
@@ -92,16 +79,9 @@ class RouteSnapshot {
   std::string serialize() const;
 
  private:
-  struct Entry {
-    VertexPair pair;
-    std::uint32_t begin = 0;
-    std::uint32_t count = 0;
-  };
-
   std::uint64_t epoch_ = 0;
   std::uint64_t digest_ = 0;
-  std::vector<Entry> entries_;   // sorted by (pair.a, pair.b)
-  std::vector<ServedPath> paths_;  // entries_' rows, back to back
+  SplitTable table_;
 };
 
 }  // namespace sor::serve

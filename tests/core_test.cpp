@@ -301,6 +301,43 @@ TEST(PathActivation, HammingCountsFlipsAndOneSidedKeys) {
   EXPECT_EQ(activation_hamming(extended, before), 2u);
 }
 
+TEST(SplitTable, SortsMergesAndDropsZeroRows) {
+  const Path a{0, 1, {0}};
+  const Path b{0, 1, {1, 2}};
+  const Path c{2, 3, {3}};
+  // Out of order, a repeated path, a zero row, and a pair with only zeros.
+  const SplitTable table(std::vector<SplitRow>{{c, 1.0},
+                                               {b, 0.25},
+                                               {a, 0.5},
+                                               {b, 0.25},
+                                               {a, 0.0},
+                                               {Path{1, 2, {1}}, 0.0}});
+  ASSERT_EQ(table.num_pairs(), 2u);
+  EXPECT_EQ(table.num_rows(), 3u);
+  EXPECT_EQ(table.pairs()[0].pair, (VertexPair{0, 1}));
+  EXPECT_EQ(table.pairs()[1].pair, (VertexPair{2, 3}));
+  const std::span<const SplitRow> rows = table.rows(1, 0);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (SplitRow{a, 0.5}));
+  EXPECT_EQ(rows[1], (SplitRow{b, 0.5}));
+  EXPECT_TRUE(table.rows(1, 2).empty());
+}
+
+TEST(SplitTable, FromWeightsMergesEqualCandidatesAndRejectsReversedPaths) {
+  const Path a{0, 1, {0}};
+  RestrictedProblem problem;
+  problem.commodities.push_back({2.0, {a, Path{0, 1, {1, 2}}, a}});
+  const SplitTable table =
+      SplitTable::from_weights(problem, {{0.5, 0.5, 1.0}});
+  const std::span<const SplitRow> rows = table.rows(0, 1);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (SplitRow{a, 0.75}));
+  EXPECT_EQ(rows[1].fraction, 0.25);
+
+  problem.commodities[0].candidates = {Path{1, 0, {0}}};
+  EXPECT_THROW(SplitTable::from_weights(problem, {{2.0}}), CheckError);
+}
+
 TEST(Router, EmptyDemandIsZero) {
   const Graph g = make_grid(2, 2);
   PathSystem ps;

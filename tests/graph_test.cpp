@@ -311,6 +311,17 @@ TEST(Io, SkipsCommentsAndDefaultsCapacity) {
   EXPECT_DOUBLE_EQ(g.edge(1).capacity, 2.5);
 }
 
+TEST(Io, RejectsMalformedCapacities) {
+  for (const char* cap : {"nan", "1e999", "abc", "2.5abc", "inf", "0", "-1",
+                          "2 3"}) {
+    std::stringstream in(std::string("2\n0 1 ") + cap + "\n");
+    EXPECT_THROW(read_edge_list(in), CheckError) << "capacity " << cap;
+  }
+  // Trailing whitespace (a CRLF file) is not garbage.
+  std::stringstream in("2\n0 1 2.5 \t\r\n");
+  EXPECT_DOUBLE_EQ(read_edge_list(in).edge(0).capacity, 2.5);
+}
+
 TEST(Io, DotOutputContainsEdges) {
   const Graph g = make_complete(3);
   std::ostringstream os;

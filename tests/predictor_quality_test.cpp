@@ -186,8 +186,7 @@ class QualityTrackerChurnTest : public ::testing::Test {
 TEST_F(QualityTrackerChurnTest, FirstEpochHasZeroChurn) {
   QualityTracker tracker({});
   PathActivation mask(system_);
-  InstalledSplit split;
-  split[VertexPair::canonical(0, 1)][make_path(0, 1, {0})] = 1.0;
+  const SplitTable split(std::vector<SplitRow>{{make_path(0, 1, {0}), 1.0}});
   EpochQuality q;
   tracker.observe_install(mask, split, q);
   EXPECT_EQ(q.mask_churn, 0u);
@@ -198,7 +197,7 @@ TEST_F(QualityTrackerChurnTest, FirstEpochHasZeroChurn) {
 TEST_F(QualityTrackerChurnTest, FlagFlipAndExtraCountAsHamming) {
   QualityTracker tracker({});
   PathActivation mask(system_);
-  InstalledSplit split;
+  const SplitTable split;
   EpochQuality q0;
   tracker.observe_install(mask, split, q0);
 
@@ -220,18 +219,15 @@ TEST_F(QualityTrackerChurnTest, WeightDriftAndTopFlipAreExact) {
   PathActivation mask(system_);
   const Path direct = make_path(0, 1, {0});
   const Path detour = make_path(0, 1, {1, 2});
-  const VertexPair pair = VertexPair::canonical(0, 1);
 
-  InstalledSplit before;
-  before[pair][direct] = 1.0;
+  const SplitTable before(std::vector<SplitRow>{{direct, 1.0}});
   EpochQuality q0;
   tracker.observe_install(mask, before, q0);
 
   // Shift 60% of the pair onto the detour: L1 drift is
   // |0.4 - 1.0| + |0.6 - 0| = 1.2, and the top path flips.
-  InstalledSplit after;
-  after[pair][direct] = 0.4;
-  after[pair][detour] = 0.6;
+  const SplitTable after(
+      std::vector<SplitRow>{{direct, 0.4}, {detour, 0.6}});
   EpochQuality q1;
   tracker.observe_install(mask, after, q1);
   EXPECT_NEAR(q1.weight_l1_drift, 1.2, 1e-12);
@@ -249,13 +245,12 @@ TEST_F(QualityTrackerChurnTest, PairAppearingCountsWholeWeight) {
   // sum to the drift but cannot flip (no previous top to compare).
   QualityTracker tracker({});
   PathActivation mask(system_);
-  InstalledSplit before;
-  before[VertexPair::canonical(0, 1)][make_path(0, 1, {0})] = 1.0;
+  const SplitTable before(std::vector<SplitRow>{{make_path(0, 1, {0}), 1.0}});
   EpochQuality q0;
   tracker.observe_install(mask, before, q0);
 
-  InstalledSplit after = before;
-  after[VertexPair::canonical(2, 3)][make_path(2, 3, {3})] = 1.0;
+  const SplitTable after(std::vector<SplitRow>{
+      {make_path(0, 1, {0}), 1.0}, {make_path(2, 3, {3}), 1.0}});
   EpochQuality q1;
   tracker.observe_install(mask, after, q1);
   EXPECT_NEAR(q1.weight_l1_drift, 1.0, 1e-12);

@@ -35,16 +35,16 @@ Path ring_path(const Graph& g, std::initializer_list<Vertex> vertices) {
 }
 
 // A small hand-built routing table on C6: pair {1,4} split across the two
-// arcs, pair {0,2} on a single path plus a zero-fraction row that build()
+// arcs, pair {0,2} on a single path plus a zero-fraction row the table
 // must drop.
-SplitFractions ring_split(const Graph& g) {
-  SplitFractions split;
-  split[VertexPair::canonical(1, 4)][ring_path(g, {1, 2, 3, 4})] = 0.75;
-  split[VertexPair::canonical(1, 4)][ring_path(g, {1, 0, 5, 4})] = 0.25;
-  split[VertexPair::canonical(0, 2)][ring_path(g, {0, 1, 2})] = 1.0;
-  split[VertexPair::canonical(0, 2)][ring_path(g, {0, 5, 4, 3, 2})] = 0.0;
-  return split;
+std::vector<SplitRow> ring_rows(const Graph& g) {
+  return {{ring_path(g, {1, 2, 3, 4}), 0.75},
+          {ring_path(g, {1, 0, 5, 4}), 0.25},
+          {ring_path(g, {0, 1, 2}), 1.0},
+          {ring_path(g, {0, 5, 4, 3, 2}), 0.0}};
 }
+
+SplitTable ring_split(const Graph& g) { return SplitTable(ring_rows(g)); }
 
 TEST(Snapshot, LookupAnswersBothOrientationsAndMisses) {
   const Graph g = make_ring(6);
@@ -80,26 +80,19 @@ TEST(Snapshot, LookupAnswersBothOrientationsAndMisses) {
 
 TEST(Snapshot, SerializeIsContentDeterminedNotInsertionOrdered) {
   const Graph g = make_ring(6);
-  const SplitFractions forward_order = ring_split(g);
-  // Same content, reversed insertion order at both map levels.
-  SplitFractions reverse_order;
-  reverse_order[VertexPair::canonical(0, 2)][ring_path(g, {0, 5, 4, 3, 2})] =
-      0.0;
-  reverse_order[VertexPair::canonical(0, 2)][ring_path(g, {0, 1, 2})] = 1.0;
-  reverse_order[VertexPair::canonical(1, 4)][ring_path(g, {1, 0, 5, 4})] =
-      0.25;
-  reverse_order[VertexPair::canonical(1, 4)][ring_path(g, {1, 2, 3, 4})] =
-      0.75;
-
-  const RouteSnapshot a = RouteSnapshot::build(3, forward_order);
-  const RouteSnapshot b = RouteSnapshot::build(3, reverse_order);
+  const std::vector<SplitRow> rows = ring_rows(g);
+  // Same content, reversed insertion order.
+  const RouteSnapshot a = RouteSnapshot::build(3, SplitTable(rows));
+  const RouteSnapshot b = RouteSnapshot::build(
+      3, SplitTable(std::vector<SplitRow>(rows.rbegin(), rows.rend())));
   EXPECT_EQ(a.serialize(), b.serialize());
   EXPECT_EQ(a.digest(), b.digest());
 
   // Any content change shows up in the digest.
-  SplitFractions changed = forward_order;
-  changed[VertexPair::canonical(1, 4)][ring_path(g, {1, 2, 3, 4})] = 0.7500001;
-  EXPECT_NE(RouteSnapshot::build(3, changed).digest(), a.digest());
+  std::vector<SplitRow> changed = rows;
+  changed[0].fraction = 0.7500001;
+  EXPECT_NE(RouteSnapshot::build(3, SplitTable(changed)).digest(),
+            a.digest());
 }
 
 TEST(Service, LookupBeforeFirstPublishIsAMiss) {
@@ -269,7 +262,7 @@ std::uint64_t answer_digest(std::uint64_t h, Vertex s, Vertex t,
   mix(r.found ? 1 : 0);
   if (!r.found) return h;
   mix(r.epoch);
-  for (const ServedPath& row : r.paths) {
+  for (const SplitRow& row : r.paths) {
     mix(std::bit_cast<std::uint64_t>(row.fraction));
     mix(row.path.src);
     mix(row.path.dst);
