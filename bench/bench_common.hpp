@@ -45,14 +45,14 @@ namespace sor::bench {
 /// block, and the optional "attribution" block. v3: added the
 /// "convergence" block (per-solve iteration traces, see
 /// telemetry/observer.hpp) and the cost/<subsystem>/* accounting counters
-/// inside "telemetry". v4: added the "cache" block (artifact-cache
-/// hit/miss/eviction counters plus the enabled flag, see src/cache/) —
-/// the warm-vs-cold fixture chain asserts on it.
+/// inside "telemetry" (dropped in v9). v4: added the "cache" block
+/// (artifact-cache hit/miss/eviction counters plus the enabled flag, see
+/// src/cache/) — the warm-vs-cold fixture chain asserts on it.
 // v5: added the "health" block (runtime health registry snapshot:
-// quantile-sketch summaries with bucket counts, per-sketch watermarks,
-// epoch-windowed series, recorder drop counters, and the SLO breach list
-// + 0/1 status, see src/telemetry/metrics.hpp) — the SLO fixture chain
-// and `sor_cli slo` evaluate it.
+// quantile-sketch summaries with bucket counts, per-sketch watermarks
+// (dropped in v9), epoch-windowed series, recorder drop counters, and
+// the SLO breach list + 0/1 status, see src/telemetry/metrics.hpp) — the
+// SLO fixture chain and `sor_cli slo` evaluate it.
 // v6: added the "provenance" block (compiler id/version, build type,
 // flags, sanitize mode, build fingerprint, git describe — see
 // src/telemetry/buildinfo.hpp) and the "memory" block (current/peak RSS
@@ -68,7 +68,14 @@ namespace sor::bench {
 // src/serve/: sustained lookups/sec and lookup-latency quantiles under
 // concurrent epoch churn, torn-answer and byte-identity audit results,
 // snapshot publish + demand-ingestion counters). E17 requires it.
-inline constexpr int kArtifactSchemaVersion = 8;
+// v9: one registry, one sketch type, one timer. "telemetry" holds only
+// "counters" and "gauges" (the equal-width "histograms" map is gone; its
+// signals are health sketches), no counter is named cost/... (solver
+// cost is read from the spans block, and every span also feeds the
+// health sketch "<span name>_seconds"), and "health" has no
+// "watermarks" (each sketch's exact max is its watermark). The health
+// "rates"/"gauges" windows now cover every registry counter and gauge.
+inline constexpr int kArtifactSchemaVersion = 9;
 
 namespace detail {
 // Captured at static initialization — close enough to process start for

@@ -2,7 +2,7 @@
 // EXPERIMENTS.md. Exits 0 if the document parses and every required key
 // has the right shape; prints the first violation and exits 1 otherwise.
 // Artifacts stamped with a schema_version NEWER than this checker knows
-// (> 8) exit with the dedicated code 3: "rebuild the checker", not "the
+// (> 9) exit with the dedicated code 3: "rebuild the checker", not "the
 // artifact is broken". Usage errors exit 2.
 //
 // Usage: check_bench_json <path/to/BENCH_E1.json>
@@ -39,7 +39,7 @@ using sor::telemetry::JsonValue;
 
 /// Highest schema_version this checker understands; keep in lockstep with
 /// bench_common.hpp's kArtifactSchemaVersion.
-constexpr int kMaxKnownSchemaVersion = 8;
+constexpr int kMaxKnownSchemaVersion = 9;
 /// Exit code for artifacts from a NEWER schema than this build knows.
 /// Distinct from 1 (schema violation) and 2 (usage) so fixtures and CI
 /// can tell "stale checker" apart from "broken artifact".
@@ -545,8 +545,9 @@ void check_health_window(const JsonValue& window, const std::string& where) {
 /// sketch snapshots whose bucket counts reconcile with the reported
 /// count and whose quantiles are ordered, epoch-indexed windowed series,
 /// recorder drop accounting, and a breach list consistent with the 0/1
-/// status.
-void check_health(const JsonValue& doc) {
+/// status. v5-v8 also carry per-sketch "watermarks"; v9 must not (each
+/// sketch's max is its watermark).
+void check_health(const JsonValue& doc, bool one_registry) {
   check_member(doc, "health", JsonValue::Kind::kObject, "object");
   const JsonValue& health = doc.at("health");
   check_member(health, "enabled", JsonValue::Kind::kBool, "bool");
@@ -601,9 +602,16 @@ void check_health(const JsonValue& doc) {
     }
   }
 
-  check_member(health, "watermarks", JsonValue::Kind::kObject, "object");
-  for (const auto& [name, value] : health.at("watermarks").members()) {
-    require(value.is_number(), "health/watermarks/" + name + " not a number");
+  if (one_registry) {
+    require(!health.has("watermarks"),
+            "v9 health block carries \"watermarks\" (read each sketch's "
+            "max instead)");
+  } else {
+    check_member(health, "watermarks", JsonValue::Kind::kObject, "object");
+    for (const auto& [name, value] : health.at("watermarks").members()) {
+      require(value.is_number(),
+              "health/watermarks/" + name + " not a number");
+    }
   }
   check_member(health, "rates", JsonValue::Kind::kObject, "object");
   for (const auto& [name, window] : health.at("rates").members()) {
@@ -750,6 +758,8 @@ int main(int argc, char** argv) {
   const bool has_provenance_block = doc.at("schema_version").as_number() >= 6;
   const bool has_quality_block = doc.at("schema_version").as_number() >= 7;
   const bool has_serving_block = doc.at("schema_version").as_number() >= 8;
+  // v9: one registry, one sketch type, one timer (see bench_common.hpp).
+  const bool one_registry = doc.at("schema_version").as_number() >= 9;
   require(has_cache_block || !require_cache_hits,
           "--require-cache-hits needs a schema v4+ artifact");
   check_member(doc, "experiment", JsonValue::Kind::kString, "string");
@@ -780,7 +790,18 @@ int main(int argc, char** argv) {
   const JsonValue& telemetry = doc.at("telemetry");
   check_member(telemetry, "counters", JsonValue::Kind::kObject, "object");
   check_member(telemetry, "gauges", JsonValue::Kind::kObject, "object");
-  check_member(telemetry, "histograms", JsonValue::Kind::kObject, "object");
+  if (one_registry) {
+    require(!telemetry.has("histograms"),
+            "v9 telemetry block carries \"histograms\" (distributions are "
+            "health sketches)");
+    for (const auto& [name, value] : telemetry.at("counters").members()) {
+      require(name.rfind("cost/", 0) != 0,
+              "v9 telemetry counter \"" + name +
+                  "\" is a cost/ counter (solver cost lives in the spans)");
+    }
+  } else {
+    check_member(telemetry, "histograms", JsonValue::Kind::kObject, "object");
+  }
 
   check_member(doc, "spans", JsonValue::Kind::kArray, "array");
   const JsonValue& spans = doc.at("spans");
@@ -797,7 +818,7 @@ int main(int argc, char** argv) {
   check_events(doc);
   const std::set<std::string> solvers = check_convergence(doc);
   if (has_cache_block) check_cache(doc);
-  if (has_health_block) check_health(doc);
+  if (has_health_block) check_health(doc, one_registry);
   if (has_provenance_block) {
     check_provenance(doc);
     check_memory(doc);
@@ -851,7 +872,8 @@ int main(int argc, char** argv) {
               "E16 health block has no engine/congestion sketch");
       require(sketches.at("engine/congestion").at("max").as_number() > 0,
               "E16 congestion watermark is zero");
-      require(doc.at("health").at("watermarks").has("engine/congestion"),
+      require(one_registry ||
+                  doc.at("health").at("watermarks").has("engine/congestion"),
               "E16 health block has no engine/congestion watermark");
       require(doc.at("health").at("epochs_rolled").as_number() > 0,
               "E16 health block rolled no epoch windows");

@@ -100,9 +100,10 @@
 //     --congestion-threshold X    relative congestion slack  (default 0.02)
 //     --span-threshold X          relative time slack        (default 0.50)
 //     --span-min-seconds X        time-metric noise floor    (default 0.05)
-//   sor_cli profile BENCH_x.json  solver-introspection view: per-subsystem
-//                                 cost accounting (time/calls/bytes) and
-//                                 the schema-v3 convergence traces
+//   sor_cli profile BENCH_x.json  solver-introspection view: per-span
+//                                 cost (calls/time from the spans block,
+//                                 bytes) and the schema-v3 convergence
+//                                 traces
 //
 // Run ledger / trend gate:
 //   sor_cli ledger append LEDGER.jsonl BENCH_x.json

@@ -113,8 +113,7 @@ PathSystem sample_path_system_uncached(const ObliviousRouting& routing,
       sampled[i].push_back(routing.sample_path(pair.a, pair.b, rng));
     }
     SOR_COUNTER("sampler/paths_sampled").add(count);
-    SOR_HISTOGRAM("sampler/paths_per_pair", 0.0, 64.0, 64)
-        .observe(static_cast<double>(count));
+    SOR_SKETCH("sampler/paths_per_pair").observe(static_cast<double>(count));
   });
 
   // Per-pair sampled counts, aggregated single-threaded after the
@@ -150,15 +149,14 @@ PathSystem sample_path_system_uncached(const ObliviousRouting& routing,
   if (telemetry::enabled()) {
     // Installed (post-dedup) sparsity per pair — the k that matters for
     // Theorem 2.5's trade-off.
-    auto& sparsity = SOR_HISTOGRAM("sampler/sparsity_per_pair", 0.0, 64.0, 64);
+    auto& sparsity = SOR_SKETCH("sampler/sparsity_per_pair");
     // Accepted = distinct canonical paths installed for the pair;
     // rejected = sampled draws that collapsed onto an already-installed
     // path. A high rejected share means k (or λ·k) overshoots the pair's
     // path diversity. Exported as a counts-only "sampler" trace plus a
-    // per-pair histogram.
+    // per-pair sketch.
     telemetry::SolveObserver observer("sampler");
-    auto& rejected_hist =
-        SOR_HISTOGRAM("sampler/paths_rejected_per_pair", 0.0, 64.0, 64);
+    auto& rejected_per_pair = SOR_SKETCH("sampler/paths_rejected_per_pair");
     for (const VertexPair& pair : system.pairs()) {
       const std::size_t accepted =
           system.canonical_paths(pair.a, pair.b).size();
@@ -167,7 +165,7 @@ PathSystem sample_path_system_uncached(const ObliviousRouting& routing,
       const std::size_t drawn =
           it != sampled_by_pair.end() ? it->second : accepted;
       const std::size_t rejected = drawn > accepted ? drawn - accepted : 0;
-      rejected_hist.observe(static_cast<double>(rejected));
+      rejected_per_pair.observe(static_cast<double>(rejected));
       observer.count("pairs");
       observer.count("paths_accepted", accepted);
       observer.count("paths_rejected", rejected);

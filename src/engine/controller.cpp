@@ -191,12 +191,9 @@ EpochReport EpochController::step(std::span<const Event> events,
       if (!accepted) solution = solve_restricted_exact(problem);
     }
     report.solve_ms = clock.milliseconds();
-    // Latency sketches: the controller-local one feeds this epoch's
-    // health snapshot; the global one feeds the exporters (Prometheus,
-    // artifact health block).
-    const double solve_seconds = report.solve_ms / 1e3;
-    solve_sketch_.observe(solve_seconds);
-    SOR_SKETCH("engine/solve_seconds").observe(solve_seconds);
+    // The controller-local sketch feeds this run's health snapshot; the
+    // engine/solve span feeds the registry's engine/solve_seconds.
+    solve_sketch_.observe(report.solve_ms / 1e3);
     if (have_warm) {
       // Dual-bound gap of the solution actually installed: 0-ish when the
       // warm split was accepted as-is, larger when the accept test failed
@@ -249,7 +246,6 @@ EpochReport EpochController::step(std::span<const Event> events,
          {"pairs", static_cast<std::uint64_t>(snap->num_pairs())},
          {"paths", static_cast<std::uint64_t>(snap->num_paths())},
          {"digest", snap->digest()}});
-    SOR_COUNTER("engine/snapshots_published").add();
     options_.service->publish(std::move(snap));
   }
 
@@ -286,7 +282,6 @@ EpochReport EpochController::step(std::span<const Event> events,
     report.quality.regret = shadow.opt_congestion > 0
                                 ? report.congestion / shadow.opt_congestion
                                 : 0;
-    SOR_COUNTER("engine/shadow_solves").add();
     telemetry::Recorder::global().record(
         "engine/shadow",
         {{"epoch", static_cast<std::uint64_t>(report.epoch)},
@@ -295,22 +290,21 @@ EpochReport EpochController::step(std::span<const Event> events,
          {"regret", report.quality.regret},
          {"truncated", shadow.truncated}});
   }
-  // Quality windows + sketches; the quality/... names export through
-  // Prometheus as sor_quality_*. Regret and MAPE only feed on the epochs
-  // that produced them, so their sketches never see sentinel values.
+  // Quality metrics; the quality/... names export through Prometheus as
+  // sor_quality_*. Regret and MAPE only feed on the epochs that produced
+  // them, so their sketches never see sentinel values.
   if (report.quality.shadow_sampled) {
     SOR_SKETCH("quality/regret").observe(report.quality.regret);
-    SOR_WINDOW_GAUGE("quality/regret").set(report.quality.regret);
+    SOR_GAUGE("quality/last_regret").set(report.quality.regret);
   }
   if (report.quality.predictor_mape >= 0) {
     SOR_SKETCH("quality/predictor_mape").observe(report.quality.predictor_mape);
-    SOR_WINDOW_GAUGE("quality/predictor_mape")
+    SOR_GAUGE("quality/last_predictor_mape")
         .set(report.quality.predictor_mape);
   }
-  SOR_RATE("quality/mask_churn").add(report.quality.mask_churn);
-  SOR_RATE("quality/top_path_flips").add(report.quality.top_path_flips);
-  SOR_WINDOW_GAUGE("quality/weight_l1_drift")
-      .set(report.quality.weight_l1_drift);
+  SOR_COUNTER("quality/mask_churn").add(report.quality.mask_churn);
+  SOR_COUNTER("quality/top_path_flips").add(report.quality.top_path_flips);
+  SOR_GAUGE("quality/weight_l1_drift").set(report.quality.weight_l1_drift);
 
   SOR_GAUGE("engine/last_congestion").set(report.congestion);
   SOR_COUNTER("engine/epochs").add();
@@ -325,22 +319,20 @@ EpochReport EpochController::step(std::span<const Event> events,
        {"churn", static_cast<std::uint64_t>(report.repair.churn())},
        {"solve_ms", report.solve_ms}});
 
-  // Runtime health: feed the windowed series and sketches, close this
-  // epoch's window, snapshot the figures into the report, and check the
-  // SLOs. report.congestion is deterministic, so the congestion sketch
-  // and watermark are too; the latency figures are wall clock and stay
-  // out of the replay digest.
+  // Runtime health: feed the sketches, close this epoch's registry
+  // window, snapshot the figures into the report, and check the SLOs.
+  // report.congestion is deterministic, so the congestion sketch and its
+  // max (the watermark) are too; the latency figures are wall clock and
+  // stay out of the replay digest.
   SOR_SKETCH("engine/congestion").observe(report.congestion);
-  SOR_WINDOW_GAUGE("engine/congestion").set(report.congestion);
-  SOR_RATE("engine/epochs").add();
-  SOR_RATE("engine/churn").add(report.repair.churn());
+  SOR_COUNTER("engine/churn").add(report.repair.churn());
   // Peak RSS at the epoch boundary: set before the roll so the windowed
   // series carries one memory point per epoch. Wall-clock-free but
   // allocator-dependent, so digest-excluded like the latency figures.
   const telemetry::MemoryUsage memory = telemetry::sample_memory_usage();
-  SOR_WINDOW_GAUGE("engine/peak_rss_bytes")
+  SOR_GAUGE("engine/peak_rss_bytes")
       .set(static_cast<double>(memory.peak_rss_bytes));
-  telemetry::HealthRegistry::global().roll_epoch(report.epoch);
+  telemetry::Registry::global().roll_epoch(report.epoch);
 
   congestion_watermark_ = std::max(congestion_watermark_, report.congestion);
   const StatsSummary solve_summary = solve_sketch_.summary();

@@ -173,7 +173,6 @@ RepairReport PathRepairer::apply_epoch(std::span<const Event> events,
     ++report.reactivated;
   }
 
-  SOR_COUNTER("engine/repair_epochs").add();
   return report;
 }
 

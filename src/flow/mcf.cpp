@@ -6,7 +6,6 @@
 #include <map>
 
 #include "graph/search.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
@@ -54,9 +53,6 @@ McfResult min_congestion_routing(const Graph& g,
                                  std::span<const Commodity> commodities,
                                  const McfOptions& options) {
   SOR_SPAN("mcf/solve");
-  SOR_COST_SCOPE("mcf");
-  telemetry::SketchTimer latency(SOR_SKETCH("mcf/solve_seconds"));
-  SOR_COUNTER("mcf/solves").add();
   SOR_CHECK(options.epsilon > 0 && options.epsilon < 1);
   for (const Commodity& c : commodities) {
     SOR_CHECK(c.src < g.num_vertices() && c.dst < g.num_vertices());

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "lp/simplex.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
@@ -119,10 +118,7 @@ RestrictedSolution route_restricted_fractions(
 }
 
 RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
-  SOR_SPAN("lp/exact");
-  SOR_COST_SCOPE("lp_exact");  // inclusive of the nested simplex cost
-  telemetry::SketchTimer latency(SOR_SKETCH("lp/exact_seconds"));
-  SOR_COUNTER("lp/exact_solves").add();
+  SOR_SPAN("lp/exact");  // inclusive of the nested lp/simplex span
   validate_restricted_problem(problem);
   [[maybe_unused]] const Graph& g = *problem.graph;
 
@@ -222,9 +218,6 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
 RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
                                         const RestrictedMwuOptions& options) {
   SOR_SPAN("lp/mwu");
-  SOR_COST_SCOPE("mwu");
-  telemetry::SketchTimer latency(SOR_SKETCH("lp/mwu_seconds"));
-  SOR_COUNTER("lp/mwu_solves").add();
   validate_restricted_problem(problem);
   SOR_CHECK(options.epsilon > 0 && options.epsilon < 1);
   [[maybe_unused]] const Graph& g = *problem.graph;

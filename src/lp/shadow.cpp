@@ -3,9 +3,8 @@
 #include <optional>
 
 #include "flow/mcf.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
-#include "util/stopwatch.hpp"
+#include "telemetry/span.hpp"
 
 namespace sor {
 
@@ -15,8 +14,7 @@ ShadowSolveResult solve_shadow_optimal(const Graph& g, const Demand& realized,
   const std::vector<Commodity> commodities = realized.commodities();
   if (commodities.empty()) return result;
 
-  SOR_COST_SCOPE("lp/shadow");
-  Stopwatch clock;
+  SOR_SPAN("lp/shadow");
   telemetry::ProgressReporter budget_reporter;
   std::optional<telemetry::ProgressScope> budget;
   if (options.deadline_ms > 0) {
@@ -33,7 +31,6 @@ ShadowSolveResult solve_shadow_optimal(const Graph& g, const Demand& realized,
   result.lower_bound = opt.lower_bound;
   result.phases = opt.phases;
   result.truncated = opt.truncated;
-  SOR_SKETCH("lp/shadow_seconds").observe(clock.milliseconds() / 1e3);
   return result;
 }
 

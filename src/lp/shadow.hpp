@@ -50,8 +50,8 @@ struct ShadowSolveResult {
   bool truncated = false;
 };
 
-/// Runs the shadow-optimal MCF for `realized` on `g`. Accounted under the
-/// "lp/shadow" cost scope and the "lp/shadow_seconds" latency sketch so
+/// Runs the shadow-optimal MCF for `realized` on `g`. Timed by the
+/// "lp/shadow" span (and so its "lp/shadow_seconds" latency sketch) so
 /// observatory overhead is attributable next to the serving solvers.
 /// Empty matrices (no positive-demand pair) return all zeros.
 ShadowSolveResult solve_shadow_optimal(const Graph& g, const Demand& realized,

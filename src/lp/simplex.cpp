@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "telemetry/memory.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
@@ -206,9 +205,6 @@ class Tableau {
 
 LpSolution solve_lp(const LpProblem& problem, std::size_t max_iterations) {
   SOR_SPAN("lp/simplex");
-  SOR_COST_SCOPE("simplex");
-  telemetry::SketchTimer latency(SOR_SKETCH("lp/simplex_seconds"));
-  SOR_COUNTER("simplex/solves").add();
   const std::size_t n = problem.objective.size();
   const std::size_t m = problem.constraints.size();
   for (const LpConstraint& c : problem.constraints) {
@@ -232,7 +228,7 @@ LpSolution solve_lp(const LpProblem& problem, std::size_t max_iterations) {
   // counter accumulates over the run; the scoped charge tracks LIVE
   // tableau bytes so the memory accountant's high-water mark reflects
   // the largest concurrent working set, not the total churned.
-  SOR_COUNTER("cost/simplex/bytes")
+  SOR_COUNTER("lp/simplex_bytes")
       .add(static_cast<std::uint64_t>(m) * cols * sizeof(double));
   SOR_SCOPED_BYTES("simplex",
                    static_cast<std::uint64_t>(m) * cols * sizeof(double));

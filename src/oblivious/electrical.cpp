@@ -24,7 +24,6 @@ const std::vector<double>& ElectricalRouting::flow(Vertex s, Vertex t) const {
   auto it = flow_cache_.find(key);
   if (it == flow_cache_.end()) {
     SOR_SPAN("oblivious/electrical_flow");
-    SOR_COUNTER("oblivious/electrical_flow_solves").add();
     it = flow_cache_.emplace(key, electrical_flow(*graph_, key.a, key.b))
              .first;
   }

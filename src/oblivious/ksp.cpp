@@ -148,7 +148,6 @@ const std::vector<Path>& KspRouting::candidates(Vertex s, Vertex t) const {
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     SOR_SPAN("oblivious/ksp_yen");
-    SOR_COUNTER("oblivious/ksp_yen_builds").add();
     it = cache_
              .emplace(key,
                       k_shortest_paths(*graph_, key.a, key.b, k_, lengths_))

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
@@ -35,28 +34,29 @@ RouteService::Answer RouteService::lookup(Vertex s, Vertex t) const {
   Answer answer;
   answer.snapshot = cache.guard;
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  SOR_RATE("serve/lookups").add();
+  SOR_COUNTER("serve/lookups").add();
   if (answer.snapshot != nullptr) {
     answer.result = answer.snapshot->lookup(s, t);
   }
   if (!answer.result.found) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    SOR_RATE("serve/misses").add();
+    SOR_COUNTER("serve/misses").add();
   }
   return answer;
 }
 
 void RouteService::publish(std::shared_ptr<const RouteSnapshot> snap) {
   SOR_CHECK(snap != nullptr);
-  // serve/* health windows: one point per publish (= per epoch when the
-  // controller drives us). Exported as sor_serve_* by prometheus_text().
-  SOR_WINDOW_GAUGE("serve/snapshot_epoch")
+  // serve/* gauges: the registry windows them at each epoch roll (one
+  // point per publish when the controller drives us). Exported as
+  // sor_serve_* by prometheus_text().
+  SOR_GAUGE("serve/snapshot_epoch")
       .set(static_cast<double>(snap->epoch()));
-  SOR_WINDOW_GAUGE("serve/snapshot_pairs")
+  SOR_GAUGE("serve/snapshot_pairs")
       .set(static_cast<double>(snap->num_pairs()));
-  SOR_WINDOW_GAUGE("serve/snapshot_paths")
+  SOR_GAUGE("serve/snapshot_paths")
       .set(static_cast<double>(snap->num_paths()));
-  SOR_RATE("serve/publishes").add();
+  SOR_COUNTER("serve/publishes").add();
   {
     const std::lock_guard<std::mutex> lock(swap_mu_);
     current_ = std::move(snap);
@@ -73,7 +73,7 @@ void RouteService::enqueue_update(const DemandUpdate& update) {
     pending_.push_back(update);
   }
   updates_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  SOR_RATE("serve/updates_enqueued").add();
+  SOR_COUNTER("serve/updates_enqueued").add();
 }
 
 std::vector<DemandUpdate> RouteService::drain_updates() {
@@ -83,7 +83,7 @@ std::vector<DemandUpdate> RouteService::drain_updates() {
     batch.swap(pending_);
   }
   updates_drained_.fetch_add(batch.size(), std::memory_order_relaxed);
-  if (!batch.empty()) SOR_RATE("serve/updates_applied").add(batch.size());
+  if (!batch.empty()) SOR_COUNTER("serve/updates_applied").add(batch.size());
   return batch;
 }
 

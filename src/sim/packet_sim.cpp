@@ -13,7 +13,6 @@ SimResult simulate_store_and_forward(const Graph& g,
                                      std::span<const Path> packet_paths,
                                      Rng& rng) {
   SOR_SPAN("sim/store_and_forward");
-  SOR_COUNTER("sim/runs").add();
   SOR_COUNTER("sim/packets").add(packet_paths.size());
   SimResult result;
 
@@ -64,7 +63,7 @@ SimResult simulate_store_and_forward(const Graph& g,
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       auto& queue = waiting[e];
       if (queue.empty()) continue;
-      SOR_HISTOGRAM("sim/queue_occupancy", 0.0, 128.0, 64)
+      SOR_SKETCH("sim/queue_occupancy")
           .observe(static_cast<double>(queue.size()));
       const std::size_t serve = std::min(rate[e], queue.size());
       std::partial_sort(queue.begin(),

@@ -102,21 +102,32 @@ std::map<std::string, double> artifact_spans(const JsonValue& doc) {
   return out;
 }
 
-/// Per-subsystem wall time in seconds from the cost/<subsystem>/ns
-/// registry counters.
-std::map<std::string, double> cost_seconds(const JsonValue& doc) {
-  std::map<std::string, double> out;
-  if (!doc.has("telemetry")) return out;
-  const JsonValue& telemetry = doc.at("telemetry");
-  if (!telemetry.is_object() || !telemetry.has("counters")) return out;
-  for (const auto& [name, value] : telemetry.at("counters").members()) {
-    if (name.rfind("cost/", 0) != 0 || !value.is_number()) continue;
-    const std::size_t tail = name.rfind("/ns");
-    if (tail == std::string::npos || tail + 3 != name.size()) continue;
-    out[name.substr(5, tail - 5)] = value.as_number() / 1e9;
+void add_span_totals(const JsonValue& nodes,
+                     std::map<std::string, SpanTotal>& out) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const JsonValue& node = nodes.at(i);
+    if (!node.is_object() || !node.has("name") || !node.has("count") ||
+        !node.has("seconds")) {
+      continue;
+    }
+    SpanTotal& total = out[node.at("name").as_string()];
+    total.calls += node.at("count").as_number();
+    total.seconds += node.at("seconds").as_number();
+    if (node.has("children")) add_span_totals(node.at("children"), out);
+  }
+}
+
+}  // namespace
+
+std::map<std::string, SpanTotal> span_totals(const JsonValue& doc) {
+  std::map<std::string, SpanTotal> out;
+  if (doc.is_object() && doc.has("spans") && doc.at("spans").is_array()) {
+    add_span_totals(doc.at("spans"), out);
   }
   return out;
 }
+
+namespace {
 
 /// Health sketches named "*_seconds" hold latencies; everything else
 /// (congestion, counts) is a plain quantity. Drives format/threshold
@@ -205,14 +216,15 @@ void collect(const JsonValue& before, const JsonValue& after,
     out.push_back({"attribution:max_utilization", util_a, util_b, false});
   }
 
-  // Per-subsystem solver cost — unlike spans, these survive layout
-  // refactors, so they are the durable solver-time regression signal.
-  const auto cost_a = cost_seconds(before);
-  const auto cost_b = cost_seconds(after);
-  for (const auto& [subsystem, seconds] : cost_a) {
-    const auto it = cost_b.find(subsystem);
+  // Per-name span totals — unlike span paths, these survive moving a
+  // stage under a new parent, so they are the durable solver-time
+  // regression signal.
+  const auto cost_a = span_totals(before);
+  const auto cost_b = span_totals(after);
+  for (const auto& [name, total] : cost_a) {
+    const auto it = cost_b.find(name);
     if (it != cost_b.end()) {
-      out.push_back({"cost:" + subsystem, seconds, it->second, true});
+      out.push_back({"cost:" + name, total.seconds, it->second.seconds, true});
     }
   }
 
@@ -469,7 +481,7 @@ void render_health(const JsonValue& doc, std::ostream& os) {
   os << "\n";
   if (health.has("sketches") && health.at("sketches").is_object() &&
       health.at("sketches").members().size() > 0) {
-    os << "  " << std::left << std::setw(28) << "sketch" << std::right
+    os << "  " << std::left << std::setw(36) << "sketch" << std::right
        << std::setw(10) << "count" << std::setw(12) << "p50" << std::setw(12)
        << "p95" << std::setw(12) << "p99" << std::setw(12) << "max" << "\n";
     for (const auto& [name, sketch] : health.at("sketches").members()) {
@@ -480,7 +492,7 @@ void render_health(const JsonValue& doc, std::ostream& os) {
         const double v = sketch.at(field).as_number();
         return seconds ? format_seconds(v) : format_quantity(v);
       };
-      os << "  " << std::left << std::setw(28) << name << std::right
+      os << "  " << std::left << std::setw(36) << name << std::right
          << std::setw(10)
          << (sketch.has("count") ? number_text(sketch.at("count")) : "-")
          << std::setw(12) << fmt("p50") << std::setw(12) << fmt("p95")
@@ -625,50 +637,36 @@ void render_artifact_report(const JsonValue& doc, std::ostream& os) {
 namespace {
 
 void render_cost_accounting(const JsonValue& doc, std::ostream& os) {
-  if (!doc.has("telemetry") || !doc.at("telemetry").is_object() ||
-      !doc.at("telemetry").has("counters")) {
-    return;
+  const auto totals = span_totals(doc);
+  if (totals.empty()) return;
+  const JsonValue* counters = nullptr;
+  if (doc.has("telemetry") && doc.at("telemetry").is_object() &&
+      doc.at("telemetry").has("counters")) {
+    counters = &doc.at("telemetry").at("counters");
   }
-  const JsonValue& counters = doc.at("telemetry").at("counters");
-  // Gather cost/<subsystem>/{ns,calls,bytes} triples.
-  struct Cost {
-    double seconds = 0;
-    double calls = 0;
-    double bytes = 0;
-  };
-  std::map<std::string, Cost> by_subsystem;
-  for (const auto& [name, value] : counters.members()) {
-    if (name.rfind("cost/", 0) != 0 || !value.is_number()) continue;
-    const std::size_t slash = name.rfind('/');
-    if (slash == std::string::npos || slash <= 5) continue;
-    const std::string subsystem = name.substr(5, slash - 5);
-    const std::string field = name.substr(slash + 1);
-    Cost& cost = by_subsystem[subsystem];
-    if (field == "ns") {
-      cost.seconds = value.as_number() / 1e9;
-    } else if (field == "calls") {
-      cost.calls = value.as_number();
-    } else if (field == "bytes") {
-      cost.bytes = value.as_number();
-    }
-  }
-  if (by_subsystem.empty()) return;
   // Most expensive first.
-  std::vector<std::pair<std::string, Cost>> sorted(by_subsystem.begin(),
-                                                   by_subsystem.end());
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    return a.second.seconds > b.second.seconds;
-  });
-  os << "per-subsystem cost:\n";
-  os << "  " << std::left << std::setw(16) << "subsystem" << std::right
+  std::vector<std::pair<std::string, SpanTotal>> sorted(totals.begin(),
+                                                        totals.end());
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.seconds > b.second.seconds;
+                   });
+  os << "per-span cost:\n";
+  os << "  " << std::left << std::setw(28) << "span" << std::right
      << std::setw(10) << "calls" << std::setw(12) << "total" << std::setw(12)
      << "per-call" << std::setw(10) << "bytes" << "\n";
-  for (const auto& [subsystem, cost] : sorted) {
-    os << "  " << std::left << std::setw(16) << subsystem << std::right
-       << std::setw(10) << format_quantity(cost.calls) << std::setw(12)
-       << format_seconds(cost.seconds) << std::setw(12)
-       << (cost.calls > 0 ? format_seconds(cost.seconds / cost.calls) : "-")
-       << std::setw(10) << format_quantity(cost.bytes) << "\n";
+  for (const auto& [name, total] : sorted) {
+    const std::string bytes_key = name + "_bytes";
+    const double bytes = counters != nullptr && counters->has(bytes_key) &&
+                                 counters->at(bytes_key).is_number()
+                             ? counters->at(bytes_key).as_number()
+                             : 0;
+    os << "  " << std::left << std::setw(28) << name << std::right
+       << std::setw(10) << format_quantity(total.calls) << std::setw(12)
+       << format_seconds(total.seconds) << std::setw(12)
+       << (total.calls > 0 ? format_seconds(total.seconds / total.calls)
+                           : "-")
+       << std::setw(10) << format_quantity(bytes) << "\n";
   }
 }
 

@@ -8,6 +8,7 @@
 // links nothing beyond Threads.
 
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,18 @@ std::string format_seconds(double seconds);
 /// Human-readable count/size: "312", "4.50k", "1.23M", "9.87G". Values
 /// below 1000 print plainly (integers without a decimal point).
 std::string format_quantity(double value);
+
+/// Totals of one span name over an artifact's `spans` forest.
+struct SpanTotal {
+  double calls = 0;    // summed invocation counts
+  double seconds = 0;  // summed time
+};
+
+/// The artifact's `spans` block summed by node name: nodes of the same
+/// name under different parents add together. Empty when the artifact
+/// has no spans. This is the per-stage cost view that `profile`, `diff`,
+/// and the run ledger read.
+std::map<std::string, SpanTotal> span_totals(const JsonValue& doc);
 
 /// Renders a multi-section summary: header (experiment/claim/provenance),
 /// the reproduction table, the slowest spans, the bottleneck links (when
@@ -75,9 +88,10 @@ struct ArtifactDiffResult {
 ///  * every span (flattened root/child path) present in both, plus
 ///    wall_seconds and the E16 modes' total_solve_ms (span threshold,
 ///    with the span_min_seconds noise floor);
-///  * every per-subsystem cost counter ("cost:<subsystem>", from the
-///    registry's cost/<subsystem>/ns counters, compared as seconds) —
-///    the solver-time regression signal (span threshold + noise floor);
+///  * every span name's total time ("cost:<span name>", from
+///    span_totals(), so a stage that moves under a new parent still
+///    compares) — the solver-time regression signal (span threshold +
+///    noise floor);
 ///  * the max of each E16 per_epoch_congestion series (congestion
 ///    threshold).
 /// Metrics present in only one artifact are skipped — schema growth is
@@ -90,10 +104,11 @@ ArtifactDiffResult diff_artifacts(const JsonValue& before,
 void render_artifact_diff(const ArtifactDiffResult& result, std::ostream& os);
 
 /// Renders the solver-introspection view of one artifact (`sor_cli
-/// profile`): per-subsystem cost accounting (wall time, calls, bytes from
-/// the cost/<subsystem>/* registry counters) and the schema-v3
-/// "convergence" block (one line per trace: iterations, retained points,
-/// final objective/bound/gap, truncation, per-solve counters). Tolerates
+/// profile`): a cost table with one row per span name (calls and time
+/// from span_totals(), bytes from the "<span name>_bytes" counter when
+/// one exists) and the schema-v3 "convergence" block (one line per
+/// trace: iterations, retained points, final objective/bound/gap,
+/// truncation, per-solve counters). Tolerates
 /// artifacts without either block; throws CheckError on documents that
 /// are not artifact-shaped at all.
 void render_artifact_profile(const JsonValue& doc, std::ostream& os);

@@ -7,29 +7,6 @@ namespace sor::telemetry {
 
 namespace {
 
-JsonValue histogram_to_json(const HistogramSnapshot& snap) {
-  JsonValue h = JsonValue::object();
-  h.set("lo", snap.lo);
-  h.set("hi", snap.hi);
-  h.set("count", snap.count);
-  h.set("sum", snap.sum);
-  h.set("min", snap.count > 0 ? snap.min : 0.0);
-  h.set("max", snap.count > 0 ? snap.max : 0.0);
-  StatsSummary s = summarize_histogram(snap.buckets, snap.lo, snap.hi);
-  if (snap.count > 0) {
-    s.mean = snap.sum / static_cast<double>(snap.count);
-    s.max = snap.max;
-  }
-  h.set("mean", s.mean);
-  h.set("p50", s.p50);
-  h.set("p95", s.p95);
-  h.set("p99", s.p99);
-  JsonValue buckets = JsonValue::array();
-  for (std::uint64_t b : snap.buckets) buckets.push(b);
-  h.set("buckets", std::move(buckets));
-  return h;
-}
-
 JsonValue span_to_json(const SpanSnapshot& span) {
   JsonValue node = JsonValue::object();
   node.set("name", span.name);
@@ -57,11 +34,6 @@ JsonValue registry_to_json(const Registry& registry) {
     gauges.set(name, value);
   }
   root.set("gauges", std::move(gauges));
-  JsonValue histograms = JsonValue::object();
-  for (const auto& [name, snap] : registry.histograms()) {
-    histograms.set(name, histogram_to_json(snap));
-  }
-  root.set("histograms", std::move(histograms));
   return root;
 }
 
@@ -163,7 +135,8 @@ JsonValue chrome_trace_json(const std::vector<TimelineEvent>& timeline,
     // of the same solver/label on separate tracks.
     std::string track = "convergence/" + trace.solver;
     if (!trace.label.empty()) track += "/" + trace.label;
-    track += "#" + std::to_string(i);
+    track += "#";
+    track += std::to_string(i);
     for (const ConvergencePoint& point : trace.points) {
       JsonValue e = JsonValue::object();
       e.set("name", track);
@@ -202,19 +175,6 @@ void write_registry_csv(std::ostream& os, const Registry& registry) {
   }
   for (const auto& [name, value] : registry.gauges()) {
     os << "gauge," << name << ",value," << value << "\n";
-  }
-  for (const auto& [name, snap] : registry.histograms()) {
-    StatsSummary s = summarize_histogram(snap.buckets, snap.lo, snap.hi);
-    if (snap.count > 0) {
-      s.mean = snap.sum / static_cast<double>(snap.count);
-      s.max = snap.max;
-    }
-    os << "histogram," << name << ",count," << snap.count << "\n";
-    os << "histogram," << name << ",mean," << s.mean << "\n";
-    os << "histogram," << name << ",p50," << s.p50 << "\n";
-    os << "histogram," << name << ",p95," << s.p95 << "\n";
-    os << "histogram," << name << ",p99," << s.p99 << "\n";
-    os << "histogram," << name << ",max," << s.max << "\n";
   }
 }
 

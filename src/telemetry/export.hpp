@@ -6,17 +6,15 @@
 //
 //   registry_to_json() ->
 //     {"counters": {name: integer, ...},
-//      "gauges":   {name: number, ...},
-//      "histograms": {name: {"lo": a, "hi": b, "count": n, "sum": s,
-//                            "min": m, "max": M, "mean": µ,
-//                            "p50": q, "p95": q, "p99": q,
-//                            "buckets": [n0, n1, ...]}, ...}}
+//      "gauges":   {name: number, ...}}
+//   (the registry's sketches export in the `health` block, see
+//   telemetry/metrics.hpp)
 //
 //   spans_to_json() ->
 //     [{"name": str, "count": n, "seconds": s, "children": [...]}, ...]
 //
-// CSV: one "kind,name,field,value" row per scalar (histograms flattened
-// to their summary fields), for spreadsheet-side consumption.
+// CSV: one "kind,name,field,value" row per counter and gauge, for
+// spreadsheet-side consumption.
 
 #include <iosfwd>
 #include <vector>

@@ -181,6 +181,11 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted. The parser recurses once per
+  /// level, so unbounded nesting would overflow the stack; artifacts nest
+  /// about ten levels deep.
+  static constexpr std::size_t kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
@@ -220,8 +225,15 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      SOR_CHECK_MSG(depth_ < kMaxDepth, "json nesting deeper than "
+                                            << kMaxDepth << " at position "
+                                            << pos_);
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (consume_literal("true")) return JsonValue(true);
     if (consume_literal("false")) return JsonValue(false);
@@ -353,6 +365,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

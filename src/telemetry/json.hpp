@@ -62,7 +62,8 @@ class JsonValue {
   std::string dump(int indent = 0) const;
 
   /// Parses a complete JSON document (trailing non-space rejected).
-  /// Throws CheckError with position info on malformed input.
+  /// Throws CheckError with position info on malformed input, including
+  /// arrays/objects nested more than 256 levels deep.
   static JsonValue parse(std::string_view text);
 
  private:

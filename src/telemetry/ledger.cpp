@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "telemetry/artifact.hpp"
 #include "telemetry/buildinfo.hpp"
@@ -17,6 +18,15 @@ namespace sor::telemetry {
 namespace {
 
 constexpr const char* kCacheHitRate = "cache_hit_rate";
+
+/// Solver entry span -> ledger metric.
+constexpr std::pair<const char*, const char*> kSolverCostMetrics[] = {
+    {"lp/mwu", "cost_mwu_seconds"},
+    {"lp/exact", "cost_lp_exact_seconds"},
+    {"lp/simplex", "cost_simplex_seconds"},
+    {"mcf/solve", "cost_mcf_seconds"},
+    {"lp/shadow", "cost_lp_shadow_seconds"},
+};
 
 /// Metric names drive their own formatting: *_seconds and *_ms render as
 /// durations, *_bytes and everything else as quantities.
@@ -146,26 +156,19 @@ LedgerRecord summarize_artifact(const JsonValue& artifact,
       record.metrics["predictor_mape"] = number_at(predictor, "mape_mean", 0);
     }
   }
-  // Per-subsystem cost totals from the cost/<subsystem>/ns counters.
-  if (const JsonValue* counters =
-          find_path(artifact, {"telemetry", "counters"})) {
-    double total = 0;
-    bool any = false;
-    for (const auto& [name, value] : counters->members()) {
-      if (name.rfind("cost/", 0) != 0 || !value.is_number()) continue;
-      const std::size_t tail = name.rfind("/ns");
-      if (tail == std::string::npos || tail + 3 != name.size()) continue;
-      std::string subsystem = name.substr(5, tail - 5);
-      for (char& c : subsystem) {
-        if (c == '/') c = '_';
-      }
-      const double seconds = value.as_number() / 1e9;
-      record.metrics["cost_" + subsystem + "_seconds"] = seconds;
-      total += seconds;
-      any = true;
-    }
-    if (any) record.metrics["cost_total_seconds"] = total;
+  // Solver cost totals from the solver entry spans, under the ledger's
+  // cost_* metric names (the trend gate compares them across records).
+  const auto spans = span_totals(artifact);
+  double cost_total = 0;
+  bool any_cost = false;
+  for (const auto& [span, metric] : kSolverCostMetrics) {
+    const auto it = spans.find(span);
+    if (it == spans.end()) continue;
+    record.metrics[metric] = it->second.seconds;
+    cost_total += it->second.seconds;
+    any_cost = true;
   }
+  if (any_cost) record.metrics["cost_total_seconds"] = cost_total;
   // Peak memory from the v6 memory block.
   if (const JsonValue* memory = find_path(artifact, {"memory"})) {
     record.metrics["peak_rss_bytes"] =

@@ -7,7 +7,7 @@
 // BENCH_<id>.json artifact, keyed by (bench id, config digest, build
 // fingerprint). summarize_artifact extracts only metrics that survive
 // schema growth: congestion watermark, solve-latency quantiles from the
-// health sketches, cache hit rate, per-subsystem cost totals, peak RSS,
+// health sketches, cache hit rate, solver span cost totals, peak RSS,
 // and wall clock. Timestamps and git SHAs are supplied by the CALLER
 // (never sampled here), and metrics are stored name-sorted, so appending
 // the same artifact with the same provenance produces byte-identical
@@ -62,7 +62,10 @@ std::string artifact_config_digest(const JsonValue& artifact);
 /// Extracts the summary record from a schema-v5+ artifact. Metrics:
 ///   congestion_max, solve_p50_ms/p95/p99 (from the
 ///   engine/solve_seconds sketch), cache_hit_rate (-1 = no traffic),
-///   cost_<subsystem>_seconds per cost scope plus cost_total_seconds,
+///   the solver span totals cost_mwu_seconds (lp/mwu),
+///   cost_lp_exact_seconds (lp/exact), cost_simplex_seconds
+///   (lp/simplex), cost_mcf_seconds (mcf/solve), cost_lp_shadow_seconds
+///   (lp/shadow) plus their sum cost_total_seconds,
 ///   peak_rss_bytes (schema v6 "memory" block), wall_seconds,
 ///   regret_p95 + predictor_mape (schema v7 "quality" block; omitted
 ///   when the observatory recorded no samples).

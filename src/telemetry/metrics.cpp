@@ -9,137 +9,6 @@
 
 namespace sor::telemetry {
 
-HealthRegistry& HealthRegistry::global() {
-  static HealthRegistry* registry = new HealthRegistry();  // never destroyed,
-  return *registry;  // same lifetime policy as telemetry::Registry
-}
-
-WindowedRate& HealthRegistry::rate(std::string_view name) {
-  std::lock_guard lock(mu_);
-  auto it = rates_.find(name);
-  if (it == rates_.end()) {
-    it = rates_.emplace(std::string(name), RateEntry{}).first;
-  }
-  return *it->second.metric;
-}
-
-WindowedGauge& HealthRegistry::window_gauge(std::string_view name) {
-  std::lock_guard lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), GaugeEntry{}).first;
-  }
-  return *it->second.metric;
-}
-
-Sketch& HealthRegistry::sketch(std::string_view name) {
-  std::lock_guard lock(mu_);
-  auto it = sketches_.find(name);
-  if (it == sketches_.end()) {
-    it = sketches_.emplace(std::string(name), std::make_unique<Sketch>())
-             .first;
-  }
-  return *it->second;
-}
-
-namespace {
-
-void bound_window(std::vector<WindowPoint>& window) {
-  if (window.size() > HealthRegistry::kWindowCapacity) {
-    window.erase(window.begin(),
-                 window.end() - HealthRegistry::kWindowCapacity);
-  }
-}
-
-}  // namespace
-
-void HealthRegistry::roll_epoch(std::uint64_t epoch) {
-  if (!enabled()) return;
-  std::lock_guard lock(mu_);
-  for (auto& [name, entry] : rates_) {
-    const std::uint64_t total = entry.metric->total();
-    const std::uint64_t delta = total - entry.last_mark;
-    entry.last_mark = total;
-    entry.window.push_back({epoch, static_cast<double>(delta)});
-    bound_window(entry.window);
-  }
-  for (auto& [name, entry] : gauges_) {
-    entry.window.push_back({epoch, entry.metric->value()});
-    bound_window(entry.window);
-  }
-  ++epochs_rolled_;
-}
-
-std::uint64_t HealthRegistry::epochs_rolled() const {
-  std::lock_guard lock(mu_);
-  return epochs_rolled_;
-}
-
-std::vector<std::pair<std::string, SketchSnapshot>> HealthRegistry::sketches()
-    const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, SketchSnapshot>> out;
-  out.reserve(sketches_.size());
-  for (const auto& [name, sketch] : sketches_) {
-    out.emplace_back(name, sketch->snapshot());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, std::vector<WindowPoint>>>
-HealthRegistry::rate_windows() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, std::vector<WindowPoint>>> out;
-  out.reserve(rates_.size());
-  for (const auto& [name, entry] : rates_) {
-    out.emplace_back(name, entry.window);
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, std::vector<WindowPoint>>>
-HealthRegistry::gauge_windows() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, std::vector<WindowPoint>>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, entry] : gauges_) {
-    out.emplace_back(name, entry.window);
-  }
-  return out;
-}
-
-void HealthRegistry::record_breach(const SloBreach& breach) {
-  if (!enabled()) return;
-  std::lock_guard lock(mu_);
-  breaches_.push_back(breach);
-}
-
-std::vector<SloBreach> HealthRegistry::breaches() const {
-  std::lock_guard lock(mu_);
-  return breaches_;
-}
-
-int HealthRegistry::health_status() const {
-  std::lock_guard lock(mu_);
-  return breaches_.empty() ? 0 : 1;
-}
-
-void HealthRegistry::reset() {
-  std::lock_guard lock(mu_);
-  for (auto& [name, entry] : rates_) {
-    entry.metric->reset();
-    entry.last_mark = 0;
-    entry.window.clear();
-  }
-  for (auto& [name, entry] : gauges_) {
-    entry.metric->reset();
-    entry.window.clear();
-  }
-  for (auto& [name, sketch] : sketches_) sketch->reset();
-  epochs_rolled_ = 0;
-  breaches_.clear();
-}
-
 double cache_hit_rate() {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -201,10 +70,10 @@ JsonValue breach_json(const SloBreach& breach) {
 }  // namespace
 
 JsonValue health_to_json() {
-  HealthRegistry& health = HealthRegistry::global();
+  const Registry& registry = Registry::global();
   JsonValue doc = JsonValue::object();
   doc.set("enabled", enabled());
-  doc.set("epochs_rolled", health.epochs_rolled());
+  doc.set("epochs_rolled", registry.epochs_rolled());
 
   JsonValue recorder = JsonValue::object();
   recorder.set("recorded", Recorder::global().recorded());
@@ -212,37 +81,34 @@ JsonValue health_to_json() {
   doc.set("recorder", std::move(recorder));
 
   JsonValue sketches = JsonValue::object();
-  JsonValue watermarks = JsonValue::object();
-  for (const auto& [name, snap] : health.sketches()) {
+  for (const auto& [name, snap] : registry.sketches()) {
     sketches.set(name, sketch_json(snap));
-    watermarks.set(name, snap.max);
   }
   doc.set("sketches", std::move(sketches));
-  doc.set("watermarks", std::move(watermarks));
 
   JsonValue rates = JsonValue::object();
-  for (const auto& [name, window] : health.rate_windows()) {
+  for (const auto& [name, window] : registry.counter_windows()) {
     rates.set(name, window_json(window));
   }
   doc.set("rates", std::move(rates));
 
   JsonValue gauges = JsonValue::object();
-  for (const auto& [name, window] : health.gauge_windows()) {
+  for (const auto& [name, window] : registry.gauge_windows()) {
     gauges.set(name, window_json(window));
   }
   doc.set("gauges", std::move(gauges));
 
   JsonValue breaches = JsonValue::array();
-  for (const SloBreach& breach : health.breaches()) {
+  for (const SloBreach& breach : registry.breaches()) {
     breaches.push(breach_json(breach));
   }
   doc.set("breaches", std::move(breaches));
-  doc.set("status", health.health_status());
+  doc.set("status", registry.health_status());
   return doc;
 }
 
 JsonValue epoch_health_json(std::uint64_t epoch) {
-  HealthRegistry& health = HealthRegistry::global();
+  const Registry& registry = Registry::global();
   JsonValue doc = JsonValue::object();
   doc.set("epoch", static_cast<std::uint64_t>(epoch));
 
@@ -258,21 +124,21 @@ JsonValue epoch_health_json(std::uint64_t epoch) {
   };
 
   JsonValue rates = JsonValue::object();
-  for (const auto& [name, window] : health.rate_windows()) {
+  for (const auto& [name, window] : registry.counter_windows()) {
     double value = 0;
     if (at_epoch(window, value)) rates.set(name, value);
   }
   doc.set("rates", std::move(rates));
 
   JsonValue gauges = JsonValue::object();
-  for (const auto& [name, window] : health.gauge_windows()) {
+  for (const auto& [name, window] : registry.gauge_windows()) {
     double value = 0;
     if (at_epoch(window, value)) gauges.set(name, value);
   }
   doc.set("gauges", std::move(gauges));
 
   JsonValue sketches = JsonValue::object();
-  for (const auto& [name, snap] : health.sketches()) {
+  for (const auto& [name, snap] : registry.sketches()) {
     const StatsSummary s = Sketch::summarize_snapshot(snap);
     JsonValue row = JsonValue::object();
     row.set("count", static_cast<std::uint64_t>(s.count));
@@ -341,33 +207,20 @@ std::string prometheus_escape_help(std::string_view text) {
 }
 
 void write_prometheus(std::ostream& os) {
-  for (const auto& [name, value] : Registry::global().counters()) {
+  const Registry& registry = Registry::global();
+  for (const auto& [name, value] : registry.counters()) {
     const std::string prom = prometheus_name(name);
     prometheus_help(os, prom, name, "run counter");
     os << "# TYPE " << prom << " counter\n" << prom << " " << value << "\n";
   }
-  for (const auto& [name, value] : Registry::global().gauges()) {
+  for (const auto& [name, value] : registry.gauges()) {
     const std::string prom = prometheus_name(name);
     prometheus_help(os, prom, name, "gauge");
     os << "# TYPE " << prom << " gauge\n" << prom << " ";
     prometheus_value(os, value);
     os << "\n";
   }
-  HealthRegistry& health = HealthRegistry::global();
-  for (const auto& [name, window] : health.rate_windows()) {
-    const std::string prom = prometheus_name(name) + "_total";
-    prometheus_help(os, prom, name, "windowed rate total");
-    os << "# TYPE " << prom << " counter\n"
-       << prom << " " << health.rate(name).total() << "\n";
-  }
-  for (const auto& [name, window] : health.gauge_windows()) {
-    const std::string prom = prometheus_name(name);
-    prometheus_help(os, prom, name, "windowed gauge");
-    os << "# TYPE " << prom << " gauge\n" << prom << " ";
-    prometheus_value(os, health.window_gauge(name).value());
-    os << "\n";
-  }
-  for (const auto& [name, snap] : health.sketches()) {
+  for (const auto& [name, snap] : registry.sketches()) {
     const std::string prom = prometheus_name(name);
     const StatsSummary s = Sketch::summarize_snapshot(snap);
     prometheus_help(os, prom, name, "quantile sketch");

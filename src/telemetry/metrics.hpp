@@ -1,152 +1,29 @@
 #pragma once
 
-// Runtime health registry: epoch-windowed time series and quantile
-// sketches, plus the exporters that make them operational (Prometheus
-// text exposition, per-epoch JSONL snapshots, and the artifact `health`
-// block).
-//
-// Where telemetry.hpp's Registry accumulates over a whole run, the
-// HealthRegistry is windowed: the control loop calls roll_epoch() at each
-// epoch boundary, which closes the current accumulation into a bounded
-// per-epoch window ring. Windowing is epoch-INDEXED, not wall-clock
-// driven, so windows are deterministic given the trace (the same
-// convention as the rest of the engine: epochs, not seconds, are the
-// time axis).
-//
-// Hot-path contract (same as telemetry.hpp): call sites intern once via
-// the SOR_RATE / SOR_WINDOW_GAUGE / SOR_SKETCH macros, after which each
-// event is one relaxed atomic op; when SOR_TELEMETRY=off every recording
-// call is a single relaxed atomic-bool load — no locks, no allocation.
-// The registry lock is only taken at interning time, at epoch rolls, and
-// by exporters.
+// Runtime health exporters over telemetry::Registry: the artifact
+// `health` block, per-epoch JSONL snapshots, and the Prometheus text
+// exposition. The registry's epoch windows (Registry::roll_epoch) and
+// sketches are the data; this file only renders them.
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/json.hpp"
-#include "telemetry/sketch.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sor::telemetry {
-
-/// One closed window: the value a series took over epoch `epoch`.
-struct WindowPoint {
-  std::uint64_t epoch = 0;
-  double value = 0;
-};
-
-/// Monotone event count whose per-epoch deltas form the windowed series
-/// (e.g. solves per epoch, cache hits per epoch).
-class WindowedRate {
- public:
-  void add(std::uint64_t n = 1) {
-    if (enabled()) accum_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t total() const {
-    return accum_.load(std::memory_order_relaxed);
-  }
-  void reset() { accum_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> accum_{0};
-};
-
-/// Last-write-wins value sampled into the window at each epoch roll.
-class WindowedGauge {
- public:
-  void set(double v) {
-    if (enabled()) bits_.store(detail::to_bits(v), std::memory_order_relaxed);
-  }
-  double value() const {
-    return detail::from_bits(bits_.load(std::memory_order_relaxed));
-  }
-  void reset() { bits_.store(detail::to_bits(0.0), std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> bits_{0};
-};
-
-/// One SLO violation, produced by the tracker in telemetry/slo.hpp and
-/// stored here so exporters see every breach of the run.
-struct SloBreach {
-  std::string slo;  // "max_congestion" | "solve_p99_ms" | "cache_hit_rate"
-  std::uint64_t epoch = 0;
-  double value = 0;   // observed
-  double budget = 0;  // configured bound it violated
-};
-
-/// Name → health metric map, process-wide like telemetry::Registry.
-/// Metrics live at stable addresses until process exit.
-class HealthRegistry {
- public:
-  /// Per-series window ring bound: older epochs fall off the front.
-  static constexpr std::size_t kWindowCapacity = 512;
-
-  static HealthRegistry& global();
-
-  WindowedRate& rate(std::string_view name);
-  WindowedGauge& window_gauge(std::string_view name);
-  Sketch& sketch(std::string_view name);
-
-  /// Closes the current accumulation window under index `epoch`: each
-  /// rate contributes its delta since the previous roll, each gauge its
-  /// current value. No-op when telemetry is disabled.
-  void roll_epoch(std::uint64_t epoch);
-  std::uint64_t epochs_rolled() const;
-
-  std::vector<std::pair<std::string, SketchSnapshot>> sketches() const;
-  std::vector<std::pair<std::string, std::vector<WindowPoint>>> rate_windows()
-      const;
-  std::vector<std::pair<std::string, std::vector<WindowPoint>>> gauge_windows()
-      const;
-
-  /// Appends to the run's breach list (no-op when telemetry is disabled;
-  /// the control loop still returns breaches in its result either way).
-  void record_breach(const SloBreach& breach);
-  std::vector<SloBreach> breaches() const;
-  /// 0 when no breach has been recorded, 1 otherwise.
-  int health_status() const;
-
-  /// Zeroes metrics, windows, and breaches (registrations kept, interned
-  /// references stay valid). For bench/test isolation.
-  void reset();
-
- private:
-  HealthRegistry() = default;
-
-  struct RateEntry {
-    std::unique_ptr<WindowedRate> metric = std::make_unique<WindowedRate>();
-    std::uint64_t last_mark = 0;
-    std::vector<WindowPoint> window;
-  };
-  struct GaugeEntry {
-    std::unique_ptr<WindowedGauge> metric = std::make_unique<WindowedGauge>();
-    std::vector<WindowPoint> window;
-  };
-
-  mutable std::mutex mu_;
-  std::map<std::string, RateEntry, std::less<>> rates_;
-  std::map<std::string, GaugeEntry, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Sketch>, std::less<>> sketches_;
-  std::uint64_t epochs_rolled_ = 0;
-  std::vector<SloBreach> breaches_;
-};
 
 /// Hit rate over the telemetry cache counters (cache/hits +
 /// cache/disk_hits vs cache/misses); -1 when there was no cache traffic
 /// (so an SLO floor does not spuriously breach an idle cache).
 double cache_hit_rate();
 
-/// The artifact `health` block (schema v5): kill-switch state, recorder
-/// drop counters, sketch snapshots with quantiles, per-sketch watermarks,
-/// windowed series, the breach list, and the 0/1 health status.
+/// The artifact `health` block (schema v9): kill-switch state, recorder
+/// drop counters, sketch snapshots with quantiles (each sketch's exact
+/// max is its watermark), the counter ("rates") and gauge windows, the
+/// breach list, and the 0/1 health status.
 JsonValue health_to_json();
 
 /// One JSONL snapshot line for epoch `epoch`: the window points closed
@@ -164,38 +41,15 @@ std::string prometheus_escape_label(std::string_view value);
 /// legal in HELP text and stay as-is).
 std::string prometheus_escape_help(std::string_view text);
 
-/// Prometheus text exposition of the full telemetry state: counters and
-/// gauges from telemetry::Registry, health rates/gauges (latest window),
-/// sketches as summaries with quantile labels, and the memory
-/// accountant's per-subsystem figures (subsystem label). Metric names
-/// are sanitized ("/" and other non-alphanumerics become "_") and
-/// prefixed "sor_"; each metric carries a HELP line with the raw
-/// (escaped) telemetry key.
+/// Prometheus text exposition of the full telemetry state: each registry
+/// counter, gauge, and sketch once (sketches as summaries with quantile
+/// labels), and the memory accountant's per-subsystem figures (subsystem
+/// label). Metric names are sanitized ("/" and other non-alphanumerics
+/// become "_") and prefixed "sor_"; each metric carries a HELP line with
+/// the raw (escaped) telemetry key.
 std::string prometheus_text();
 
 /// Writes prometheus_text() to `os`.
 void write_prometheus(std::ostream& os);
 
 }  // namespace sor::telemetry
-
-/// Call-site helpers: intern once, then one relaxed atomic per event.
-#define SOR_RATE(name)                                                \
-  ([]() -> ::sor::telemetry::WindowedRate& {                          \
-    static ::sor::telemetry::WindowedRate& r =                        \
-        ::sor::telemetry::HealthRegistry::global().rate(name);        \
-    return r;                                                         \
-  }())
-
-#define SOR_WINDOW_GAUGE(name)                                        \
-  ([]() -> ::sor::telemetry::WindowedGauge& {                         \
-    static ::sor::telemetry::WindowedGauge& g =                       \
-        ::sor::telemetry::HealthRegistry::global().window_gauge(name); \
-    return g;                                                         \
-  }())
-
-#define SOR_SKETCH(name)                                              \
-  ([]() -> ::sor::telemetry::Sketch& {                                \
-    static ::sor::telemetry::Sketch& s =                              \
-        ::sor::telemetry::HealthRegistry::global().sketch(name);      \
-    return s;                                                         \
-  }())

@@ -1,7 +1,7 @@
 #pragma once
 
-// Solver introspection: iteration-level convergence traces, progress and
-// deadline hooks, and per-subsystem cost accounting.
+// Solver introspection: iteration-level convergence traces and progress
+// and deadline hooks.
 //
 // The metric registry answers "how often", spans answer "where did the
 // time go", the recorder answers "what happened" — this layer answers
@@ -37,13 +37,6 @@
 //    traces (first-come keep, overflow counted in dropped()), serialized
 //    by telemetry/export.hpp into the artifact schema v3 "convergence"
 //    block and the Chrome trace export.
-//
-// Cost accounting rides alongside: SOR_COST_SCOPE("simplex") charges the
-// enclosed wall time to the registry counters "cost/simplex/ns" and
-// "cost/simplex/calls" (solvers add approximate allocation bytes to
-// "cost/<subsystem>/bytes" by hand), giving `sor_cli profile` a
-// per-subsystem breakdown and `sor_cli diff` solver-time regression
-// signals that survive re-runs, unlike span wall clock alone.
 
 #include <chrono>
 #include <cstdint>
@@ -54,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/span.hpp"  // SOR_SPAN_CONCAT, reused by SOR_COST_SCOPE
 #include "telemetry/telemetry.hpp"
 
 namespace sor::telemetry {
@@ -209,38 +201,4 @@ class ConvergenceCollector {
   std::uint64_t dropped_ = 0;
 };
 
-/// RAII wall-time charge to "cost/<subsystem>/ns" + "cost/<subsystem>/calls"
-/// registry counters (interned by the SOR_COST_SCOPE macro). When
-/// telemetry is disabled at entry the scope never reads the clock.
-class CostScope {
- public:
-  CostScope(Counter& ns, Counter& calls) : ns_(enabled() ? &ns : nullptr) {
-    if (ns_ != nullptr) {
-      calls.add();
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~CostScope() {
-    if (ns_ != nullptr) {
-      ns_->add(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start_)
-              .count()));
-    }
-  }
-
-  CostScope(const CostScope&) = delete;
-  CostScope& operator=(const CostScope&) = delete;
-
- private:
-  Counter* ns_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace sor::telemetry
-
-/// Charges the enclosing scope's wall time to the subsystem's cost
-/// counters. `name` must be a string literal ("simplex", "mcf", ...).
-#define SOR_COST_SCOPE(name)                                                 \
-  ::sor::telemetry::CostScope SOR_SPAN_CONCAT(sor_cost_, __LINE__)(          \
-      SOR_COUNTER("cost/" name "/ns"), SOR_COUNTER("cost/" name "/calls"))

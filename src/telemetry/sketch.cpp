@@ -43,8 +43,7 @@ double Sketch::bucket_lower_bound(std::size_t index) {
 
 namespace {
 
-/// CAS-combine a double held as bits in an atomic<uint64_t> (mirror of
-/// the histogram's accumulator updates).
+/// CAS-combine a double held as bits in an atomic<uint64_t>.
 template <typename Combine>
 void atomic_combine(std::atomic<std::uint64_t>& bits, double x, Combine&& f) {
   std::uint64_t cur = bits.load(std::memory_order_relaxed);

@@ -1,7 +1,8 @@
 #pragma once
 
-// Mergeable log-bucketed value sketch (HDR-histogram style) for latency
-// and congestion tails.
+// Mergeable log-bucketed value sketch (HDR-histogram style): the one
+// distribution type of the telemetry layer, for latency and congestion
+// tails and per-pair counts alike.
 //
 // Bucket boundaries are FIXED, derived from the raw IEEE-754 bits of the
 // observed value: the unbiased exponent selects an octave and the top
@@ -55,7 +56,6 @@
 #include <vector>
 
 #include "util/stats.hpp"
-#include "util/stopwatch.hpp"
 
 namespace sor::telemetry {
 
@@ -122,19 +122,5 @@ double sketch_quantile(const SketchSnapshot& snap, double q);
 /// floating-point rounding (parts are folded in the given index order,
 /// so a fixed part order gives a bit-stable sum too).
 SketchSnapshot merge_sketch_snapshots(std::span<const SketchSnapshot> parts);
-
-/// RAII timer: observes elapsed wall-clock seconds into a sketch on
-/// destruction. Pairs with SOR_COST_SCOPE at solver entry points.
-class SketchTimer {
- public:
-  explicit SketchTimer(Sketch& sketch) : sketch_(&sketch) {}
-  ~SketchTimer() { sketch_->observe(clock_.seconds()); }
-  SketchTimer(const SketchTimer&) = delete;
-  SketchTimer& operator=(const SketchTimer&) = delete;
-
- private:
-  Sketch* sketch_;
-  Stopwatch clock_;
-};
 
 }  // namespace sor::telemetry

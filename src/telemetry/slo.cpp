@@ -41,7 +41,7 @@ SloConfig load_slo_config(const std::string& path) {
 namespace {
 
 void record_side_effects(const SloBreach& breach) {
-  HealthRegistry::global().record_breach(breach);
+  Registry::global().record_breach(breach);
   SOR_COUNTER("slo/breaches").add();
   Recorder::global().record(
       "slo/breach",

@@ -8,7 +8,7 @@
 // never breaches. The control loop evaluates the tracker at each epoch
 // boundary; each violation becomes an SloBreach that is
 //   - returned to the caller (ControlLoopResult carries the run's list),
-//   - appended to the HealthRegistry breach list (exported in the
+//   - appended to the telemetry::Registry breach list (exported in the
 //     artifact `health` block), and
 //   - recorded as a structured "slo/breach" flight-recorder event,
 // and any breach flips the run's health status to nonzero.
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace sor::telemetry {
 
@@ -76,7 +76,7 @@ class SloTracker {
   bool active() const { return config_.any_set(); }
 
   /// Evaluates the config against one epoch's health and quality figures
-  /// and records every violation (HealthRegistry + flight recorder +
+  /// and records every violation (registry + flight recorder +
   /// slo/breaches counter). Negative values mean "no figure this epoch"
   /// and skip the matching check: `cache_hit_rate < 0` = no cache
   /// traffic, `regret < 0` = not a shadow-sampled epoch,

@@ -15,6 +15,7 @@ struct SpanNode {
   std::string name;
   std::uint64_t count = 0;
   double seconds = 0;
+  Sketch* sketch = nullptr;  // registry sketch "<name>_seconds"
   SpanNode* parent = nullptr;
   std::vector<std::unique_ptr<SpanNode>> children;
 };
@@ -63,6 +64,7 @@ SpanNode* find_or_create(std::vector<std::unique_ptr<SpanNode>>& siblings,
   }
   auto node = std::make_unique<SpanNode>();
   node->name = name;
+  node->sketch = &Registry::global().sketch(node->name + "_seconds");
   node->parent = parent;
   siblings.push_back(std::move(node));
   return siblings.back().get();
@@ -99,6 +101,7 @@ ScopedSpan::~ScopedSpan() {
     node_->seconds += elapsed;
     detail::t_current = saved_;
   }
+  node_->sketch->observe(elapsed);
   if (detail::g_timeline_on.load(std::memory_order_relaxed)) {
     TimelineEvent event;
     event.name = node_->name;

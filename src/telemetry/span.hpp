@@ -9,9 +9,15 @@
 //
 // Repeated spans with the same name under the same parent aggregate into
 // one node (invocation count + total seconds), so tight phase loops stay
-// O(1) memory. The current position in the tree is thread-local;
-// sor::parallel_for propagates it into pool workers, so spans opened
-// inside parallel bodies nest under the span active at the call site.
+// O(1) memory. Spans are the one timer: each invocation's seconds also
+// land in the registry sketch "<name>_seconds" (looked up once, when the
+// node is created), so a span gives the tree, the call count, the total
+// time, and the latency quantiles at once. Same-name spans under
+// different parents share that sketch.
+//
+// The current position in the tree is thread-local; sor::parallel_for
+// propagates it into pool workers, so spans opened inside parallel
+// bodies nest under the span active at the call site.
 // Sections timed concurrently by several workers therefore accumulate
 // *aggregate* (CPU-like) seconds, which can exceed wall clock — the
 // parent span holds the wall-clock figure.

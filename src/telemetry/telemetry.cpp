@@ -1,10 +1,7 @@
 #include "telemetry/telemetry.hpp"
 
 #include <bit>
-#include <limits>
 #include <cstdlib>
-
-#include "util/check.hpp"
 
 namespace sor::telemetry {
 
@@ -35,136 +32,53 @@ std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 }  // namespace detail
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
-Histogram::Histogram(double lo, double hi, std::size_t num_buckets)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(num_buckets)),
-      buckets_(num_buckets),
-      sum_bits_(detail::to_bits(0.0)),
-      min_bits_(detail::to_bits(kInf)),
-      max_bits_(detail::to_bits(-kInf)) {
-  SOR_CHECK(num_buckets > 0);
-  SOR_CHECK(lo < hi);
-}
-
-namespace {
-
-/// CAS-combine a double held as bits in an atomic<uint64_t>.
-template <typename Combine>
-void atomic_combine(std::atomic<std::uint64_t>& bits, double x, Combine&& f) {
-  std::uint64_t cur = bits.load(std::memory_order_relaxed);
-  while (true) {
-    const double combined = f(detail::from_bits(cur), x);
-    if (bits.compare_exchange_weak(cur, detail::to_bits(combined),
-                                   std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-void Histogram::observe(double x) {
-  if (!enabled()) return;
-  auto b = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  b = std::clamp<std::ptrdiff_t>(
-      b, 0, static_cast<std::ptrdiff_t>(buckets_.size()) - 1);
-  buckets_[static_cast<std::size_t>(b)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_combine(sum_bits_, x, [](double a, double v) { return a + v; });
-  atomic_combine(min_bits_, x,
-                 [](double a, double v) { return v < a ? v : a; });
-  atomic_combine(max_bits_, x,
-                 [](double a, double v) { return v > a ? v : a; });
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot s;
-  s.lo = lo_;
-  s.hi = hi_;
-  s.buckets.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    s.buckets.push_back(b.load(std::memory_order_relaxed));
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = detail::from_bits(sum_bits_.load(std::memory_order_relaxed));
-  if (s.count > 0) {
-    s.min = detail::from_bits(min_bits_.load(std::memory_order_relaxed));
-    s.max = detail::from_bits(max_bits_.load(std::memory_order_relaxed));
-  }
-  return s;
-}
-
-StatsSummary Histogram::summary() const {
-  const HistogramSnapshot snap = snapshot();
-  StatsSummary s = summarize_histogram(snap.buckets, snap.lo, snap.hi);
-  s.count = snap.count;
-  if (snap.count > 0) {
-    s.mean = snap.sum / static_cast<double>(snap.count);
-    s.max = snap.max;
-  }
-  return s;
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(detail::to_bits(0.0), std::memory_order_relaxed);
-  min_bits_.store(detail::to_bits(kInf), std::memory_order_relaxed);
-  max_bits_.store(detail::to_bits(-kInf), std::memory_order_relaxed);
-}
-
 Registry& Registry::global() {
   static Registry* registry = new Registry();  // never destroyed: metrics
   return *registry;  // outlive static-destruction-order hazards
 }
 
+namespace {
+
+/// Interns `name` in `map`, creating the value on first access.
+template <typename Map>
+auto& intern(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string(name)).first;
+  return it->second;
+}
+
+void bound_window(std::vector<WindowPoint>& window) {
+  if (window.size() > Registry::kWindowCapacity) {
+    window.erase(window.begin(), window.end() - Registry::kWindowCapacity);
+  }
+}
+
+}  // namespace
+
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
+  return *intern(counters_, name).metric;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
+  return *intern(gauges_, name).metric;
 }
 
-Histogram& Registry::histogram(std::string_view name, double lo, double hi,
-                               std::size_t num_buckets) {
+Sketch& Registry::sketch(std::string_view name) {
   std::lock_guard lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(lo, hi, num_buckets))
-             .first;
-  } else {
-    SOR_CHECK_MSG(it->second->lo() == lo && it->second->hi() == hi &&
-                      it->second->num_buckets() == num_buckets,
-                  "histogram '" << std::string(name)
-                                << "' re-registered with different buckets");
-  }
-  return *it->second;
+  auto& sketch = intern(sketches_, name);
+  if (sketch == nullptr) sketch = std::make_unique<Sketch>();
+  return *sketch;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
   std::lock_guard lock(mu_);
   std::vector<std::pair<std::string, std::uint64_t>> out;
   out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c->value());
+  for (const auto& [name, c] : counters_) {
+    out.emplace_back(name, c.metric->value());
+  }
   return out;
 }
 
@@ -172,26 +86,100 @@ std::vector<std::pair<std::string, double>> Registry::gauges() const {
   std::lock_guard lock(mu_);
   std::vector<std::pair<std::string, double>> out;
   out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, HistogramSnapshot>> Registry::histograms()
-    const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, HistogramSnapshot>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    out.emplace_back(name, h->snapshot());
+  for (const auto& [name, g] : gauges_) {
+    out.emplace_back(name, g.metric->value());
   }
   return out;
 }
 
+std::vector<std::pair<std::string, SketchSnapshot>> Registry::sketches()
+    const {
+  std::lock_guard lock(mu_);
+  std::vector<std::pair<std::string, SketchSnapshot>> out;
+  out.reserve(sketches_.size());
+  for (const auto& [name, sketch] : sketches_) {
+    out.emplace_back(name, sketch->snapshot());
+  }
+  return out;
+}
+
+void Registry::roll_epoch(std::uint64_t epoch) {
+  if (!enabled()) return;
+  std::lock_guard lock(mu_);
+  for (auto& [name, entry] : counters_) {
+    Counter& c = *entry.metric;
+    const std::uint64_t total = c.value();
+    // A reset() since the last roll zeroed the mark too, so total < mark
+    // only when a reset races this roll; count from zero then.
+    const std::uint64_t mark =
+        c.mark_.exchange(total, std::memory_order_relaxed);
+    const std::uint64_t delta = total >= mark ? total - mark : total;
+    entry.window.push_back({epoch, static_cast<double>(delta)});
+    bound_window(entry.window);
+  }
+  for (auto& [name, entry] : gauges_) {
+    entry.window.push_back({epoch, entry.metric->value()});
+    bound_window(entry.window);
+  }
+  ++epochs_rolled_;
+}
+
+std::uint64_t Registry::epochs_rolled() const {
+  std::lock_guard lock(mu_);
+  return epochs_rolled_;
+}
+
+namespace {
+
+template <typename Map>
+WindowSeries windows_of(const Map& map) {
+  WindowSeries out;
+  out.reserve(map.size());
+  for (const auto& [name, entry] : map) out.emplace_back(name, entry.window);
+  return out;
+}
+
+}  // namespace
+
+WindowSeries Registry::counter_windows() const {
+  std::lock_guard lock(mu_);
+  return windows_of(counters_);
+}
+
+WindowSeries Registry::gauge_windows() const {
+  std::lock_guard lock(mu_);
+  return windows_of(gauges_);
+}
+
+void Registry::record_breach(const SloBreach& breach) {
+  if (!enabled()) return;
+  std::lock_guard lock(mu_);
+  breaches_.push_back(breach);
+}
+
+std::vector<SloBreach> Registry::breaches() const {
+  std::lock_guard lock(mu_);
+  return breaches_;
+}
+
+int Registry::health_status() const {
+  std::lock_guard lock(mu_);
+  return breaches_.empty() ? 0 : 1;
+}
+
 void Registry::reset() {
   std::lock_guard lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for (auto& [name, entry] : counters_) {
+    entry.metric->reset();
+    entry.window.clear();
+  }
+  for (auto& [name, entry] : gauges_) {
+    entry.metric->reset();
+    entry.window.clear();
+  }
+  for (auto& [name, sketch] : sketches_) sketch->reset();
+  epochs_rolled_ = 0;
+  breaches_.clear();
 }
 
 }  // namespace sor::telemetry

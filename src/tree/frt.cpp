@@ -89,7 +89,6 @@ std::vector<std::vector<double>> all_pairs_distances(
 HstTree build_frt_tree(const Graph& g, std::span<const double> edge_lengths,
                        Rng& rng) {
   SOR_SPAN("tree/frt_build");
-  SOR_COUNTER("tree/frt_builds").add();
   SOR_CHECK(edge_lengths.size() == g.num_edges());
   for (double len : edge_lengths) SOR_CHECK_MSG(len > 0, "FRT needs positive lengths");
   const std::size_t n = g.num_vertices();

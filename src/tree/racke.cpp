@@ -27,7 +27,6 @@ std::vector<double> tree_relative_load(const Graph& g, const HstTree& tree) {
 RaeckeEnsemble::RaeckeEnsemble(const Graph& g, const RaeckeOptions& options)
     : graph_(&g) {
   SOR_SPAN("tree/racke_ensemble");
-  SOR_COUNTER("tree/racke_ensembles").add();
   SOR_CHECK_MSG(g.is_connected(), "Räcke ensemble requires connectivity");
   std::size_t num_trees = options.num_trees;
   if (num_trees == 0) {

@@ -77,19 +77,4 @@ double max_value(std::span<const double> data) {
   return *std::max_element(data.begin(), data.end());
 }
 
-std::vector<std::size_t> histogram(std::span<const double> data, double lo,
-                                   double hi, std::size_t bins) {
-  SOR_CHECK(bins > 0);
-  SOR_CHECK(lo < hi);
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : data) {
-    auto b = static_cast<std::ptrdiff_t>((x - lo) / width);
-    b = std::clamp<std::ptrdiff_t>(b, 0,
-                                   static_cast<std::ptrdiff_t>(bins) - 1);
-    ++counts[static_cast<std::size_t>(b)];
-  }
-  return counts;
-}
-
 }  // namespace sor

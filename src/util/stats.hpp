@@ -4,14 +4,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 namespace sor {
 
 /// Compact distribution summary used by tables, logs, and the telemetry
-/// histogram exporter. An empty distribution summarizes to all zeros.
+/// sketch exporters. An empty distribution summarizes to all zeros.
 struct StatsSummary {
   std::size_t count = 0;
   double mean = 0;
@@ -42,48 +41,6 @@ inline StatsSummary summarize(std::span<const double> data) {
   s.p95 = rank(0.95);
   s.p99 = rank(0.99);
   s.max = sorted.back();
-  return s;
-}
-
-/// Approximate summary reconstructed from equal-width histogram counts
-/// over [lo, hi] (the telemetry histogram layout): each sample is placed
-/// at its bin midpoint, so quantiles/mean/max are accurate to half a bin
-/// width. Out-of-range samples were clamped into the boundary bins at
-/// observation time and therefore summarize to the boundary midpoints.
-inline StatsSummary summarize_histogram(std::span<const std::uint64_t> counts,
-                                        double lo, double hi) {
-  StatsSummary s;
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  s.count = total;
-  if (total == 0 || counts.empty()) return s;
-  const double width = (hi - lo) / static_cast<double>(counts.size());
-  const auto midpoint = [&](std::size_t b) {
-    return lo + width * (static_cast<double>(b) + 0.5);
-  };
-  double sum = 0;
-  std::size_t last_nonempty = 0;
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    sum += static_cast<double>(counts[b]) * midpoint(b);
-    if (counts[b] > 0) last_nonempty = b;
-  }
-  s.mean = sum / static_cast<double>(total);
-  s.max = midpoint(last_nonempty);
-  const auto value_at_rank = [&](std::uint64_t r) {  // 0-based rank
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      seen += counts[b];
-      if (seen > r) return midpoint(b);
-    }
-    return midpoint(counts.size() - 1);
-  };
-  const auto rank = [&](double q) {
-    return value_at_rank(static_cast<std::uint64_t>(
-        q * static_cast<double>(total - 1) + 0.5));
-  };
-  s.p50 = rank(0.50);
-  s.p95 = rank(0.95);
-  s.p99 = rank(0.99);
   return s;
 }
 
@@ -120,10 +77,5 @@ double mean(std::span<const double> data);
 
 /// Maximum element; data must be non-empty.
 double max_value(std::span<const double> data);
-
-/// Histogram with equal-width bins over [lo, hi]; values outside are
-/// clamped to the boundary bins.
-std::vector<std::size_t> histogram(std::span<const double> data, double lo,
-                                   double hi, std::size_t bins);
 
 }  // namespace sor

@@ -222,30 +222,41 @@ TEST(ArtifactFormat, QuantityUsesMetricSuffixes) {
   EXPECT_EQ(telemetry::format_quantity(0), "0");
 }
 
-/// Adds cost/<subsystem>/{ns,calls} counters to an artifact.
-void set_cost(JsonValue& doc, const std::string& subsystem, double ns,
-              double calls) {
-  JsonValue counters = JsonValue::object();
-  counters.set("cost/" + subsystem + "/ns", ns);
-  counters.set("cost/" + subsystem + "/calls", calls);
-  JsonValue telemetry_block = JsonValue::object();
-  telemetry_block.set("counters", std::move(counters));
-  telemetry_block.set("gauges", JsonValue::object());
-  telemetry_block.set("histograms", JsonValue::object());
-  doc.set("telemetry", std::move(telemetry_block));
+/// Adds a root span `parent` holding one `name` child that ran `calls`
+/// times for `seconds` in total.
+void add_span(JsonValue& doc, const std::string& parent,
+              const std::string& name, double seconds, double calls) {
+  JsonValue child = JsonValue::object();
+  child.set("name", name);
+  child.set("count", calls);
+  child.set("seconds", seconds);
+  child.set("children", JsonValue::array());
+  JsonValue children = JsonValue::array();
+  children.push(std::move(child));
+  JsonValue root = JsonValue::object();
+  root.set("name", parent);
+  root.set("count", 1);
+  root.set("seconds", seconds);
+  root.set("children", std::move(children));
+  JsonValue spans = doc.at("spans");
+  spans.push(std::move(root));
+  doc.set("spans", std::move(spans));
 }
 
 TEST(ArtifactDiff, FlagsSubsystemCostRegressionAsTimeLike) {
+  // The solver span runs under two parents; its cost sums both nodes.
   JsonValue before = make_artifact(1.0, 2.0, 1.0);
   JsonValue after = make_artifact(1.0, 2.0, 1.0);
-  set_cost(before, "mwu", 1.0e9, 10);  // 1 s of solver time
-  set_cost(after, "mwu", 2.5e9, 10);   // 2.5 s — past the 50% slack
+  add_span(before, "engine/solve", "lp/mwu", 0.75, 6);
+  add_span(before, "cli/online", "lp/mwu", 0.25, 4);  // 1 s in total
+  add_span(after, "engine/solve", "lp/mwu", 2.0, 6);
+  add_span(after, "cli/online", "lp/mwu", 0.5, 4);  // 2.5 s: past the slack
   const ArtifactDiffResult result = telemetry::diff_artifacts(before, after);
   ASSERT_TRUE(result.comparable());
   ASSERT_TRUE(result.regressed());
   bool found = false;
   for (const auto& entry : result.regressions) {
-    if (entry.metric == "cost:mwu") {
+    if (entry.metric == "cost:lp/mwu") {
       found = true;
       EXPECT_TRUE(entry.time_like);
       EXPECT_NEAR(entry.before, 1.0, 1e-9);
@@ -258,8 +269,8 @@ TEST(ArtifactDiff, FlagsSubsystemCostRegressionAsTimeLike) {
 TEST(ArtifactDiff, SubNoiseFloorCostIsIgnored) {
   JsonValue before = make_artifact(1.0, 2.0, 1.0);
   JsonValue after = make_artifact(1.0, 2.0, 1.0);
-  set_cost(before, "mwu", 1.0e6, 10);  // 1 ms
-  set_cost(after, "mwu", 10.0e6, 10);  // 10× but far below span_min_seconds
+  add_span(before, "engine/solve", "lp/mwu", 1.0e-3, 10);  // 1 ms
+  add_span(after, "engine/solve", "lp/mwu", 10.0e-3, 10);  // 10×, sub-floor
   const ArtifactDiffResult result = telemetry::diff_artifacts(before, after);
   ASSERT_TRUE(result.comparable());
   EXPECT_FALSE(result.regressed());
@@ -269,7 +280,13 @@ TEST(ArtifactDiff, SubNoiseFloorCostIsIgnored) {
 JsonValue make_profile_artifact() {
   JsonValue doc = make_artifact(1.0, 2.0, 1.0);
   doc.set("schema_version", 3);
-  set_cost(doc, "simplex", 3.2e9, 4);
+  add_span(doc, "lp/exact", "lp/simplex", 3.2, 4);
+  JsonValue counters = JsonValue::object();
+  counters.set("lp/simplex_bytes", 38200);
+  JsonValue telemetry_block = JsonValue::object();
+  telemetry_block.set("counters", std::move(counters));
+  telemetry_block.set("gauges", JsonValue::object());
+  doc.set("telemetry", std::move(telemetry_block));
 
   JsonValue point = JsonValue::object();
   point.set("iteration", 5);
@@ -279,15 +296,15 @@ JsonValue make_profile_artifact() {
   point.set("gap", 0.25);
   JsonValue points = JsonValue::array();
   points.push(std::move(point));
-  JsonValue counters = JsonValue::object();
-  counters.set("degenerate_pivots", 2);
+  JsonValue trace_counters = JsonValue::object();
+  trace_counters.set("degenerate_pivots", 2);
   JsonValue trace = JsonValue::object();
   trace.set("solver", "simplex");
   trace.set("label", "phase2");
   trace.set("iterations", 40);
   trace.set("max_points", 1024);
   trace.set("truncated", true);
-  trace.set("counters", std::move(counters));
+  trace.set("counters", std::move(trace_counters));
   trace.set("points", std::move(points));
   JsonValue traces = JsonValue::array();
   traces.push(std::move(trace));
@@ -305,9 +322,16 @@ TEST(ArtifactRender, ProfileRendersCostAndConvergence) {
   telemetry::render_artifact_profile(doc, os);
   const std::string text = os.str();
   EXPECT_NE(text.find("experiment: T1"), std::string::npos);
-  EXPECT_NE(text.find("per-subsystem cost"), std::string::npos);
-  EXPECT_NE(text.find("simplex"), std::string::npos);
-  EXPECT_NE(text.find("3.2 s"), std::string::npos);  // cost/simplex/ns
+  EXPECT_NE(text.find("per-span cost"), std::string::npos);
+  // One row per span name: calls and time from the spans block, bytes
+  // from the lp/simplex_bytes counter.
+  const std::size_t row = text.find("\n  lp/simplex ");
+  ASSERT_NE(row, std::string::npos) << text;
+  const std::string line =
+      text.substr(row + 1, text.find('\n', row + 1) - row - 1);
+  EXPECT_NE(line.find(" 4 "), std::string::npos) << line;
+  EXPECT_NE(line.find("3.2 s"), std::string::npos) << line;
+  EXPECT_NE(line.find("38.2k"), std::string::npos) << line;
   EXPECT_NE(text.find("convergence traces: 1 kept"), std::string::npos);
   EXPECT_NE(text.find("simplex/phase2"), std::string::npos);
   EXPECT_NE(text.find("[TRUNCATED]"), std::string::npos);

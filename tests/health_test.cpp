@@ -1,11 +1,13 @@
 // Runtime health layer tests: quantile-sketch bucketing and quantiles,
-// the SOR_TELEMETRY kill switch over the HealthRegistry (no recording
-// when disabled), merge determinism of sharded sketches across thread
-// pool sizes (the PR 5 determinism contract extended to telemetry), SLO
-// tracker breach side effects (registry + flight recorder), offline
-// artifact SLO evaluation, and the Prometheus exposition format. The
-// concurrent-interning stress runs under SOR_SANITIZE=thread like every
-// other test.
+// the registry's epoch windows and the SOR_TELEMETRY kill switch over
+// them (no recording when disabled), merge determinism of sharded
+// sketches across thread pool sizes (the PR 5 determinism contract
+// extended to telemetry), SLO tracker breach side effects (registry +
+// flight recorder), offline artifact SLO evaluation, the Prometheus
+// exposition format, and the one-registry contract over a whole control
+// loop (every span feeds one seconds sketch; telemetry off records
+// nothing). The concurrent-interning stress runs under
+// SOR_SANITIZE=thread like every other test.
 
 #include <gtest/gtest.h>
 
@@ -14,15 +16,23 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "engine/replay.hpp"
+#include "serve/service.hpp"
+#include "telemetry/artifact.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/memory.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/sketch.hpp"
 #include "telemetry/slo.hpp"
+#include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -41,7 +51,7 @@ struct ScopedEnable {
 /// Zeroes the process-wide health state so tests do not observe each
 /// other's metrics.
 void reset_health() {
-  telemetry::HealthRegistry::global().reset();
+  telemetry::Registry::global().reset();
   telemetry::Recorder::global().clear();
 }
 
@@ -115,57 +125,106 @@ TEST(Sketch, KillSwitchMakesObserveANoop) {
   EXPECT_EQ(sketch.snapshot().buckets.size(), 0u);
 }
 
-// Satellite 2: under SOR_TELEMETRY=off nothing in the health registry
-// records — rates, gauges, sketches, epoch rolls, and breach recording
-// are all no-ops (and the hot path takes no locks: the guard is the
-// same relaxed atomic-bool load the telemetry registry uses).
-TEST(HealthRegistry, KillSwitchDisablesAllRecording) {
+/// The closed window of one named series, empty when it has none.
+std::vector<telemetry::WindowPoint> window_of(
+    const telemetry::WindowSeries& all, const std::string& name) {
+  for (const auto& [series, window] : all) {
+    if (series == name) return window;
+  }
+  return {};
+}
+
+// Satellite 2: under SOR_TELEMETRY=off nothing in the registry records —
+// counters, gauges, sketches, epoch rolls, and breach recording are all
+// no-ops (and the hot path takes no locks: the guard is one relaxed
+// atomic-bool load).
+TEST(RegistryWindows, KillSwitchDisablesAllRecording) {
   reset_health();
   const ScopedEnable disable(false);
-  auto& registry = telemetry::HealthRegistry::global();
-  registry.rate("test/off_rate").add(7);
-  registry.window_gauge("test/off_gauge").set(3.5);
+  auto& registry = telemetry::Registry::global();
+  registry.counter("test/off_counter").add(7);
+  registry.gauge("test/off_gauge").set(3.5);
   registry.sketch("test/off_sketch").observe(1.0);
   registry.roll_epoch(0);
   registry.record_breach({"max_congestion", 0, 2.0, 1.0});
 
-  EXPECT_EQ(registry.rate("test/off_rate").total(), 0u);
-  EXPECT_DOUBLE_EQ(registry.window_gauge("test/off_gauge").value(), 0.0);
+  EXPECT_EQ(registry.counter("test/off_counter").value(), 0u);
+  EXPECT_DOUBLE_EQ(registry.gauge("test/off_gauge").value(), 0.0);
   EXPECT_EQ(registry.sketch("test/off_sketch").count(), 0u);
   EXPECT_EQ(registry.epochs_rolled(), 0u);
+  EXPECT_TRUE(
+      window_of(registry.counter_windows(), "test/off_counter").empty());
   EXPECT_TRUE(registry.breaches().empty());
   EXPECT_EQ(registry.health_status(), 0);
 }
 
-TEST(HealthRegistry, RollEpochClosesRateDeltasAndGaugeValues) {
+TEST(RegistryWindows, RollEpochClosesCounterDeltasAndGaugeValues) {
   reset_health();
   const ScopedEnable enable;
-  auto& registry = telemetry::HealthRegistry::global();
-  auto& rate = registry.rate("test/window_rate");
-  auto& gauge = registry.window_gauge("test/window_gauge");
+  auto& registry = telemetry::Registry::global();
+  auto& counter = registry.counter("test/window_counter");
+  auto& gauge = registry.gauge("test/window_gauge");
 
-  rate.add(3);
+  counter.add(3);
   gauge.set(1.5);
   registry.roll_epoch(0);
-  rate.add(5);
+  counter.add(5);
   gauge.set(2.5);
   registry.roll_epoch(1);
 
-  for (const auto& [name, window] : registry.rate_windows()) {
-    if (name != "test/window_rate") continue;
-    ASSERT_EQ(window.size(), 2u);
-    EXPECT_EQ(window[0].epoch, 0u);
-    EXPECT_DOUBLE_EQ(window[0].value, 3.0);  // delta, not running total
-    EXPECT_EQ(window[1].epoch, 1u);
-    EXPECT_DOUBLE_EQ(window[1].value, 5.0);
-  }
-  for (const auto& [name, window] : registry.gauge_windows()) {
-    if (name != "test/window_gauge") continue;
-    ASSERT_EQ(window.size(), 2u);
-    EXPECT_DOUBLE_EQ(window[0].value, 1.5);
-    EXPECT_DOUBLE_EQ(window[1].value, 2.5);
-  }
+  const auto counts =
+      window_of(registry.counter_windows(), "test/window_counter");
+  ASSERT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts[0].epoch, 0u);
+  EXPECT_DOUBLE_EQ(counts[0].value, 3.0);  // delta, not running total
+  EXPECT_EQ(counts[1].epoch, 1u);
+  EXPECT_DOUBLE_EQ(counts[1].value, 5.0);
+  EXPECT_EQ(counter.value(), 8u);  // the counter itself keeps the total
+  const auto values = window_of(registry.gauge_windows(), "test/window_gauge");
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_DOUBLE_EQ(values[0].value, 1.5);
+  EXPECT_DOUBLE_EQ(values[1].value, 2.5);
   EXPECT_EQ(registry.epochs_rolled(), 2u);
+}
+
+// A counter reset between two rolls (engine_test resets
+// engine/solves_truncated between runs) must not close a wrapped delta:
+// the next window holds the count since the reset.
+TEST(RegistryWindows, CounterResetBetweenRollsDoesNotWrap) {
+  reset_health();
+  const ScopedEnable enable;
+  auto& registry = telemetry::Registry::global();
+  auto& counter = registry.counter("test/reset_counter");
+  counter.add(5);
+  registry.roll_epoch(0);
+  counter.reset();
+  counter.add(2);
+  registry.roll_epoch(1);
+  counter.reset();
+  counter.add(9);
+  registry.roll_epoch(2);
+
+  const auto window =
+      window_of(registry.counter_windows(), "test/reset_counter");
+  ASSERT_EQ(window.size(), 3u);
+  EXPECT_DOUBLE_EQ(window[0].value, 5.0);
+  EXPECT_DOUBLE_EQ(window[1].value, 2.0);
+  EXPECT_DOUBLE_EQ(window[2].value, 9.0);
+
+  // Registry::reset() clears windows, roll marks, and breaches together.
+  registry.record_breach({"max_congestion", 2, 2.0, 1.0});
+  counter.add(4);
+  registry.reset();
+  EXPECT_EQ(registry.epochs_rolled(), 0u);
+  EXPECT_TRUE(registry.breaches().empty());
+  EXPECT_TRUE(
+      window_of(registry.counter_windows(), "test/reset_counter").empty());
+  counter.add(1);
+  registry.roll_epoch(0);
+  const auto after =
+      window_of(registry.counter_windows(), "test/reset_counter");
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_DOUBLE_EQ(after[0].value, 1.0);
 }
 
 // Satellite 3: a sharded observation stream merges to byte-identical
@@ -248,22 +307,24 @@ TEST(Sketch, ConcurrentObservationMatchesSequential) {
 // Concurrent interning + recording from many threads; run under
 // SOR_SANITIZE=thread this is the registry's data-race check
 // (satellite 5).
-TEST(HealthRegistry, ConcurrentInterningAndRecordingIsSafe) {
+TEST(RegistryWindows, ConcurrentInterningAndRecordingIsSafe) {
   reset_health();
   const ScopedEnable enable;
   constexpr std::size_t kN = 4000;
   parallel_for(kN, [&](std::size_t i) {
-    auto& registry = telemetry::HealthRegistry::global();
-    // A handful of names, interned repeatedly from every thread.
-    const std::string name = "stress/metric" + std::to_string(i % 7);
-    registry.rate(name).add();
-    registry.window_gauge(name).set(static_cast<double>(i));
-    registry.sketch(name).observe(static_cast<double>(i % 100 + 1));
+    auto& registry = telemetry::Registry::global();
+    // A handful of names, interned repeatedly from every thread (one
+    // name per metric: a name is never two kinds of metric at once).
+    const std::string id = std::to_string(i % 7);
+    registry.counter("stress/counter" + id).add();
+    registry.gauge("stress/gauge" + id).set(static_cast<double>(i));
+    registry.sketch("stress/sketch" + id)
+        .observe(static_cast<double>(i % 100 + 1));
   });
-  auto& registry = telemetry::HealthRegistry::global();
+  auto& registry = telemetry::Registry::global();
   std::uint64_t total = 0;
   registry.roll_epoch(0);
-  for (const auto& [name, window] : registry.rate_windows()) {
+  for (const auto& [name, window] : registry.counter_windows()) {
     if (name.rfind("stress/", 0) != 0) continue;
     for (const auto& point : window) {
       total += static_cast<std::uint64_t>(point.value);
@@ -368,8 +429,8 @@ TEST(Slo, TrackerRecordsBreachesToRegistryAndFlightRecorder) {
   ASSERT_EQ(breaches.size(), 3u);
   EXPECT_EQ(tracker.status(), 1);
   EXPECT_EQ(tracker.total_breaches(), 3u);
-  EXPECT_EQ(telemetry::HealthRegistry::global().health_status(), 1);
-  EXPECT_EQ(telemetry::HealthRegistry::global().breaches().size(), 3u);
+  EXPECT_EQ(telemetry::Registry::global().health_status(), 1);
+  EXPECT_EQ(telemetry::Registry::global().breaches().size(), 3u);
 
   // Each breach is also a structured flight-recorder event.
   std::size_t recorded = 0;
@@ -438,9 +499,11 @@ TEST(Slo, EvaluateArtifactReportsRecordedAndReEvaluatedBreaches) {
       "sketches": {
         "engine/solve_seconds":
           {"count": 8, "sum": 0.4, "min": 0.01, "max": 0.2,
-           "p50": 0.04, "p95": 0.1, "p99": 0.125}
+           "p50": 0.04, "p95": 0.1, "p99": 0.125},
+        "engine/congestion":
+          {"count": 8, "sum": 8.0, "min": 0.5, "max": 1.9,
+           "p50": 1.0, "p95": 1.75, "p99": 1.875}
       },
-      "watermarks": {"engine/congestion": 1.9},
       "status": 1
     },
     "cache": {"hits": 1, "disk_hits": 0, "misses": 9}
@@ -468,18 +531,20 @@ TEST(Exporters, PrometheusTextExposesCountersAndSketchSummaries) {
   reset_health();
   const ScopedEnable enable;
   SOR_COUNTER("promtest/events").add(3);
-  auto& sketch = telemetry::HealthRegistry::global().sketch("promtest/lat");
+  auto& sketch = telemetry::Registry::global().sketch("promtest/lat");
   for (int i = 1; i <= 100; ++i) sketch.observe(static_cast<double>(i));
-  telemetry::HealthRegistry::global().rate("promtest/rate").add(2);
-  telemetry::HealthRegistry::global().roll_epoch(0);
+  telemetry::Registry::global().roll_epoch(0);
 
   const std::string text = telemetry::prometheus_text();
-  EXPECT_NE(text.find("sor_promtest_events 3"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE sor_promtest_events counter\n"
+                      "sor_promtest_events 3"),
+            std::string::npos);
   EXPECT_NE(text.find("# TYPE sor_promtest_lat summary"), std::string::npos);
   EXPECT_NE(text.find("sor_promtest_lat{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(text.find("sor_promtest_lat_count 100"), std::string::npos);
-  EXPECT_NE(text.find("sor_promtest_rate_total"), std::string::npos);
+  // A windowed counter exports once, under its own name: no _total copy.
+  EXPECT_EQ(text.find("sor_promtest_events_total"), std::string::npos);
   reset_health();
 }
 
@@ -505,10 +570,10 @@ TEST(Exporters, RecorderOverflowSurfacesInHealthBlock) {
 TEST(Exporters, HealthJsonCarriesSketchesWatermarksAndStatus) {
   reset_health();
   const ScopedEnable enable;
-  auto& registry = telemetry::HealthRegistry::global();
+  auto& registry = telemetry::Registry::global();
   registry.sketch("jsontest/lat").observe(0.25);
-  registry.window_gauge("jsontest/gauge").set(1.25);
-  registry.rate("jsontest/rate").add(4);
+  registry.gauge("jsontest/gauge").set(1.25);
+  registry.counter("jsontest/rate").add(4);
   registry.roll_epoch(0);
   registry.record_breach({"max_congestion", 0, 2.0, 1.0});
 
@@ -518,9 +583,13 @@ TEST(Exporters, HealthJsonCarriesSketchesWatermarksAndStatus) {
   const telemetry::JsonValue& sketch =
       doc.at("sketches").at("jsontest/lat");
   EXPECT_EQ(sketch.at("count").as_number(), 1.0);
+  // The sketch's exact max is the watermark; no second copy is exported.
   EXPECT_DOUBLE_EQ(sketch.at("max").as_number(), 0.25);
+  EXPECT_FALSE(doc.has("watermarks"));
   EXPECT_DOUBLE_EQ(
-      doc.at("watermarks").at("jsontest/lat").as_number(), 0.25);
+      doc.at("rates").at("jsontest/rate").at(std::size_t{0}).at(
+          std::size_t{1}).as_number(),
+      4.0);
   EXPECT_EQ(doc.at("breaches").size(), 1u);
   EXPECT_EQ(doc.at("status").as_number(), 1.0);
 
@@ -710,6 +779,138 @@ TEST(Memory, UsageAndJsonHoldCheckerInvariants) {
   EXPECT_DOUBLE_EQ(sub.at("live_bytes").as_number(), 200.0);
   EXPECT_DOUBLE_EQ(sub.at("high_water_bytes").as_number(), 256.0);
   accountant.reset();
+}
+
+// The one-registry contract over a whole control loop. Each test runs a
+// short abilene loop with a RouteService attached and the shadow audit on
+// every epoch, so every stage span (and lp/shadow) is exercised.
+struct LoopRun {
+  engine::EngineRunConfig config;
+  serve::RouteService service;
+
+  LoopRun() {
+    config.source = "sp";
+    config.trace.num_epochs = 4;
+    config.engine.quality.shadow_every = 1;
+    config.engine.service = &service;
+  }
+
+  /// Runs with the artifact cache off, so build_path_system really
+  /// samples (a cache hit would skip the sampler span).
+  engine::EngineRunOutput run() {
+    const bool cache_was_enabled = cache::ArtifactCache::enabled();
+    cache::ArtifactCache::set_enabled(false);
+    engine::EngineRunOutput out = engine::run_from_config(config);
+    cache::ArtifactCache::set_enabled(cache_was_enabled);
+    return out;
+  }
+};
+
+/// Guards the gated benchmark's peak_rss_mb: with telemetry off, a loop
+/// records nothing at all — no counter moves, no span node (so no
+/// <span>_seconds sketch) is created, and no window is rolled.
+TEST(OneTelemetryLayer, DisabledControlLoopRecordsNothing) {
+  reset_health();
+  telemetry::reset_spans();
+  std::set<std::string> sketches_before;
+  for (const auto& [name, snap] : telemetry::Registry::global().sketches()) {
+    sketches_before.insert(name);
+  }
+  {
+    const ScopedEnable disable(false);
+    LoopRun loop;
+    EXPECT_EQ(loop.run().result.epochs.size(), 4u);
+  }
+  const auto& registry = telemetry::Registry::global();
+  for (const auto& [name, value] : registry.counters()) {
+    EXPECT_EQ(value, 0u) << name;
+  }
+  EXPECT_TRUE(telemetry::snapshot_spans().empty());
+  EXPECT_EQ(registry.epochs_rolled(), 0u);
+  for (const auto& [name, window] : registry.counter_windows()) {
+    EXPECT_TRUE(window.empty()) << name;
+  }
+  for (const auto& [name, window] : registry.gauge_windows()) {
+    EXPECT_TRUE(window.empty()) << name;
+  }
+  for (const auto& [name, snap] : registry.sketches()) {
+    EXPECT_EQ(snap.count, 0u) << name;
+    if (name.ends_with("_seconds")) {
+      EXPECT_TRUE(sketches_before.count(name))
+          << "telemetry-off loop created sketch " << name;
+    }
+  }
+}
+
+/// With telemetry on, every span perfbench's traced run reads exists,
+/// plus lp/shadow, and each span's <name>_seconds sketch counts exactly
+/// the span's invocations (summed over all its parents).
+TEST(OneTelemetryLayer, EverySpanFeedsItsSecondsSketch) {
+  reset_health();
+  telemetry::reset_spans();
+  const ScopedEnable enable;
+  LoopRun loop;
+  loop.run();
+
+  telemetry::JsonValue doc = telemetry::JsonValue::object();
+  doc.set("spans", telemetry::spans_to_json());
+  const auto totals = telemetry::span_totals(doc);
+  for (const char* span :
+       {"sampler/sample_path_system", "engine/repair", "engine/predict",
+        "engine/solve", "engine/publish", "engine/shadow", "lp/shadow"}) {
+    const auto it = totals.find(span);
+    ASSERT_NE(it, totals.end()) << span;
+    EXPECT_GT(it->second.calls, 0.0) << span;
+  }
+  EXPECT_EQ(totals.at("engine/shadow").calls, 4.0);
+  std::map<std::string, std::uint64_t> sketch_counts;
+  for (const auto& [name, snap] : telemetry::Registry::global().sketches()) {
+    sketch_counts[name] = snap.count;
+  }
+  for (const auto& [span, total] : totals) {
+    const auto it = sketch_counts.find(span + "_seconds");
+    ASSERT_NE(it, sketch_counts.end()) << span;
+    EXPECT_EQ(static_cast<double>(it->second), total.calls) << span;
+  }
+  reset_health();
+}
+
+// engine/epochs counts each epoch exactly once.
+TEST(OneTelemetryLayer, ControlLoopCountsEachEpochOnce) {
+  reset_health();
+  const ScopedEnable enable;
+  auto& epochs = SOR_COUNTER("engine/epochs");
+  const std::uint64_t before = epochs.value();
+  LoopRun loop;
+  loop.run();
+  EXPECT_EQ(epochs.value() - before, 4u);
+  reset_health();
+}
+
+// One name is one metric: the exposition format allows one # TYPE line
+// per metric name, so no name may be both a gauge and a sketch.
+TEST(OneTelemetryLayer, PrometheusDeclaresEachMetricOnce) {
+  reset_health();
+  const ScopedEnable enable;
+  LoopRun loop;
+  loop.run();
+
+  const std::string text = telemetry::prometheus_text();
+  std::set<std::string> declared;
+  std::istringstream lines(text);
+  std::string line;
+  std::size_t type_lines = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    ++type_lines;
+    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(declared.insert(name).second) << "repeated # TYPE " << name;
+  }
+  EXPECT_GT(type_lines, 0u);
+  EXPECT_TRUE(declared.count("sor_engine_congestion"));
+  EXPECT_TRUE(declared.count("sor_quality_regret"));
+  EXPECT_TRUE(declared.count("sor_quality_last_regret"));
+  reset_health();
 }
 
 }  // namespace

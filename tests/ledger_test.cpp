@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "telemetry/buildinfo.hpp"
@@ -66,12 +67,28 @@ JsonValue make_artifact(double congestion, double wall_seconds) {
   cache.set("misses", static_cast<std::uint64_t>(4));
   doc.set("cache", std::move(cache));
 
-  JsonValue telemetry_block = JsonValue::object();
-  JsonValue counters = JsonValue::object();
-  counters.set("cost/simplex/ns", static_cast<std::uint64_t>(2'000'000'000));
-  counters.set("cost/simplex/calls", static_cast<std::uint64_t>(7));
-  telemetry_block.set("counters", std::move(counters));
-  doc.set("telemetry", std::move(telemetry_block));
+  // Solver spans: lp/simplex runs under two parents (1.5 s + 0.5 s), and
+  // engine/repair is a stage, not a solver entry.
+  JsonValue spans = JsonValue::array();
+  for (const auto& [parent, name, seconds] :
+       {std::tuple{"lp/exact", "lp/simplex", 1.5},
+        std::tuple{"cli/online", "lp/simplex", 0.5},
+        std::tuple{"engine/epoch", "engine/repair", 3.0}}) {
+    JsonValue child = JsonValue::object();
+    child.set("name", std::string(name));
+    child.set("count", static_cast<std::uint64_t>(1));
+    child.set("seconds", seconds);
+    child.set("children", JsonValue::array());
+    JsonValue children = JsonValue::array();
+    children.push(std::move(child));
+    JsonValue root = JsonValue::object();
+    root.set("name", std::string(parent));
+    root.set("count", static_cast<std::uint64_t>(1));
+    root.set("seconds", seconds);
+    root.set("children", std::move(children));
+    spans.push(std::move(root));
+  }
+  doc.set("spans", std::move(spans));
 
   doc.set("provenance", telemetry::build_info_json("v1.2.3-test"));
   JsonValue memory = JsonValue::object();
@@ -100,8 +117,17 @@ TEST(Ledger, SummarizeExtractsStableMetrics) {
   EXPECT_DOUBLE_EQ(record.metrics.at("congestion_max"), 1.5);
   EXPECT_DOUBLE_EQ(record.metrics.at("solve_p99_ms"), 40.0);
   EXPECT_DOUBLE_EQ(record.metrics.at("cache_hit_rate"), 0.5);
+  // Solver cost from the spans block: both lp/simplex nodes, under the
+  // ledger's long-standing metric names; stage spans are not solver cost.
+  // The total sums the solver entries (lp/exact includes its nested
+  // lp/simplex, as the cost totals always have).
   EXPECT_DOUBLE_EQ(record.metrics.at("cost_simplex_seconds"), 2.0);
-  EXPECT_DOUBLE_EQ(record.metrics.at("cost_total_seconds"), 2.0);
+  EXPECT_DOUBLE_EQ(record.metrics.at("cost_lp_exact_seconds"), 1.5);
+  EXPECT_DOUBLE_EQ(record.metrics.at("cost_total_seconds"), 3.5);
+  EXPECT_EQ(record.metrics.count("cost_mwu_seconds"), 0u);
+  for (const auto& [name, value] : record.metrics) {
+    EXPECT_EQ(name.find("repair"), std::string::npos) << name;
+  }
   EXPECT_DOUBLE_EQ(record.metrics.at("peak_rss_bytes"), 2'000'000.0);
   EXPECT_DOUBLE_EQ(record.metrics.at("wall_seconds"), 12.0);
 }
@@ -184,12 +210,16 @@ TEST(Ledger, ReaderSkipsAndCountsCorruptLines) {
   const JsonValue doc = make_artifact(1.5, 12.0);
   const std::string good = telemetry::record_to_json(
       telemetry::summarize_artifact(doc, fixed_provenance())).dump(0);
+  // The 100 000-deep array would overflow a recursive parser's stack; it
+  // must be skipped like any other corrupt line.
+  const std::string deep =
+      std::string(100000, '[') + std::string(100000, ']');
   std::istringstream is(
       "this is not json\n" + good + "\n{\"bench\": 42}\n\n17\n" +
-      good.substr(0, good.size() / 2) + "\n" + good + "\n");
+      good.substr(0, good.size() / 2) + "\n" + deep + "\n" + good + "\n");
   const LedgerReadResult result = telemetry::read_ledger(is);
   EXPECT_EQ(result.records.size(), 2u);
-  EXPECT_EQ(result.corrupt_lines, 4u);  // blank lines do not count
+  EXPECT_EQ(result.corrupt_lines, 5u);  // blank lines do not count
   EXPECT_EQ(result.records[0].bench, "E99");
 }
 

@@ -1,10 +1,12 @@
 // Unit tests for src/telemetry: registry metrics under concurrency, span
-// tree nesting (including across thread-pool workers), JSON round-trip,
-// and the SOR_TELEMETRY kill switch.
+// tree nesting (including across thread-pool workers) and the seconds
+// sketch every span feeds, JSON round-trip, and the SOR_TELEMETRY kill
+// switch.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,13 +14,13 @@
 #include "demand/demand.hpp"
 #include "graph/generators.hpp"
 #include "oblivious/shortest_path.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
 
 namespace sor {
 namespace {
@@ -71,43 +73,6 @@ TEST(TelemetryGauge, LastWriteWins) {
   EXPECT_DOUBLE_EQ(gauge.value(), -1.25);
 }
 
-TEST(TelemetryHistogram, ConcurrentObservationsExactCountAndSum) {
-  const ScopedEnable enable;
-  auto& hist = SOR_HISTOGRAM("test/concurrent_hist", 0.0, 100.0, 10);
-  hist.reset();
-  const std::size_t n = 20000;
-  parallel_for(n, [&](std::size_t i) {
-    hist.observe(static_cast<double>(i % 100));
-  });
-  const auto snap = hist.snapshot();
-  EXPECT_EQ(snap.count, n);
-  double expected_sum = 0;
-  for (std::size_t i = 0; i < n; ++i) expected_sum += static_cast<double>(i % 100);
-  EXPECT_DOUBLE_EQ(snap.sum, expected_sum);
-  EXPECT_DOUBLE_EQ(snap.min, 0.0);
-  EXPECT_DOUBLE_EQ(snap.max, 99.0);
-  std::uint64_t bucket_total = 0;
-  for (std::uint64_t b : snap.buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, n);
-}
-
-TEST(TelemetryHistogram, ClampsOutOfRangeIntoBoundaryBuckets) {
-  const ScopedEnable enable;
-  auto& hist = SOR_HISTOGRAM("test/clamp_hist", 0.0, 10.0, 10);
-  hist.reset();
-  hist.observe(-5.0);
-  hist.observe(25.0);
-  const auto snap = hist.snapshot();
-  EXPECT_EQ(snap.buckets.front(), 1u);
-  EXPECT_EQ(snap.buckets.back(), 1u);
-  // Exact extrema survive clamping.
-  EXPECT_DOUBLE_EQ(snap.min, -5.0);
-  EXPECT_DOUBLE_EQ(snap.max, 25.0);
-  const StatsSummary s = hist.summary();
-  EXPECT_EQ(s.count, 2u);
-  EXPECT_DOUBLE_EQ(s.max, 25.0);  // exact, not the bin midpoint
-}
-
 TEST(TelemetrySpan, NestsAndAggregates) {
   const ScopedEnable enable;
   telemetry::reset_spans();
@@ -156,6 +121,60 @@ TEST(TelemetrySpan, PropagatesAcrossPoolWorkers) {
   telemetry::reset_spans();
 }
 
+// Spans are the one timer: every invocation also lands in the registry
+// sketch "<name>_seconds", so one name opened under two parents feeds
+// one sketch, and the profile's per-span row sums both nodes.
+TEST(TelemetrySpan, SameNameUnderTwoParentsFeedsOneSketch) {
+  const ScopedEnable enable;
+  telemetry::reset_spans();
+  auto& sketch = telemetry::Registry::global().sketch("test/shared_seconds");
+  sketch.reset();
+  {
+    SOR_SPAN("test/parent_a");
+    for (int i = 0; i < 2; ++i) {
+      SOR_SPAN("test/shared");
+    }
+  }
+  {
+    SOR_SPAN("test/parent_b");
+    { SOR_SPAN("test/shared"); }
+  }
+  const auto spans = telemetry::snapshot_spans();
+  const auto* under_a =
+      find_span(find_span(spans, "test/parent_a")->children, "test/shared");
+  const auto* under_b =
+      find_span(find_span(spans, "test/parent_b")->children, "test/shared");
+  ASSERT_NE(under_a, nullptr);
+  ASSERT_NE(under_b, nullptr);
+  EXPECT_EQ(under_a->count, 2u);
+  EXPECT_EQ(under_b->count, 1u);
+  const telemetry::SketchSnapshot snap = sketch.snapshot();
+  EXPECT_EQ(snap.count, 3u);
+  EXPECT_NEAR(snap.sum, under_a->seconds + under_b->seconds, 1e-12);
+
+  JsonValue doc = JsonValue::object();
+  doc.set("experiment", "T");
+  doc.set("spans", telemetry::spans_to_json(spans));
+  const auto totals = telemetry::span_totals(doc);
+  ASSERT_EQ(totals.count("test/shared"), 1u);
+  EXPECT_DOUBLE_EQ(totals.at("test/shared").calls, 3.0);
+  EXPECT_DOUBLE_EQ(totals.at("test/shared").seconds,
+                   under_a->seconds + under_b->seconds);
+  std::ostringstream profile;
+  telemetry::render_artifact_profile(doc, profile);
+  const std::string text = profile.str();
+  const std::size_t row = text.find("\n  test/shared ");
+  ASSERT_NE(row, std::string::npos) << text;
+  const std::string line =
+      text.substr(row + 1, text.find('\n', row + 1) - row - 1);
+  // Calls column: the two nodes' counts added together.
+  std::istringstream fields(line);
+  std::string name;
+  std::string calls;
+  fields >> name >> calls;
+  EXPECT_EQ(calls, "3") << line;
+}
+
 TEST(TelemetryJson, RoundTripsThroughParser) {
   JsonValue doc = JsonValue::object();
   doc.set("string", "hello \"world\"\n");
@@ -197,6 +216,11 @@ TEST(TelemetryJson, ParserRejectsMalformedInput) {
   EXPECT_THROW(JsonValue::parse("\"unterminated"), CheckError);
   EXPECT_THROW(JsonValue::parse("{\"a\": 1} trailing"), CheckError);
   EXPECT_THROW(JsonValue::parse("nul"), CheckError);
+  // Nesting deep enough to overflow a recursive parser's stack is
+  // rejected with a clean error instead.
+  EXPECT_THROW(JsonValue::parse(std::string(100000, '[') +
+                                std::string(100000, ']')),
+               CheckError);
 }
 
 TEST(TelemetryJson, ParserDecodesEscapes) {
@@ -208,40 +232,39 @@ TEST(TelemetryExport, RegistrySnapshotHasExpectedShape) {
   const ScopedEnable enable;
   SOR_COUNTER("test/export_counter").add(7);
   SOR_GAUGE("test/export_gauge").set(1.5);
-  SOR_HISTOGRAM("test/export_hist", 0.0, 10.0, 5).observe(3.0);
+  SOR_SKETCH("test/export_sketch").observe(3.0);
 
   const JsonValue doc = telemetry::registry_to_json();
   ASSERT_TRUE(doc.is_object());
   EXPECT_GE(doc.at("counters").at("test/export_counter").as_number(), 7.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("test/export_gauge").as_number(), 1.5);
-  const JsonValue& hist = doc.at("histograms").at("test/export_hist");
-  EXPECT_GE(hist.at("count").as_number(), 1.0);
-  EXPECT_EQ(hist.at("buckets").size(), 5u);
+  // Counters and gauges only: sketches export in the health block.
+  EXPECT_EQ(doc.members().size(), 2u);
   // The exporter's output must itself round-trip.
   const JsonValue reparsed = JsonValue::parse(doc.dump(2));
-  EXPECT_TRUE(reparsed.at("histograms").has("test/export_hist"));
+  EXPECT_TRUE(reparsed.at("gauges").has("test/export_gauge"));
 }
 
 TEST(TelemetryKillSwitch, DisabledRecordsNothing) {
   const ScopedEnable enable;
   auto& counter = SOR_COUNTER("test/killswitch_counter");
   auto& gauge = SOR_GAUGE("test/killswitch_gauge");
-  auto& hist = SOR_HISTOGRAM("test/killswitch_hist", 0.0, 1.0, 4);
+  auto& sketch = SOR_SKETCH("test/killswitch_sketch");
   counter.reset();
   gauge.set(3.0);
-  hist.reset();
+  sketch.reset();
   telemetry::reset_spans();
 
   telemetry::set_enabled(false);
   counter.add(5);
   gauge.set(99.0);
-  hist.observe(0.5);
+  sketch.observe(0.5);
   { SOR_SPAN("test/killswitch_span"); }
   telemetry::set_enabled(true);
 
   EXPECT_EQ(counter.value(), 0u);
   EXPECT_DOUBLE_EQ(gauge.value(), 3.0);
-  EXPECT_EQ(hist.snapshot().count, 0u);
+  EXPECT_EQ(sketch.count(), 0u);
   EXPECT_EQ(find_span(telemetry::snapshot_spans(), "test/killswitch_span"),
             nullptr);
 }
@@ -267,41 +290,6 @@ TEST(TelemetryKillSwitch, SolverResultsUnchangedWhenDisabled) {
   const double without_telemetry = router.route_fractional(d).congestion;
   telemetry::set_enabled(true);
   EXPECT_DOUBLE_EQ(with_telemetry, without_telemetry);
-}
-
-TEST(HistogramQuantiles, EmptyHistogramSummarizesToZero) {
-  const std::vector<std::uint64_t> empty_counts(8, 0);
-  const StatsSummary s = summarize_histogram(empty_counts, 0.0, 1.0);
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.p50, 0.0);
-  EXPECT_DOUBLE_EQ(s.p95, 0.0);
-  EXPECT_DOUBLE_EQ(s.p99, 0.0);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(HistogramQuantiles, SingleBucketPutsEveryQuantileAtItsMidpoint) {
-  const std::vector<std::uint64_t> counts = {17};
-  const StatsSummary s = summarize_histogram(counts, 0.0, 10.0);
-  EXPECT_EQ(s.count, 17u);
-  EXPECT_DOUBLE_EQ(s.p50, 5.0);
-  EXPECT_DOUBLE_EQ(s.p95, 5.0);
-  EXPECT_DOUBLE_EQ(s.p99, 5.0);
-}
-
-TEST(HistogramQuantiles, AllValuesEqualCollapseTheQuantiles) {
-  const ScopedEnable enable;
-  auto& hist = SOR_HISTOGRAM("test/all_equal_hist", 0.0, 10.0, 10);
-  hist.reset();
-  for (int i = 0; i < 100; ++i) hist.observe(3.0);
-  const StatsSummary s = hist.summary();
-  EXPECT_EQ(s.count, 100u);
-  // Every value landed in the [3, 4) bucket, so every quantile is that
-  // bucket's midpoint, the mean is exact, and max is the exact extremum.
-  EXPECT_DOUBLE_EQ(s.p50, 3.5);
-  EXPECT_DOUBLE_EQ(s.p95, 3.5);
-  EXPECT_DOUBLE_EQ(s.p99, 3.5);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
 }
 
 TEST(TelemetryRegistry, ConcurrentInterningAndUpdates) {
