@@ -4,7 +4,7 @@
 #include <cmath>
 #include <optional>
 
-#include "lp/shadow.hpp"
+#include "flow/mcf.hpp"
 #include "serve/service.hpp"
 #include "telemetry/memory.hpp"
 #include "telemetry/metrics.hpp"
@@ -158,37 +158,21 @@ EpochReport EpochController::step(std::span<const Event> events,
       budget_reporter.deadline_seconds = options_.solve_deadline_ms / 1000.0;
       budget.emplace(budget_reporter);
     }
+    // Only MWU solves return dual lengths, so only they warm-start.
     const bool have_warm = options_.warm_start && !installed_.empty() &&
                            !warm_lengths_.empty();
-    RestrictedWarmStart warm;
-    if (have_warm) {
-      warm.fractions = remap_fractions(problem);
-      warm.lengths = warm_lengths_;
-    }
     if (options_.backend == EngineBackend::kMwu) {
+      RestrictedWarmStart warm;
       RestrictedMwuOptions mwu;
       mwu.epsilon = options_.epsilon;
-      if (have_warm) mwu.warm = &warm;
+      if (have_warm) {
+        warm.fractions = remap_fractions(problem);
+        warm.lengths = warm_lengths_;
+        mwu.warm = &warm;
+      }
       solution = solve_restricted_mwu(problem, mwu);
     } else {
-      // Exact backend: the dense simplex has no basis-input hook, so the
-      // warm start is the accept test alone — reuse the installed split
-      // if the warm lengths already certify it, else re-solve cold.
-      bool accepted = false;
-      if (have_warm) {
-        RestrictedSolution reused =
-            route_restricted_fractions(problem, warm.fractions);
-        const double lb = restricted_dual_bound(problem, warm.lengths);
-        if (lb > 0 && reused.congestion <= (1.0 + options_.epsilon) * lb) {
-          reused.lower_bound = lb;
-          reused.warm_accepted = true;
-          reused.dual_lengths = warm.lengths;
-          solution = std::move(reused);
-          accepted = true;
-          SOR_COUNTER("lp/warm_accepts").add();
-        }
-      }
-      if (!accepted) solution = solve_restricted_exact(problem);
+      solution = solve_restricted_exact(problem);
     }
     report.solve_ms = clock.milliseconds();
     // The controller-local sketch feeds this run's health snapshot; the
@@ -213,7 +197,6 @@ EpochReport EpochController::step(std::span<const Event> events,
   report.warm_accepted = solution.warm_accepted;
   report.phases = solution.phases;
   report.truncated = solution.truncated;
-  if (solution.warm_accepted) SOR_COUNTER("engine/warm_accepts").add();
   if (solution.truncated) {
     SOR_COUNTER("engine/solves_truncated").add();
     telemetry::Recorder::global().record(
@@ -271,22 +254,27 @@ EpochReport EpochController::step(std::span<const Event> events,
   }
   if (quality_.shadow_due(report.epoch)) {
     SOR_SPAN("engine/shadow");
-    ShadowSolveOptions shadow_options;
-    shadow_options.epsilon = options_.quality.shadow_epsilon;
-    const ShadowSolveResult shadow =
-        solve_shadow_optimal(*graph_, realized, shadow_options);
+    // OPT(D) of the realized matrix, the regret denominator (0 when the
+    // matrix is empty).
+    McfResult shadow;
+    const std::vector<Commodity> commodities = realized.commodities();
+    if (!commodities.empty()) {
+      SOR_SPAN("lp/shadow");
+      McfOptions mcf;
+      mcf.epsilon = options_.quality.shadow_epsilon;
+      shadow = min_congestion_routing(*graph_, commodities, mcf);
+    }
     report.quality.shadow_sampled = true;
-    report.quality.shadow_opt = shadow.opt_congestion;
+    report.quality.shadow_opt = shadow.congestion;
     report.quality.shadow_lower_bound = shadow.lower_bound;
     report.quality.shadow_truncated = shadow.truncated;
-    report.quality.regret = shadow.opt_congestion > 0
-                                ? report.congestion / shadow.opt_congestion
-                                : 0;
+    report.quality.regret =
+        shadow.congestion > 0 ? report.congestion / shadow.congestion : 0;
     telemetry::Recorder::global().record(
         "engine/shadow",
         {{"epoch", static_cast<std::uint64_t>(report.epoch)},
          {"achieved", report.congestion},
-         {"shadow_opt", shadow.opt_congestion},
+         {"shadow_opt", shadow.congestion},
          {"regret", report.quality.regret},
          {"truncated", shadow.truncated}});
   }

@@ -8,8 +8,9 @@
 // per-epoch signals:
 //
 //  * regret   — achieved congestion over the shadow-optimal MCF value for
-//               the realized matrix (lp/shadow.hpp), sampled every
-//               `shadow_every` epochs to bound cost;
+//               the realized matrix (min_congestion_routing, under the
+//               "lp/shadow" span), sampled every `shadow_every` epochs to
+//               bound cost;
 //  * predictor— per-pair relative error of the pending prediction vs the
 //               realized matrix (score_prediction: MAPE + worst pair);
 //  * churn    — path-system stability between consecutive installs:

@@ -12,7 +12,9 @@
 //       max over lengths l of  Σ_j d_j · dist_l(s_j, t_j) / Σ_e c_e l_e
 //     evaluated at the final lengths (a certified lower bound on OPT).
 // The iteration stops once their ratio is below 1 + epsilon, so either
-// number is a (1 ± ε)-approximation of OPT.
+// number is a (1 ± ε)-approximation of OPT. The phase loop is the one the
+// restricted path LP runs too (flow/fleischer.hpp); this file supplies its
+// Dijkstra oracle.
 
 #include <span>
 #include <unordered_map>
@@ -27,8 +29,6 @@ namespace sor {
 struct McfOptions {
   /// Target relative gap between upper and lower bound.
   double epsilon = 0.05;
-  /// Hard cap on phases (each phase routes every commodity once).
-  std::size_t max_phases = 5000;
   /// If true, also return the per-commodity path decomposition of the
   /// routing (weights normalized to 1× demand) — the demand-AWARE path
   /// oracle the E14 ablation compares oblivious sampling against.
@@ -56,7 +56,8 @@ struct McfResult {
 };
 
 /// Approximates OPT(D) for the given commodities. All commodities must
-/// have positive amount and distinct endpoints. Deterministic.
+/// have positive amount and distinct endpoints. Deterministic. Stops
+/// uncertified (and warns) at kMaxPhases.
 McfResult min_congestion_routing(const Graph& g,
                                  std::span<const Commodity> commodities,
                                  const McfOptions& options = {});

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace sor {
 
@@ -14,6 +15,28 @@ void write_edge_list(const Graph& g, std::ostream& os) {
     os << e.u << " " << e.v << " " << e.capacity << "\n";
   }
 }
+
+namespace {
+
+/// Whitespace-separated fields of one line.
+std::vector<std::string> split_fields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream in(line);
+  for (std::string field; in >> field;) fields.push_back(std::move(field));
+  return fields;
+}
+
+/// Parses the whole of `field` as a T. Fails on a leftover byte, on a
+/// sign an unsigned T cannot hold, and on overflow — where an istream
+/// would stop early, wrap a negative id, or saturate.
+template <class T>
+bool parse_field(const std::string& field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [parsed, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && parsed == end;
+}
+
+}  // namespace
 
 Graph read_edge_list(std::istream& is) {
   std::string line;
@@ -31,26 +54,24 @@ Graph read_edge_list(std::istream& is) {
   SOR_CHECK_MSG(next_data_line(line), "edge list: missing header line");
   std::size_t n = 0;
   {
-    std::istringstream hdr(line);
-    SOR_CHECK_MSG(static_cast<bool>(hdr >> n) && n >= 1,
-                  "edge list: bad vertex count");
+    const std::vector<std::string> header = split_fields(line);
+    SOR_CHECK_MSG(header.size() == 1 && parse_field(header[0], n) &&
+                      n >= 1 && n < static_cast<std::size_t>(kInvalidVertex),
+                  "edge list: bad vertex count: " << line);
   }
   Graph g(n);
   while (next_data_line(line)) {
-    std::istringstream row(line);
+    const std::vector<std::string> row = split_fields(line);
     Vertex u = 0, v = 0;
-    SOR_CHECK_MSG(static_cast<bool>(row >> u >> v),
+    SOR_CHECK_MSG(row.size() >= 2 && parse_field(row[0], u) &&
+                      parse_field(row[1], v),
                   "edge list: bad edge line: " << line);
     // An absent capacity means 1; a present one must be a finite,
     // positive number with nothing after it.
     double cap = 1.0;
-    std::string field;
-    if (row >> field) {
-      const char* end = field.data() + field.size();
-      const auto [parsed, ec] = std::from_chars(field.data(), end, cap);
-      std::string rest;
-      SOR_CHECK_MSG(ec == std::errc() && parsed == end && std::isfinite(cap) &&
-                        cap > 0 && !(row >> rest),
+    if (row.size() > 2) {
+      SOR_CHECK_MSG(row.size() == 3 && parse_field(row[2], cap) &&
+                        std::isfinite(cap) && cap > 0,
                     "edge list: bad capacity in line: " << line);
     }
     g.add_edge(u, v, cap);

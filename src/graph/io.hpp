@@ -6,8 +6,10 @@
 //   line 1:  "<num_vertices>"
 //   then one line per edge: "<u> <v> [capacity]" — an absent capacity
 //   means 1, a present one must be a finite positive number
-// Lines starting with '#' are comments. This round-trips exactly
-// (edge order and capacities preserved).
+// Lines starting with '#' are comments. Every field must parse in full:
+// a negative or out-of-range id, a vertex count of 2^32 − 1 or more, or
+// trailing bytes are a CheckError. This round-trips exactly (edge order
+// and capacities preserved).
 
 #include <iosfwd>
 #include <string>

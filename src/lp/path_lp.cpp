@@ -4,11 +4,10 @@
 #include <cmath>
 #include <limits>
 
+#include "flow/fleischer.hpp"
 #include "lp/simplex.hpp"
-#include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace sor {
 
@@ -61,6 +60,54 @@ bool all_finite(std::span<const double> values) {
   }
   return true;
 }
+
+/// The restricted LP's oracle: the cheapest of a commodity's candidates
+/// (first minimum in candidate order), and restricted_dual_bound.
+class CandidateOracle {
+ public:
+  CandidateOracle(const RestrictedProblem& problem,
+                  std::vector<std::vector<double>>& weights)
+      : problem_(problem), weights_(weights) {}
+
+  std::size_t size() const { return problem_.commodities.size(); }
+  double demand(std::size_t j) const {
+    return problem_.commodities[j].demand;
+  }
+
+  const Path& cheapest(std::size_t j, std::span<const double> lengths) {
+    const std::vector<Path>& candidates = problem_.commodities[j].candidates;
+    double best_len = std::numeric_limits<double>::infinity();
+    best_ = 0;
+    for (std::size_t p = 0; p < candidates.size(); ++p) {
+      double len = 0;
+      for (EdgeId e : candidates[p].edges) len += lengths[e];
+      if (len < best_len) {
+        best_len = len;
+        best_ = p;
+      }
+    }
+    return candidates[best_];
+  }
+
+  void credit(std::size_t j, double amount) { weights_[j][best_] += amount; }
+
+  double dual_bound(std::span<const double> lengths) const {
+    return restricted_dual_bound(problem_, lengths);
+  }
+
+  void average(double divisor, EdgeLoad& load) {
+    const double inverse = 1.0 / divisor;
+    for (auto& per_commodity : weights_) {
+      for (double& w : per_commodity) w *= inverse;
+    }
+    for (double& l : load) l *= inverse;
+  }
+
+ private:
+  const RestrictedProblem& problem_;
+  std::vector<std::vector<double>>& weights_;
+  std::size_t best_ = 0;
+};
 
 }  // namespace
 
@@ -220,19 +267,9 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   SOR_SPAN("lp/mwu");
   validate_restricted_problem(problem);
   SOR_CHECK(options.epsilon > 0 && options.epsilon < 1);
-  [[maybe_unused]] const Graph& g = *problem.graph;
+  const Graph& g = *problem.graph;
   const double eps = options.epsilon;
 
-  RestrictedSolution solution;
-  solution.weights.resize(problem.commodities.size());
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    solution.weights[j].assign(problem.commodities[j].candidates.size(), 0.0);
-  }
-  solution.load = zero_load(g);
-
-  const auto m = static_cast<double>(g.num_edges());
-  const double delta = std::pow(m / (1.0 - eps), -1.0 / eps);
-  std::vector<double> lengths(g.num_edges());
   const bool warm_lengths = options.warm != nullptr &&
                             !options.warm->lengths.empty() &&
                             all_finite(options.warm->lengths);
@@ -250,6 +287,8 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   // the warm lengths, skip the solve entirely. The test uses the *raw*
   // lengths: the bound is scale-invariant and the raw certificate is
   // strictly stronger than the range-clamped one used to init the solve.
+  // A failed test still brackets OPT for the phase loop's scaling.
+  OptBracket bracket;
   if (warm_lengths && !options.warm->fractions.empty()) {
     RestrictedSolution warm =
         route_restricted_fractions(problem, options.warm->fractions);
@@ -262,16 +301,18 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
       SOR_COUNTER("lp/warm_accepts").add();
       return warm;
     }
+    bracket = {lb, warm.congestion};
   }
 
+  std::vector<double> shape;
   if (warm_lengths) {
     // Dual warm start: resume from the previous epoch's final lengths.
     // The stopping certificate compares primal vs dual explicitly, so any
     // positive initialization is sound; a good one closes the gap in
     // fewer phases. Two transforms make it *useful*, not just sound:
-    //  * rescale to the cold init's δ-scale (cold sets l_e·c_e = δ on
-    //    every edge) — starting large means thousands of phases before
-    //    the per-phase updates dominate the initialization;
+    //  * keep the cold init's δ-scale (the phase loop multiplies δ/c_e by
+    //    this shape, whose max is 1) — starting large means thousands of
+    //    phases before the per-phase updates dominate the initialization;
     //  * clamp the shape's dynamic range to kWarmRange — a converged
     //    solve leaves exponentially spread lengths, and when failures
     //    change which edges matter, an argmin flip across a range-ρ gap
@@ -282,140 +323,41 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       max_lc = std::max(max_lc, raw_warm[e] * g.edge(e).capacity);
     }
+    shape.resize(g.num_edges());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const double shape =
-          std::max(raw_warm[e] * g.edge(e).capacity, max_lc / kWarmRange);
-      lengths[e] = delta * (shape / max_lc) / g.edge(e).capacity;
-    }
-  } else {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      lengths[e] = delta / g.edge(e).capacity;
+      shape[e] = std::max(raw_warm[e] * g.edge(e).capacity,
+                          max_lc / kWarmRange) /
+                 max_lc;
     }
   }
-
-  auto path_length = [&](const Path& p) {
-    double len = 0;
-    for (EdgeId e : p.edges) len += lengths[e];
-    return len;
-  };
 
   // Warm-vs-cold is the interesting axis for re-solve cost: the control
   // loop lives on warm solves being cheap, so the trace label and the
   // phase counters split on it.
-  telemetry::SolveObserver observer("mwu", warm_lengths ? "warm" : "cold");
-  double best_lower = 0;
-  bool truncated = false;
-  std::size_t phase = 0;
-  for (; phase < options.max_phases; ++phase) {
-    // Deadline poll at phase boundaries only, and only once at least one
-    // phase has completed: the scaled prefix of completed phases is a
-    // feasible routing, so truncating here always returns a usable split.
-    if (phase > 0 && telemetry::solve_deadline_exceeded()) {
-      truncated = true;
-      observer.mark_truncated();
-      break;
-    }
-    for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-      const auto& c = problem.commodities[j];
-      double remaining = c.demand;
-      while (remaining > 1e-12) {
-        // Cheapest candidate under current lengths.
-        std::size_t best_p = 0;
-        double best_len = std::numeric_limits<double>::infinity();
-        for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-          const double len = path_length(c.candidates[p]);
-          if (len < best_len) {
-            best_len = len;
-            best_p = p;
-          }
-        }
-        const Path& path = c.candidates[best_p];
-        double bottleneck = std::numeric_limits<double>::infinity();
-        for (EdgeId e : path.edges) {
-          bottleneck = std::min(bottleneck, g.edge(e).capacity);
-        }
-        const double send = std::min(remaining, bottleneck);
-        SOR_COUNTER("mwu/route_steps").add();
-        solution.weights[j][best_p] += send;
-        add_path_load(path, send, solution.load);
-        for (EdgeId e : path.edges) {
-          lengths[e] *= 1.0 + eps * send / g.edge(e).capacity;
-        }
-        remaining -= send;
-        if (path.edges.empty()) break;  // degenerate s==t guard
-      }
-    }
-
-    // Duality bound for the restricted problem: any routing with
-    // congestion C satisfies Σ_j d_j·minlen_j <= C · Σ_e c_e·l_e.
-    double numerator = 0;
-    for (const auto& c : problem.commodities) {
-      double min_len = std::numeric_limits<double>::infinity();
-      for (const Path& p : c.candidates) {
-        min_len = std::min(min_len, path_length(p));
-      }
-      numerator += c.demand * min_len;
-    }
-    double denominator = 0;
-    double max_len = 0;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      denominator += g.edge(e).capacity * lengths[e];
-      max_len = std::max(max_len, lengths[e]);
-    }
-    best_lower = std::max(best_lower, numerator / denominator);
-    // Long solves (thousands of phases) grow the lengths past the double
-    // range. Every lengths-dependent quantity here is scale-invariant
-    // (argmin path, the bound above), so renormalize before they
-    // overflow; the guard keeps short solves bit-identical.
-    if (max_len > 1e100) {
-      for (double& l : lengths) l /= max_len;
-    }
-
-    const double upper =
-        max_congestion(g, solution.load) / static_cast<double>(phase + 1);
-    // Per-phase primal/dual trajectory: `upper` is the feasible scaled
-    // congestion, `best_lower` the duality certificate; their ratio is
-    // the current approximation gap.
-    observer.observe(phase + 1, upper, best_lower);
-    if (upper <= 1e-12) {  // all candidates are empty paths
-      ++phase;
-      break;
-    }
-    if (best_lower > 0 && upper / best_lower <= 1.0 + eps) {
-      ++phase;
-      break;
-    }
+  RestrictedSolution solution;
+  solution.weights.resize(problem.commodities.size());
+  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
+    solution.weights[j].assign(problem.commodities[j].candidates.size(), 0.0);
   }
-  SOR_CHECK(phase > 0);
-
-  const auto scale = 1.0 / static_cast<double>(phase);
-  for (auto& per_commodity : solution.weights) {
-    for (double& w : per_commodity) w *= scale;
-  }
-  for (double& load : solution.load) load *= scale;
-  solution.congestion = max_congestion(g, solution.load);
-  solution.lower_bound = best_lower;
-  solution.phases = phase;
-  solution.truncated = truncated;
-  normalize_lengths(lengths);
-  solution.dual_lengths = std::move(lengths);
-  SOR_COUNTER("mwu/phases").add(phase);
+  CandidateOracle oracle(problem, solution.weights);
+  PhaseLoopResult loop = run_phase_loop(g, oracle, eps, shape, bracket, "mwu",
+                                        warm_lengths ? "warm" : "cold");
+  solution.congestion = loop.congestion;
+  solution.lower_bound = loop.lower_bound;
+  solution.load = std::move(loop.load);
+  solution.phases = loop.phases;
+  solution.truncated = loop.truncated;
+  normalize_lengths(loop.lengths);
+  solution.dual_lengths = std::move(loop.lengths);
   // Two call sites, not a ternary name: SOR_COUNTER interns its name into
   // a function-local static on first execution.
   if (warm_lengths) {
-    SOR_COUNTER("mwu/phases_warm").add(phase);
+    SOR_COUNTER("mwu/phases_warm").add(loop.phases);
   } else {
-    SOR_COUNTER("mwu/phases_cold").add(phase);
+    SOR_COUNTER("mwu/phases_cold").add(loop.phases);
   }
-  if (best_lower > 0) {
-    SOR_GAUGE("mwu/duality_gap").set(solution.congestion / best_lower);
-  }
-  // A wide gap is only alarming when the solver *tried* to close it; a
-  // truncated solve stopped because the caller's budget said so.
-  if (!truncated && best_lower > 0 &&
-      solution.congestion / best_lower > 1.0 + eps) {
-    SOR_LOG(kWarn) << "restricted MWU stopped at gap "
-                   << solution.congestion / best_lower;
+  if (loop.lower_bound > 0) {
+    SOR_GAUGE("mwu/duality_gap").set(loop.congestion / loop.lower_bound);
   }
   return solution;
 }

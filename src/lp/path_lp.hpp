@@ -15,7 +15,9 @@
 //  * solve_restricted_mwu       — Fleischer-style multiplicative weights
 //                                 ((1+ε)-approx, scales to every instance
 //                                 in the experiment suite, returns a
-//                                 duality lower bound as certificate).
+//                                 duality lower bound as certificate); the
+//                                 phase loop is flow/fleischer.hpp's, with
+//                                 an argmin-over-candidates oracle.
 // The SemiObliviousRouter picks a backend by instance size; tests
 // cross-validate them.
 
@@ -86,7 +88,6 @@ struct RestrictedWarmStart {
 
 struct RestrictedMwuOptions {
   double epsilon = 0.05;
-  std::size_t max_phases = 10000;
   /// Optional warm start (not owned). When fractions and lengths are both
   /// present and the warm routing is already within (1+ε) of the dual
   /// bound certified by the warm lengths, the solve is skipped entirely
@@ -103,7 +104,8 @@ struct RestrictedMwuOptions {
 RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem);
 
 /// (1+ε)-approximate optimum via multiplicative weights (optionally
-/// warm-started through `options.warm`).
+/// warm-started through `options.warm`). Stops uncertified (and warns) at
+/// kMaxPhases.
 RestrictedSolution solve_restricted_mwu(
     const RestrictedProblem& problem, const RestrictedMwuOptions& options = {});
 

@@ -26,7 +26,7 @@
 // "<span name>_seconds" (telemetry/span.hpp).
 //
 // Metric naming scheme (see DESIGN.md "Observability"): lower-case
-// "<subsystem>/<event>" paths, e.g. "mwu/phases", "sampler/paths_sampled".
+// "<subsystem>/<event>" paths, e.g. "mwu/phases_cold", "sampler/paths_sampled".
 
 #include <atomic>
 #include <cstdint>

@@ -322,6 +322,71 @@ TEST(Io, RejectsMalformedCapacities) {
   EXPECT_DOUBLE_EQ(read_edge_list(in).edge(0).capacity, 2.5);
 }
 
+TEST(Io, RejectsNegativeVertexIds) {
+  // An istream reads "-4294967295" into a uint32 as 1 (mod 2^32).
+  std::stringstream in("3\n0 -4294967295\n1 2\n");
+  EXPECT_THROW(read_edge_list(in), CheckError);
+}
+
+TEST(Io, RejectsTrailingGarbageAfterVertexCount) {
+  for (const char* header : {"3abc", "1e2", "3 4"}) {
+    std::stringstream in(std::string(header) + "\n0 1\n");
+    EXPECT_THROW(read_edge_list(in), CheckError) << "header " << header;
+  }
+}
+
+TEST(Io, RejectsVertexCountAtOrAboveInvalidVertex) {
+  // Checked before Graph(n) allocates n adjacency lists.
+  for (const char* header : {"4294967295", "4294967297"}) {
+    std::stringstream in(std::string(header) + "\n0 1\n");
+    EXPECT_THROW(read_edge_list(in), CheckError) << "header " << header;
+  }
+}
+
+TEST(Io, MutatedFilesLoadOrRaiseCheckError) {
+  // Flip, truncate and insert bytes in a valid file: every result must be
+  // a Graph or a CheckError. The one-digit header and the '.' in every
+  // capacity keep a mutated vertex count small (at most three mutations).
+  const std::string valid =
+      "# ring with a chord\n"
+      "6\n"
+      "0 1 2.5\n1 2 1.5\n2 3 2.5\n3 4 1.5\n4 5 2.5\n5 0 1.5\n0 3 0.5\n";
+  const std::string interesting = "0123456789 -+.e#\n\r\t";
+  Rng rng(16);
+  std::size_t loaded = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string text = valid;
+    const std::uint64_t mutations = 1 + rng.next_u64(3);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      const std::size_t at = rng.next_u64(text.size() + 1);
+      const char byte =
+          rng.next_u64(2) == 0
+              ? interesting[rng.next_u64(interesting.size())]
+              : static_cast<char>(rng.next_u64(256));
+      switch (rng.next_u64(3)) {
+        case 0:
+          if (at < text.size()) text[at] = byte;
+          break;
+        case 1:
+          text.resize(at);
+          break;
+        default:
+          text.insert(at, 1, byte);
+      }
+    }
+    std::stringstream in(text);
+    try {
+      const Graph g = read_edge_list(in);
+      EXPECT_GE(g.num_vertices(), 1u);
+      ++loaded;
+    } catch (const CheckError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "input <" << text << "> threw " << e.what();
+    }
+  }
+  EXPECT_GT(loaded, 0u);  // the mutations leave some files valid
+}
+
 TEST(Io, DotOutputContainsEdges) {
   const Graph g = make_complete(3);
   std::ostringstream os;

@@ -1,7 +1,8 @@
 // Cross-solver property tests: the strongest correctness evidence in the
 // suite. On graphs small enough to ENUMERATE every simple path, the
-// restricted LP over the full path set must equal the Garg–Könemann MCF
-// optimum (two completely independent solver stacks). Plus randomized
+// restricted LP over the full path set (dense simplex) must equal the
+// Garg–Könemann MCF optimum and the restricted MWU's, at demand scales
+// from 1e-3 to 1e3. Plus randomized
 // simplex properties (feasibility, optimality versus sampled feasible
 // points) and MWU/exact agreement on random instances.
 
@@ -10,6 +11,7 @@
 #include <functional>
 
 #include "demand/generators.hpp"
+#include "flow/fleischer.hpp"
 #include "flow/mcf.hpp"
 #include "graph/generators.hpp"
 #include "lp/path_lp.hpp"
@@ -44,13 +46,8 @@ std::vector<Path> enumerate_simple_paths(const Graph& g, Vertex s, Vertex t,
   return out;
 }
 
-class FullPathLpVsMcf : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FullPathLpVsMcf, AgreeOnRandomSmallInstances) {
-  const std::uint64_t seed = GetParam();
-  // Small random graph + random demand.
-  const Graph g = make_erdos_renyi(8, 0.45, seed);
-  Rng rng(seed * 13 + 1);
+/// Four random pairs with amounts in [1, 4), times `scale`.
+Demand random_pairs_demand(const Graph& g, Rng& rng, double scale) {
   Demand demand;
   for (int i = 0; i < 4; ++i) {
     Vertex a = 0, b = 0;
@@ -58,10 +55,16 @@ TEST_P(FullPathLpVsMcf, AgreeOnRandomSmallInstances) {
       a = static_cast<Vertex>(rng.next_u64(g.num_vertices()));
       b = static_cast<Vertex>(rng.next_u64(g.num_vertices()));
     }
-    demand.add(a, b, 1.0 + rng.next_double() * 3.0);
+    demand.add(a, b, (1.0 + rng.next_double() * 3.0) * scale);
   }
+  return demand;
+}
 
-  // Stack 1: restricted exact LP over EVERY simple path.
+/// The three solvers on one instance. The restricted LP over EVERY simple
+/// path is the true OPT, solved exactly; the Garg–Könemann MCF and the
+/// restricted MWU over the same paths (two oracles on one phase loop)
+/// must each bracket it within their certificate, below the phase cap.
+void expect_solvers_agree(const Graph& g, const Demand& demand) {
   RestrictedProblem problem;
   problem.graph = &g;
   for (const Commodity& c : demand.commodities()) {
@@ -71,18 +74,79 @@ TEST_P(FullPathLpVsMcf, AgreeOnRandomSmallInstances) {
     ASSERT_FALSE(rc.candidates.empty());
     problem.commodities.push_back(std::move(rc));
   }
-  const RestrictedSolution exact = solve_restricted_exact(problem);
+  const double exact = solve_restricted_exact(problem).congestion;
 
-  // Stack 2: Garg–Könemann concurrent flow.
-  McfOptions options;
-  options.epsilon = 0.03;
-  const McfResult mcf =
-      min_congestion_routing(g, demand.commodities(), options);
+  constexpr double kEps = 0.03;
+  McfOptions mcf_options;
+  mcf_options.epsilon = kEps;
+  McfResult mcf;
+  ASSERT_NO_THROW(mcf = min_congestion_routing(g, demand.commodities(),
+                                               mcf_options));
+  RestrictedMwuOptions mwu_options;
+  mwu_options.epsilon = kEps;
+  RestrictedSolution mwu;
+  ASSERT_NO_THROW(mwu = solve_restricted_mwu(problem, mwu_options));
 
-  // The full-path LP IS the true OPT; the MCF brackets it within 1±ε.
-  EXPECT_LE(mcf.lower_bound, exact.congestion * 1.001 + 1e-9);
-  EXPECT_GE(mcf.congestion * 1.001 + 1e-9, exact.congestion);
-  EXPECT_LE(mcf.congestion, exact.congestion * (1 + options.epsilon) + 1e-9);
+  const auto expect_certified = [&](const char* solver, double congestion,
+                                    double lower_bound, std::size_t phases,
+                                    bool truncated) {
+    SCOPED_TRACE(solver);
+    EXPECT_LE(lower_bound, exact * (1 + 1e-6));
+    EXPECT_LE(exact, congestion * (1 + 1e-6));
+    EXPECT_LE(congestion, (1 + kEps) * lower_bound * (1 + 1e-9));
+    EXPECT_LE(congestion, exact * (1 + kEps) + 1e-9);
+    EXPECT_LT(phases, kMaxPhases);
+    EXPECT_FALSE(truncated);
+  };
+  expect_certified("mcf", mcf.congestion, mcf.lower_bound, mcf.phases,
+                   mcf.truncated);
+  expect_certified("restricted mwu", mwu.congestion, mwu.lower_bound,
+                   mwu.phases, mwu.truncated);
+}
+
+/// Random recursive tree: vertex v hangs off a uniform earlier vertex,
+/// with a capacity in [0.5, 2).
+Graph make_random_tree(std::uint32_t n, Rng& rng) {
+  Graph g(n);
+  for (Vertex v = 1; v < n; ++v) {
+    g.add_edge(static_cast<Vertex>(rng.next_u64(v)), v,
+               0.5 + rng.next_double() * 1.5);
+  }
+  return g;
+}
+
+// Solves must certify at every demand scale: the phase loop's scaling
+// band keeps the phase count from growing with the units of the demand.
+constexpr double kDemandScales[] = {1e-3, 1e-1, 1.0, 10.0, 1e3};
+
+class FullPathLpVsMcf : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FullPathLpVsMcf, AgreeOnRandomSmallInstances) {
+  const std::uint64_t seed = GetParam();
+  const Graph g = make_erdos_renyi(8, 0.45, seed);
+  for (double scale : kDemandScales) {
+    SCOPED_TRACE(testing::Message() << "demand scale " << scale);
+    Rng rng(seed * 13 + 1);
+    expect_solvers_agree(g, random_pairs_demand(g, rng, scale));
+  }
+}
+
+TEST_P(FullPathLpVsMcf, AgreeOnStructuredGraphsAtEveryScale) {
+  const std::uint64_t seed = GetParam();
+  Rng tree_rng(seed * 7 + 3);
+  const std::pair<const char*, Graph> graphs[] = {
+      {"ring", make_ring(6)},
+      {"dumbbell", make_dumbbell(4, 2)},
+      {"two-star", make_two_star(3, 2).graph},
+      {"tree", make_random_tree(8, tree_rng)},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (double scale : kDemandScales) {
+      SCOPED_TRACE(testing::Message() << name << ", demand scale " << scale);
+      Rng rng(seed * 13 + 1);
+      expect_solvers_agree(g, random_pairs_demand(g, rng, scale));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FullPathLpVsMcf,
