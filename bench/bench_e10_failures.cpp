@@ -35,7 +35,7 @@ double failure_ratio(const Graph& g, const PathSystem& system,
   const PathSystem alive = surviving_paths(system, scenario);
   PathSystem translated;
   for (const VertexPair& pair : alive.pairs()) {
-    for (const Path& p : alive.canonical_paths(pair.a, pair.b)) {
+    for (const PathView p : alive.paths(pair.a, pair.b)) {
       Path q;
       q.src = p.src;
       q.dst = p.dst;

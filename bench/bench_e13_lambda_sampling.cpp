@@ -69,16 +69,14 @@ int main() {
           {Table::fmt_int(bridges), Table::fmt_int(static_cast<long long>(k)),
            "k-sample",
            Table::fmt_int(static_cast<long long>(
-               plain_system.canonical_paths(left_portal, right_portal)
-                   .size())),
+               plain_system.ids(left_portal, right_portal).size())),
            Table::fmt(plain_cong), Table::fmt(opt),
            Table::fmt(plain_cong / std::max(opt, 1e-12))});
       table.add_row(
           {Table::fmt_int(bridges), Table::fmt_int(static_cast<long long>(k)),
            "lambda*k-sample",
            Table::fmt_int(static_cast<long long>(
-               scaled_system.canonical_paths(left_portal, right_portal)
-                   .size())),
+               scaled_system.ids(left_portal, right_portal).size())),
            Table::fmt(scaled_cong), Table::fmt(opt),
            Table::fmt(scaled_cong / std::max(opt, 1e-12))});
     }

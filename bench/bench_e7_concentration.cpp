@@ -68,10 +68,7 @@ int main() {
       RestrictedProblem problem;
       problem.graph = &g;
       for (const Commodity& c : demands[i].commodities()) {
-        RestrictedCommodity rc;
-        rc.demand = c.amount;
-        rc.candidates = ps.paths_oriented(c.src, c.dst);
-        problem.commodities.push_back(std::move(rc));
+        append_commodity(problem, c, ps);
       }
       const WeakRoutingResult weak =
           weak_routing_process(problem, weak_threshold);

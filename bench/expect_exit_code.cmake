@@ -24,6 +24,10 @@ if(NOT DEFINED ARGS)
   endif()
   set(ARGS ${ARTIFACT})
 endif()
+# add_test hands the escaped separators over verbatim ("a\;b"), which an
+# unquoted ${ARGS} would pass on as ONE argument "a;b": unescape them so
+# each list element reaches the command as its own argument.
+string(REPLACE "\\;" ";" ARGS "${ARGS}")
 
 execute_process(
   COMMAND ${CHECKER} ${ARGS}

@@ -1135,10 +1135,16 @@ int dispatch(int argc, char** argv) {
   if (!args.dump_paths.empty()) {
     std::ofstream dump(args.dump_paths);
     for (const sor::VertexPair& pair : system.pairs()) {
-      for (const sor::Path& p : system.canonical_paths(pair.a, pair.b)) {
+      for (const sor::PathView p : system.paths(pair.a, pair.b)) {
         for (sor::Vertex v : sor::path_vertices(g, p)) dump << v << " ";
         dump << "\n";
       }
+    }
+    dump.close();
+    if (!dump) {
+      std::cerr << "error: cannot write path dump to " << args.dump_paths
+                << "\n";
+      return 1;
     }
     std::cout << "wrote path dump to " << args.dump_paths << "\n";
   }

@@ -20,13 +20,12 @@ CongestionAttribution attribute_congestion(
   // report (no dependence on solver-side load bookkeeping).
   std::vector<double> load(g.num_edges(), 0.0);
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const RestrictedCommodity& commodity = problem.commodities[j];
-    SOR_CHECK_MSG(weights[j].size() == commodity.candidates.size(),
+    SOR_CHECK_MSG(weights[j].size() == problem.commodities[j].size(),
                   "attribute_congestion: weight row shape mismatch");
-    for (std::size_t p = 0; p < commodity.candidates.size(); ++p) {
+    for (std::size_t p = 0; p < weights[j].size(); ++p) {
       const double w = weights[j][p];
       if (w <= 0) continue;
-      for (EdgeId e : commodity.candidates[p].edges) load[e] += w;
+      for (EdgeId e : problem.candidate(j, p).edges) load[e] += w;
     }
   }
 
@@ -67,11 +66,10 @@ CongestionAttribution attribute_congestion(
   // traverses a selected edge twice contributes one term with doubled
   // load (matching add_path_load's multiplicity).
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const RestrictedCommodity& commodity = problem.commodities[j];
-    for (std::size_t p = 0; p < commodity.candidates.size(); ++p) {
+    for (std::size_t p = 0; p < weights[j].size(); ++p) {
       const double w = weights[j][p];
       if (w <= 0) continue;
-      const Path& path = commodity.candidates[p];
+      const PathView path = problem.candidate(j, p);
       std::unordered_map<std::size_t, std::size_t> multiplicity;
       for (EdgeId e : path.edges) {
         const auto it = slot.find(e);

@@ -31,7 +31,7 @@ PathSystem surviving_paths(const PathSystem& system,
                            const FailureScenario& scenario) {
   PathSystem out;
   for (const VertexPair& pair : system.pairs()) {
-    for (const Path& p : system.canonical_paths(pair.a, pair.b)) {
+    for (const PathView p : system.paths(pair.a, pair.b)) {
       bool ok = true;
       for (EdgeId e : p.edges) {
         if (!scenario.alive[e]) {
@@ -50,7 +50,7 @@ std::vector<VertexPair> stranded_pairs(const PathSystem& system,
   std::vector<VertexPair> stranded;
   for (const VertexPair& pair : system.pairs()) {
     bool any = false;
-    for (const Path& p : system.canonical_paths(pair.a, pair.b)) {
+    for (const PathView p : system.paths(pair.a, pair.b)) {
       bool ok = true;
       for (EdgeId e : p.edges) {
         if (!scenario.alive[e]) {

@@ -3,25 +3,26 @@
 // Path systems (Definition 2.1) — the semi-oblivious routing object.
 //
 // A path system P associates a multiset of candidate simple paths with
-// vertex pairs. Paths are stored in canonical orientation (from the
-// smaller vertex id); `paths_oriented` rewinds them for a requested
-// direction. Multiplicities are kept: a (λ·k)-sample draws with
-// replacement, and the weak-routing process weights paths per sampled
-// instance. A SplitTable records which of those paths carries what share
-// of each pair's demand once rates are solved.
+// vertex pairs. Paths are stored once, in canonical orientation (from the
+// smaller vertex id), in a PathTable; a pair's candidates are a list of
+// PathIds in insertion order. Multiplicities are kept: a (λ·k)-sample
+// draws with replacement, and the weak-routing process weights paths per
+// sampled instance. A SplitTable records which of those paths carries
+// what share of each pair's demand once rates are solved.
 //
 // Thread-safety contract (see DESIGN.md "Serving layer" for the full
 // table): PathSystem and PathActivation are NOT internally synchronized.
 // Any number of threads may call const members concurrently provided no
-// thread mutates; mutation (add / deduplicate / set_active / add_extra /
-// set_extra_active) requires exclusive access. The serving layer never
-// hands either object to reader threads — lookups go through immutable
-// RouteSnapshots (src/serve) built on the control thread. A SplitTable
-// has no mutators, so const access from any thread is safe.
+// thread mutates; mutation (add / deduplicate / set_active / add_extra)
+// requires exclusive access, and an append (add, add_extra) invalidates
+// the views taken from the object. The serving layer never hands either
+// object to reader threads — lookups go through immutable RouteSnapshots
+// (src/serve) built on the control thread. A SplitTable has no mutators,
+// so const access from any thread is safe.
 
 #include <cstdint>
+#include <ranges>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "demand/demand.hpp"
@@ -38,64 +39,51 @@ class PathSystem {
 
   /// Adds one candidate path (any orientation; canonicalized internally).
   /// The path must not be trivial (src != dst).
-  void add(Path path);
+  void add(PathView path);
 
   bool has_pair(Vertex s, Vertex t) const;
 
-  /// Candidate paths oriented s→t (copies). Empty if the pair is absent.
-  std::vector<Path> paths_oriented(Vertex s, Vertex t) const;
-
-  /// Candidate paths in canonical orientation (no copy).
-  std::span<const Path> canonical_paths(Vertex s, Vertex t) const;
+  /// The pair {s,t}'s candidate ids, in insertion order; empty if the
+  /// pair is absent.
+  std::span<const PathId> ids(Vertex s, Vertex t) const;
+  /// Candidate `id` in canonical orientation.
+  PathView path(PathId id) const { return table_[id]; }
+  /// The pair {s,t}'s candidates as PathViews, in ids(s, t) order.
+  auto paths(Vertex s, Vertex t) const {
+    return ids(s, t) |
+           std::views::transform([this](PathId id) { return table_[id]; });
+  }
 
   /// All pairs with at least one path, sorted (deterministic iteration).
-  std::vector<VertexPair> pairs() const;
+  const std::vector<VertexPair>& pairs() const { return pairs_; }
 
   /// k such that the system is k-sparse: max candidates over pairs.
   std::size_t max_sparsity() const;
 
-  std::size_t num_pairs() const { return paths_.size(); }
-  std::size_t total_paths() const;
+  std::size_t num_pairs() const { return pairs_.size(); }
+  std::size_t total_paths() const { return table_.size(); }
 
   /// Removes duplicate paths within each pair (keeps first occurrences).
-  /// Returns the number of paths removed.
+  /// Renumbers the ids. Returns the number of paths removed.
   std::size_t deduplicate();
 
   /// Largest hop count over all stored paths (0 if empty).
   std::size_t max_hops() const;
 
  private:
-  std::unordered_map<VertexPair, std::vector<Path>, VertexPairHash> paths_;
+  PathTable table_;
+  std::vector<VertexPair> pairs_;         // sorted
+  std::vector<std::vector<PathId>> ids_;  // ids_[i]: pairs_[i]'s candidates
 };
-
-/// One candidate's activation flag in a PathActivation snapshot. The key
-/// (pair, extra, index) identifies the candidate independently of the
-/// flag value; snapshots are emitted sorted by (pair, extra, index).
-struct ActivationFlag {
-  std::uint64_t pair_key = 0;  // (a << 32) | b, canonical orientation
-  std::uint32_t index = 0;     // base candidate index, or extra index
-  bool extra = false;
-  bool active = true;
-
-  friend bool operator==(const ActivationFlag&,
-                         const ActivationFlag&) = default;
-};
-
-/// Hamming distance between two flag snapshots of the SAME mask at
-/// different epochs: flags that flipped, plus candidates present in only
-/// one snapshot (a newly installed fallback counts as churn). Both inputs
-/// must be flag_snapshot() outputs (sorted by key).
-std::size_t activation_hamming(std::span<const ActivationFlag> before,
-                               std::span<const ActivationFlag> after);
 
 /// Activation mask over a PathSystem — the control plane's view of which
 /// installed candidates are currently usable. Link failures deactivate
 /// candidates, recoveries reactivate them, and fallback paths installed
-/// at runtime ride along as "extras" with their own flags. The mask never
-/// mutates the underlying system, so per-candidate state keyed by (pair,
-/// index) — e.g. the TE engine's warm-start split fractions — stays valid
-/// across epochs. Base candidates are addressed by their index into
-/// canonical_paths(pair); pairs without an explicit mask are fully active.
+/// at runtime ride along as "extras". Ids [0, system().total_paths()) are
+/// the system's candidates; extras take the ids after them, in install
+/// order. The mask never mutates the system and extras only append, so an
+/// id names the same candidate for the mask's whole life, and two flag
+/// vectors of one mask align id by id.
 class PathActivation {
  public:
   PathActivation() = default;
@@ -104,44 +92,51 @@ class PathActivation {
 
   const PathSystem* system() const { return system_; }
 
-  /// Flags base candidate `index` of the pair {s,t}.
-  void set_active(Vertex s, Vertex t, std::size_t index, bool active);
-  bool is_active(Vertex s, Vertex t, std::size_t index) const;
+  /// Number of ids: the system's candidates plus the extras.
+  std::size_t size() const { return active_.size(); }
+  /// Candidate `id` in canonical orientation. A view of an extra is
+  /// invalidated by the next add_extra.
+  PathView path(PathId id) const;
 
-  /// Installs a fallback path (any orientation; canonicalized), initially
-  /// active. Returns its extra index within the pair.
-  std::size_t add_extra(Path path);
-  std::size_t num_extras(Vertex s, Vertex t) const;
-  /// The extra path in canonical orientation.
-  const Path& extra_path(Vertex s, Vertex t, std::size_t index) const;
-  void set_extra_active(Vertex s, Vertex t, std::size_t index, bool active);
-  bool is_extra_active(Vertex s, Vertex t, std::size_t index) const;
+  bool is_active(PathId id) const {
+    SOR_DCHECK(id < active_.size());
+    return active_[id] != 0;
+  }
+  void set_active(PathId id, bool active);
+  /// One flag per id, 1 = active.
+  std::span<const char> flags() const { return active_; }
+  /// Mask churn since `before`, an earlier flags() of this mask: the
+  /// flags that flipped plus the ids appended since.
+  std::size_t churn_since(std::span<const char> before) const;
 
-  /// Active candidates oriented s→t: active base candidates (in canonical
-  /// index order) followed by active extras.
-  std::vector<Path> active_oriented(Vertex s, Vertex t) const;
+  /// Installs a fallback path (any orientation; canonicalized) as the
+  /// next id, initially active.
+  PathId add_extra(PathView path);
+  /// The pair {s,t}'s extras, in install order.
+  std::span<const PathId> extras(Vertex s, Vertex t) const;
+
   /// Count of active candidates (base + extras) for the pair.
   std::size_t num_active(Vertex s, Vertex t) const;
 
-  /// Deterministic flattened flag vector: base candidates of every pair
-  /// in sorted pair / index order, then every extra (sorted pair order,
-  /// install order within the pair). Keys are stable across epochs — the
-  /// base layout is fixed and extras are append-only — so two snapshots
-  /// of the same mask align by key and their Hamming distance (differing
-  /// flags plus keys present in only one snapshot) is the mask churn
-  /// between epochs. See activation_hamming.
-  std::vector<ActivationFlag> flag_snapshot() const;
-
  private:
+  VertexPair pair_of(PathId id) const;
+
   const PathSystem* system_ = nullptr;
-  // Lazily materialized per-pair flags; absent entry = all active.
-  std::unordered_map<VertexPair, std::vector<char>, VertexPairHash> base_;
-  struct Extra {
-    Path path;  // canonical orientation
-    bool active = true;
-  };
-  std::unordered_map<VertexPair, std::vector<Extra>, VertexPairHash> extras_;
+  PathTable extras_;              // id − system_->total_paths()
+  std::vector<PathId> by_pair_;   // extra ids, sorted by (pair, id)
+  std::vector<char> active_;
 };
+
+/// The append step every restricted-problem builder shares: opens a
+/// commodity for `c`, which must be canonical (Demand::commodities()
+/// pairs are), and appends its pair's candidates from `system`, in
+/// insertion order. With `activation` set (it must view `system`), only
+/// the active candidates are appended, the pair's extras after its base
+/// candidates. Returns the number appended; on 0 the builder applies its
+/// own fallback policy.
+std::size_t append_commodity(RestrictedProblem& problem, const Commodity& c,
+                             const PathSystem& system,
+                             const PathActivation* activation = nullptr);
 
 /// One row of a SplitTable: a path in canonical orientation and the
 /// fraction of its pair's demand it carries.
@@ -204,7 +199,7 @@ class SplitTable {
 };
 
 /// Reverses a path in place representation (returns the reversed copy).
-Path reversed(const Path& p);
+Path reversed(PathView p);
 
 /// Merges two systems (multiset union).
 PathSystem merge(const PathSystem& a, const PathSystem& b);

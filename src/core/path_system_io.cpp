@@ -7,17 +7,15 @@ namespace sor {
 
 std::string serialize_path_system(const PathSystem& system) {
   cache::BinaryWriter w;
-  const std::vector<VertexPair> pairs = system.pairs();
-  w.u64(pairs.size());
-  for (const VertexPair& pair : pairs) {
+  w.u64(system.num_pairs());
+  for (const VertexPair& pair : system.pairs()) {
     w.u32(pair.a);
     w.u32(pair.b);
-    const std::span<const Path> paths = system.canonical_paths(pair.a, pair.b);
-    w.u64(paths.size());
-    for (const Path& p : paths) {
+    w.u64(system.ids(pair.a, pair.b).size());
+    for (const PathView p : system.paths(pair.a, pair.b)) {
       w.u32(p.src);
       w.u32(p.dst);
-      w.u32_vec(p.edges);
+      w.u32_vec({p.edges.begin(), p.edges.end()});
     }
   }
   return w.take();

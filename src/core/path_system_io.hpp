@@ -5,8 +5,9 @@
 // The payload preserves exactly what a rebuild would produce: pairs in
 // sorted order (PathSystem::pairs() is deterministic), and within each
 // pair the canonical paths in insertion order with multiplicities —
-// the weak-routing process and the restricted LP both read candidates by
-// (pair, index), so the order is part of the artifact's identity.
+// the weak-routing process and the restricted LP both take a pair's
+// candidates in that order, so the order is part of the artifact's
+// identity.
 
 #include <cstdint>
 #include <span>

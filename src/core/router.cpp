@@ -29,19 +29,12 @@ RestrictedProblem SemiObliviousRouter::build_problem(
   RestrictedProblem problem;
   problem.graph = graph_;
   for (const Commodity& c : demand.commodities()) {
-    RestrictedCommodity rc;
-    rc.demand = c.amount;
-    rc.candidates = activation_ != nullptr
-                        ? activation_->active_oriented(c.src, c.dst)
-                        : system_->paths_oriented(c.src, c.dst);
-    if (rc.candidates.empty()) {
-      SOR_CHECK_MSG(options_.add_shortest_fallback,
-                    "no candidate paths for pair (" << c.src << "," << c.dst
-                                                    << ")");
-      SOR_COUNTER("router/fallback_paths").add();
-      rc.candidates.push_back(shortest_path_hops(*graph_, c.src, c.dst));
-    }
-    problem.commodities.push_back(std::move(rc));
+    if (append_commodity(problem, c, *system_, activation_) > 0) continue;
+    SOR_CHECK_MSG(options_.add_shortest_fallback,
+                  "no candidate paths for pair (" << c.src << "," << c.dst
+                                                  << ")");
+    SOR_COUNTER("router/fallback_paths").add();
+    problem.add_candidate(shortest_path_hops(*graph_, c.src, c.dst));
   }
   return problem;
 }
@@ -57,10 +50,9 @@ std::size_t routing_dilation(const RestrictedProblem& problem,
                              const std::vector<std::vector<double>>& weights) {
   std::size_t dilation = 0;
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const auto& c = problem.commodities[j];
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
+    for (std::size_t p = 0; p < problem.commodities[j].size(); ++p) {
       if (weights[j][p] > 1e-12) {
-        dilation = std::max(dilation, c.candidates[p].hops());
+        dilation = std::max(dilation, problem.candidate(j, p).hops());
       }
     }
   }
@@ -84,9 +76,7 @@ FractionalRoute SemiObliviousRouter::route_fractional(
   LpBackend backend = options_.backend;
   if (backend == LpBackend::kAuto) {
     std::size_t path_vars = 0;
-    for (const auto& c : route.problem.commodities) {
-      path_vars += c.candidates.size();
-    }
+    for (const auto& c : route.problem.commodities) path_vars += c.size();
     const std::size_t rows =
         route.problem.commodities.size() + graph_->num_edges();
     backend = (path_vars <= 800 && rows <= 400) ? LpBackend::kExact
@@ -129,17 +119,18 @@ IntegralRoute SemiObliviousRouter::route_integral_greedy(
       // Score each candidate by the congestion profile after taking it:
       // (resulting max congestion along the path, resulting bottleneck
       // load, hops) — lexicographic, deterministic.
-      std::size_t best = 0;
+      PathId best = c.begin;
       double best_peak = std::numeric_limits<double>::infinity();
       double best_bottleneck = std::numeric_limits<double>::infinity();
       std::size_t best_hops = 0;
-      for (std::size_t p = 0; p < c.candidates.size(); ++p) {
+      for (PathId id = c.begin; id < c.end; ++id) {
+        const PathView path = problem.paths[id];
         double peak = 0;
-        for (EdgeId e : c.candidates[p].edges) {
+        for (EdgeId e : path.edges) {
           peak = std::max(peak,
                           (route.load[e] + 1.0) / graph_->edge(e).capacity);
         }
-        const std::size_t hops = c.candidates[p].hops();
+        const std::size_t hops = path.hops();
         const bool better =
             peak < best_peak - 1e-12 ||
             (peak < best_peak + 1e-12 &&
@@ -149,12 +140,13 @@ IntegralRoute SemiObliviousRouter::route_integral_greedy(
           best_peak = peak;
           best_bottleneck = peak;
           best_hops = hops;
-          best = p;
+          best = id;
         }
       }
-      add_path_load(c.candidates[best], 1.0, route.load);
-      route.packet_paths.push_back(c.candidates[best]);
-      route.dilation = std::max(route.dilation, c.candidates[best].hops());
+      const PathView chosen = problem.paths[best];
+      add_path_load(chosen, 1.0, route.load);
+      route.packet_paths.push_back(to_path(chosen));
+      route.dilation = std::max(route.dilation, chosen.hops());
     }
   }
   route.congestion = max_congestion(*graph_, route.load);
@@ -179,12 +171,12 @@ IntegralRoute SemiObliviousRouter::route_integral(const Demand& demand,
   };
   std::vector<Packet> packets;
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const auto& c = problem.commodities[j];
-    const auto units = static_cast<std::size_t>(std::llround(c.demand));
+    const auto units =
+        static_cast<std::size_t>(std::llround(problem.commodities[j].demand));
     for (std::size_t u = 0; u < units; ++u) {
       const std::size_t p = rng.next_weighted(fractional.weights[j]);
       packets.push_back(Packet{j, p});
-      add_path_load(c.candidates[p], 1.0, route.load);
+      add_path_load(problem.candidate(j, p), 1.0, route.load);
     }
   }
 
@@ -210,7 +202,8 @@ IntegralRoute SemiObliviousRouter::route_integral(const Demand& demand,
     bool moved = false;
     for (Packet& packet : packets) {
       const auto& c = problem.commodities[packet.commodity];
-      const Path& old_path = c.candidates[packet.path];
+      const PathView old_path =
+          problem.candidate(packet.commodity, packet.path);
       // Only consider packets touching a maximal edge.
       bool on_max = false;
       for (EdgeId e : old_path.edges) {
@@ -221,9 +214,9 @@ IntegralRoute SemiObliviousRouter::route_integral(const Demand& demand,
       }
       if (!on_max) continue;
 
-      for (std::size_t alt = 0; alt < c.candidates.size(); ++alt) {
+      for (std::size_t alt = 0; alt < c.size(); ++alt) {
         if (alt == packet.path) continue;
-        const Path& new_path = c.candidates[alt];
+        const PathView new_path = problem.candidate(packet.commodity, alt);
         // Tentatively apply.
         add_path_load(old_path, -1.0, route.load);
         add_path_load(new_path, 1.0, route.load);
@@ -249,10 +242,9 @@ IntegralRoute SemiObliviousRouter::route_integral(const Demand& demand,
 
   route.packet_paths.reserve(packets.size());
   for (const Packet& packet : packets) {
-    const auto& c = problem.commodities[packet.commodity];
-    route.packet_paths.push_back(c.candidates[packet.path]);
-    route.dilation = std::max(route.dilation,
-                              c.candidates[packet.path].hops());
+    const PathView path = problem.candidate(packet.commodity, packet.path);
+    route.packet_paths.push_back(to_path(path));
+    route.dilation = std::max(route.dilation, path.hops());
   }
   route.congestion = max_congestion(*graph_, route.load);
   return route;

@@ -158,8 +158,7 @@ PathSystem sample_path_system_uncached(const ObliviousRouting& routing,
     telemetry::SolveObserver observer("sampler");
     auto& rejected_per_pair = SOR_SKETCH("sampler/paths_rejected_per_pair");
     for (const VertexPair& pair : system.pairs()) {
-      const std::size_t accepted =
-          system.canonical_paths(pair.a, pair.b).size();
+      const std::size_t accepted = system.ids(pair.a, pair.b).size();
       sparsity.observe(static_cast<double>(accepted));
       const auto it = sampled_by_pair.find({pair.a, pair.b});
       const std::size_t drawn =

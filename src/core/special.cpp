@@ -9,9 +9,9 @@ namespace sor {
 namespace {
 
 double pair_ratio(const Commodity& c, const PathSystem& system) {
-  const auto paths = system.canonical_paths(c.src, c.dst);
-  SOR_CHECK_MSG(!paths.empty(), "demanded pair has no candidate paths");
-  return c.amount / static_cast<double>(paths.size());
+  const std::size_t paths = system.ids(c.src, c.dst).size();
+  SOR_CHECK_MSG(paths > 0, "demanded pair has no candidate paths");
+  return c.amount / static_cast<double>(paths);
 }
 
 }  // namespace
@@ -40,11 +40,11 @@ std::vector<SpecialBucket> split_into_special(const Demand& demand,
     const double ceiling = std::ldexp(1.0, index + 1);
     SpecialBucket& bucket = buckets[index];
     bucket.ratio = ceiling;
-    const auto paths = system.canonical_paths(c.src, c.dst);
     // Round the pair's demand UP to ceiling · |P(s,t)| (≤ 2× the original
     // entry since ratio ∈ (ceiling/2, ceiling]).
-    bucket.demand.add(c.src, c.dst,
-                      ceiling * static_cast<double>(paths.size()));
+    bucket.demand.add(
+        c.src, c.dst,
+        ceiling * static_cast<double>(system.ids(c.src, c.dst).size()));
   }
   std::vector<SpecialBucket> out;
   out.reserve(buckets.size());

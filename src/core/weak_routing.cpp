@@ -23,12 +23,13 @@ WeakRoutingResult weak_routing_process(const RestrictedProblem& problem,
   std::vector<std::vector<PathRef>> on_edge(g.num_edges());
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
     const auto& c = problem.commodities[j];
-    const double share = c.demand / static_cast<double>(c.candidates.size());
-    result.weights[j].assign(c.candidates.size(), share);
+    const double share = c.demand / static_cast<double>(c.size());
+    result.weights[j].assign(c.size(), share);
     result.total_demand += c.demand;
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-      add_path_load(c.candidates[p], share, result.load);
-      for (EdgeId e : c.candidates[p].edges) {
+    for (std::size_t p = 0; p < c.size(); ++p) {
+      const PathView path = problem.candidate(j, p);
+      add_path_load(path, share, result.load);
+      for (EdgeId e : path.edges) {
         on_edge[e].push_back(PathRef{static_cast<std::uint32_t>(j),
                                      static_cast<std::uint32_t>(p)});
       }
@@ -43,8 +44,8 @@ WeakRoutingResult weak_routing_process(const RestrictedProblem& problem,
     for (const PathRef& ref : on_edge[e]) {
       double& w = result.weights[ref.commodity][ref.index];
       if (w == 0) continue;
-      add_path_load(problem.commodities[ref.commodity].candidates[ref.index],
-                    -w, result.load);
+      add_path_load(problem.candidate(ref.commodity, ref.index), -w,
+                    result.load);
       w = 0;
     }
   }
@@ -73,12 +74,8 @@ HalvingRouteResult route_by_halving(const Graph& g, const PathSystem& system,
     problem.graph = &g;
     std::vector<Commodity> commodities = remaining.commodities();
     for (const Commodity& c : commodities) {
-      RestrictedCommodity rc;
-      rc.demand = c.amount;
-      rc.candidates = system.paths_oriented(c.src, c.dst);
-      SOR_CHECK_MSG(!rc.candidates.empty(),
-                    "halving router: pair without candidates");
-      problem.commodities.push_back(std::move(rc));
+      const std::size_t appended = append_commodity(problem, c, system);
+      SOR_CHECK_MSG(appended > 0, "halving router: pair without candidates");
     }
 
     const WeakRoutingResult weak = weak_routing_process(problem, threshold);
@@ -97,8 +94,8 @@ HalvingRouteResult route_by_halving(const Graph& g, const PathSystem& system,
         const double scale = c.amount / survived;
         for (std::size_t p = 0; p < weak.weights[j].size(); ++p) {
           if (weak.weights[j][p] > 0) {
-            add_path_load(problem.commodities[j].candidates[p],
-                          weak.weights[j][p] * scale, result.load);
+            add_path_load(problem.candidate(j, p), weak.weights[j][p] * scale,
+                          result.load);
           }
         }
         committed_any = true;
@@ -113,8 +110,8 @@ HalvingRouteResult route_by_halving(const Graph& g, const PathSystem& system,
 
   // Anything left after the rounds is force-routed on its first candidate.
   for (const Commodity& c : remaining.commodities()) {
-    const std::vector<Path> candidates = system.paths_oriented(c.src, c.dst);
-    add_path_load(candidates.front(), c.amount, result.load);
+    add_path_load(system.path(system.ids(c.src, c.dst).front()), c.amount,
+                  result.load);
     result.force_routed += c.amount;
   }
 

@@ -6,6 +6,7 @@
 // undirected, so {s,t} and {t,s} are the same pair; entries accumulate.
 // The class is sparse: only pairs with positive demand are stored.
 
+#include <compare>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +25,8 @@ struct VertexPair {
     return x < y ? VertexPair{x, y} : VertexPair{y, x};
   }
   friend bool operator==(const VertexPair&, const VertexPair&) = default;
+  /// Sorted by (a, b).
+  friend auto operator<=>(const VertexPair&, const VertexPair&) = default;
 };
 
 struct VertexPairHash {

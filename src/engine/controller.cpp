@@ -35,27 +35,23 @@ RestrictedProblem EpochController::build_problem(const Demand& demand) const {
   SOR_SPAN("engine/build_problem");
   RestrictedProblem problem;
   problem.graph = graph_;
-  const PathActivation& activation = repairer_.activation();
   for (const Commodity& c : demand.commodities()) {
-    RestrictedCommodity rc;
-    rc.demand = c.amount;
-    rc.candidates = activation.active_oriented(c.src, c.dst);
-    if (rc.candidates.empty()) {
-      // Pair outside the installed system (or its mandatory fallback was
-      // unreachable) — last-resort surviving-graph shortest path, the
-      // engine-side mirror of RouterOptions::add_shortest_fallback.
-      Path fallback = repairer_.surviving_shortest_path(c.src, c.dst);
-      SOR_CHECK_MSG(fallback.src != kInvalidVertex,
-                    "pair (" << c.src << "," << c.dst
-                             << ") disconnected on the surviving graph");
-      SOR_COUNTER("engine/adhoc_fallbacks").add();
-      telemetry::Recorder::global().record(
-          "engine/stranded", {{"src", static_cast<std::uint64_t>(c.src)},
-                              {"dst", static_cast<std::uint64_t>(c.dst)},
-                              {"hops", fallback.hops()}});
-      rc.candidates.push_back(std::move(fallback));
+    if (append_commodity(problem, c, *system_, &repairer_.activation()) > 0) {
+      continue;
     }
-    problem.commodities.push_back(std::move(rc));
+    // Pair outside the installed system (or its mandatory fallback was
+    // unreachable) — last-resort surviving-graph shortest path, the
+    // engine-side mirror of RouterOptions::add_shortest_fallback.
+    const Path fallback = repairer_.surviving_shortest_path(c.src, c.dst);
+    SOR_CHECK_MSG(fallback.src != kInvalidVertex,
+                  "pair (" << c.src << "," << c.dst
+                           << ") disconnected on the surviving graph");
+    SOR_COUNTER("engine/adhoc_fallbacks").add();
+    telemetry::Recorder::global().record(
+        "engine/stranded", {{"src", static_cast<std::uint64_t>(c.src)},
+                            {"dst", static_cast<std::uint64_t>(c.dst)},
+                            {"hops", fallback.hops()}});
+    problem.add_candidate(fallback);
   }
   return problem;
 }
@@ -64,19 +60,19 @@ std::vector<std::vector<double>> EpochController::remap_fractions(
     const RestrictedProblem& problem) const {
   std::vector<std::vector<double>> fractions(problem.commodities.size());
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const RestrictedCommodity& c = problem.commodities[j];
-    fractions[j].assign(c.candidates.size(), 0.0);
+    fractions[j].assign(problem.commodities[j].size(), 0.0);
     // Commodities come from Demand::commodities(), so every candidate is
     // canonical and compares directly against the table's rows.
+    const PathView first = problem.candidate(j, 0);
     const std::span<const SplitRow> rows =
-        installed_.rows(c.candidates.front().src, c.candidates.front().dst);
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
+        installed_->rows(first.src, first.dst);
+    for (std::size_t p = 0; p < fractions[j].size(); ++p) {
+      const PathView path = problem.candidate(j, p);
       const auto row = std::lower_bound(
-          rows.begin(), rows.end(), c.candidates[p],
-          [](const SplitRow& r, const Path& path) {
-            return path_lexicographic_less(r.path, path);
+          rows.begin(), rows.end(), path, [](const SplitRow& r, PathView v) {
+            return path_lexicographic_less(r.path, v);
           });
-      if (row != rows.end() && row->path == c.candidates[p]) {
+      if (row != rows.end() && row->path == path) {
         fractions[j][p] = row->fraction;
       }
     }
@@ -98,10 +94,7 @@ EpochReport EpochController::step(std::span<const Event> events,
     for (const auto& [pair, amount] : realized.entries()) {
       support.push_back(pair);
     }
-    std::sort(support.begin(), support.end(),
-              [](const VertexPair& x, const VertexPair& y) {
-                return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-              });
+    std::sort(support.begin(), support.end());
     report.repair = repairer_.apply_epoch(events, support);
   }
   report.active_failures = repairer_.failed_edges();
@@ -159,8 +152,8 @@ EpochReport EpochController::step(std::span<const Event> events,
       budget.emplace(budget_reporter);
     }
     // Only MWU solves return dual lengths, so only they warm-start.
-    const bool have_warm = options_.warm_start && !installed_.empty() &&
-                           !warm_lengths_.empty();
+    const bool have_warm = options_.warm_start && installed_ != nullptr &&
+                           !installed_->empty() && !warm_lengths_.empty();
     if (options_.backend == EngineBackend::kMwu) {
       RestrictedWarmStart warm;
       RestrictedMwuOptions mwu;
@@ -208,9 +201,12 @@ EpochReport EpochController::step(std::span<const Event> events,
          {"congestion", solution.congestion}});
   }
 
+  // The table this install replaces: the quality tracker diffs against it.
+  const std::shared_ptr<const SplitTable> previous = installed_;
   {
     SOR_SPAN("engine/install");
-    installed_ = SplitTable::from_weights(problem, solution.weights);
+    installed_ = std::make_shared<const SplitTable>(
+        SplitTable::from_weights(problem, solution.weights));
     if (!solution.dual_lengths.empty()) warm_lengths_ = solution.dual_lengths;
   }
 
@@ -249,8 +245,8 @@ EpochReport EpochController::step(std::span<const Event> events,
   // stay out of the replay digest v1 (see EngineOptions::quality).
   {
     SOR_SPAN("engine/quality");
-    quality_.observe_install(repairer_.activation(), installed_,
-                             report.quality);
+    quality_.observe_install(repairer_.activation(), previous.get(),
+                             *installed_, report.quality);
   }
   if (quality_.shadow_due(report.epoch)) {
     SOR_SPAN("engine/shadow");

@@ -184,8 +184,9 @@ class EpochController {
   PathRepairer repairer_;
   std::unique_ptr<DemandPredictor> predictor_;
   std::size_t epoch_ = 0;
-  /// The split installed by the last solve.
-  SplitTable installed_;
+  /// The split installed by the last solve (null before the first),
+  /// shared with the snapshot published from it.
+  std::shared_ptr<const SplitTable> installed_;
   std::vector<double> warm_lengths_;
   /// Controller-local solve-latency sketch: per-run quantiles for the
   /// EpochReport health snapshot (the global "engine/solve_seconds"

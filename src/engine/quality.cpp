@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <span>
-#include <tuple>
 #include <utility>
 
 #include "engine/controller.hpp"
@@ -32,27 +31,23 @@ const Path& top_path(std::span<const SplitRow> rows) {
 }  // namespace
 
 void QualityTracker::observe_install(const PathActivation& activation,
+                                     const SplitTable* previous,
                                      const SplitTable& installed,
                                      EpochQuality& q) {
-  std::vector<ActivationFlag> flags = activation.flag_snapshot();
-
-  if (has_previous_) {
-    q.mask_churn = activation_hamming(prev_flags_, flags);
+  if (previous != nullptr) {
+    q.mask_churn = activation.churn_since(prev_flags_);
 
     // Merge the sorted pair lists: L1 drift over the union, top-path
     // flips over the intersection.
-    const std::span<const SplitPair> prev = prev_split_.pairs();
+    const std::span<const SplitPair> prev = previous->pairs();
     const std::span<const SplitPair> cur = installed.pairs();
-    const auto pair_key = [](const SplitPair& sp) {
-      return std::tie(sp.pair.a, sp.pair.b);
-    };
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < prev.size() && j < cur.size()) {
-      if (pair_key(prev[i]) == pair_key(cur[j])) {
+      if (prev[i].pair == cur[j].pair) {
         // Both epochs installed this pair: row-level L1 over the union of
         // paths (both row lists are path-sorted).
-        const std::span<const SplitRow> before = prev_split_.rows(prev[i]);
+        const std::span<const SplitRow> before = previous->rows(prev[i]);
         const std::span<const SplitRow> after = installed.rows(cur[j]);
         std::size_t a = 0;
         std::size_t b = 0;
@@ -75,8 +70,8 @@ void QualityTracker::observe_install(const PathActivation& activation,
         if (!(top_path(before) == top_path(after))) ++q.top_path_flips;
         ++i;
         ++j;
-      } else if (pair_key(prev[i]) < pair_key(cur[j])) {
-        q.weight_l1_drift += weight_sum(prev_split_.rows(prev[i]));
+      } else if (prev[i].pair < cur[j].pair) {
+        q.weight_l1_drift += weight_sum(previous->rows(prev[i]));
         ++i;
       } else {
         q.weight_l1_drift += weight_sum(installed.rows(cur[j]));
@@ -84,16 +79,14 @@ void QualityTracker::observe_install(const PathActivation& activation,
       }
     }
     for (; i < prev.size(); ++i) {
-      q.weight_l1_drift += weight_sum(prev_split_.rows(prev[i]));
+      q.weight_l1_drift += weight_sum(previous->rows(prev[i]));
     }
     for (; j < cur.size(); ++j) {
       q.weight_l1_drift += weight_sum(installed.rows(cur[j]));
     }
   }
 
-  prev_flags_ = std::move(flags);
-  prev_split_ = installed;
-  has_previous_ = true;
+  prev_flags_.assign(activation.flags().begin(), activation.flags().end());
 }
 
 telemetry::JsonValue quality_to_json(const ControlLoopResult& result,

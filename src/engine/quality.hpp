@@ -14,8 +14,9 @@
 //  * predictor— per-pair relative error of the pending prediction vs the
 //               realized matrix (score_prediction: MAPE + worst pair);
 //  * churn    — path-system stability between consecutive installs:
-//               activation-mask Hamming churn (flag_snapshot), split
-//               weight L1 drift, and per-pair top-path flips.
+//               activation-mask Hamming churn (flags that flipped plus
+//               ids appended since), split weight L1 drift, and per-pair
+//               top-path flips.
 //
 // Sampling contract: shadow epochs are `epoch % shadow_every == 0`, a
 // pure function of the epoch index — replay visits the same epochs. Every
@@ -89,16 +90,16 @@ class QualityTracker {
     return options_.shadow_every > 0 && epoch % options_.shadow_every == 0;
   }
 
-  /// Computes the churn fields of `q` against the previous epoch's
-  /// snapshots, then stores this epoch's. First call: all churn zero.
+  /// Computes the churn fields of `q`: `installed` against `previous`,
+  /// the table it replaced (nullptr on the first install, whose churn is
+  /// all zero), and the mask against its flags at the previous call.
   void observe_install(const PathActivation& activation,
-                       const SplitTable& installed, EpochQuality& q);
+                       const SplitTable* previous, const SplitTable& installed,
+                       EpochQuality& q);
 
  private:
   QualityOptions options_;
-  bool has_previous_ = false;
-  std::vector<ActivationFlag> prev_flags_;
-  SplitTable prev_split_;
+  std::vector<char> prev_flags_;
 };
 
 struct ControlLoopResult;  // controller.hpp

@@ -16,17 +16,19 @@ PathRepairer::PathRepairer(const Graph& g, const PathSystem& system,
       activation_(system),
       alive_(g.num_edges(), 1),
       edge_users_(g.num_edges()) {
-  for (const VertexPair& pair : system.pairs()) {
-    const auto paths = system.canonical_paths(pair.a, pair.b);
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      for (EdgeId e : paths[i].edges) {
-        auto& users = edge_users_[e];
-        if (users.empty() || users.back() != std::make_pair(pair, i)) {
-          users.emplace_back(pair, i);
-        }
-      }
-    }
+  for (PathId id = 0; id < activation_.size(); ++id) index_users(id);
+}
+
+void PathRepairer::index_users(PathId id) {
+  for (EdgeId e : activation_.path(id).edges) {
+    auto& users = edge_users_[e];
+    if (users.empty() || users.back() != id) users.push_back(id);
   }
+}
+
+bool PathRepairer::survives(PathId id) const {
+  return std::ranges::all_of(activation_.path(id).edges,
+                             [&](EdgeId e) { return alive_[e] != 0; });
 }
 
 void PathRepairer::fail_edge(EdgeId e, RepairReport& report) {
@@ -34,17 +36,9 @@ void PathRepairer::fail_edge(EdgeId e, RepairReport& report) {
   if (!alive_[e]) return;
   alive_[e] = 0;
   ++down_;
-  for (const auto& [pair, index] : edge_users_[e]) {
-    if (activation_.is_active(pair.a, pair.b, index)) {
-      activation_.set_active(pair.a, pair.b, index, false);
-      ++report.deactivated;
-    }
-  }
-  for (const auto& [pair, index] : extras_) {
-    if (!activation_.is_extra_active(pair.a, pair.b, index)) continue;
-    const Path& p = activation_.extra_path(pair.a, pair.b, index);
-    if (std::find(p.edges.begin(), p.edges.end(), e) != p.edges.end()) {
-      activation_.set_extra_active(pair.a, pair.b, index, false);
+  for (const PathId id : edge_users_[e]) {
+    if (activation_.is_active(id)) {
+      activation_.set_active(id, false);
       ++report.deactivated;
     }
   }
@@ -116,61 +110,41 @@ RepairReport PathRepairer::apply_epoch(std::span<const Event> events,
     if (activation_.num_active(pair.a, pair.b) > 0) continue;
     // Prefer re-arming an existing extra whose edges all survived over
     // installing brand-new forwarding state.
-    bool covered = false;
-    for (std::size_t i = 0; i < activation_.num_extras(pair.a, pair.b); ++i) {
-      const Path& p = activation_.extra_path(pair.a, pair.b, i);
-      if (std::all_of(p.edges.begin(), p.edges.end(),
-                      [&](EdgeId e) { return alive_[e] != 0; })) {
-        activation_.set_extra_active(pair.a, pair.b, i, true);
-        ++report.reactivated;
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
+    const std::span<const PathId> extras = activation_.extras(pair.a, pair.b);
+    const auto rearm = std::find_if(extras.begin(), extras.end(),
+                                    [&](PathId id) { return survives(id); });
+    if (rearm != extras.end()) {
+      activation_.set_active(*rearm, true);
+      ++report.reactivated;
+    } else {
       const Path fallback = surviving_shortest_path(pair.a, pair.b);
       if (fallback.src == kInvalidVertex) continue;  // disconnected pair
-      const std::size_t index = activation_.add_extra(fallback);
-      extras_.emplace_back(VertexPair::canonical(pair.a, pair.b), index);
+      index_users(activation_.add_extra(fallback));
       ++report.fallbacks_installed;
       SOR_COUNTER("engine/fallback_installs").add();
     }
     budget = budget > 0 ? budget - 1 : 0;
   }
 
-  // Phase 3: budgeted reactivation of base candidates (and extras) whose
-  // edges are all alive again.
-  for (const VertexPair& pair : system_->pairs()) {
-    const auto paths = system_->canonical_paths(pair.a, pair.b);
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      if (activation_.is_active(pair.a, pair.b, i)) continue;
-      if (!std::all_of(paths[i].edges.begin(), paths[i].edges.end(),
-                       [&](EdgeId e) { return alive_[e] != 0; })) {
-        continue;
-      }
-      if (budget == 0) {
-        ++report.deferred;
-        continue;
-      }
-      activation_.set_active(pair.a, pair.b, i, true);
-      --budget;
-      ++report.reactivated;
-    }
-  }
-  for (const auto& [pair, index] : extras_) {
-    if (activation_.is_extra_active(pair.a, pair.b, index)) continue;
-    const Path& p = activation_.extra_path(pair.a, pair.b, index);
-    if (!std::all_of(p.edges.begin(), p.edges.end(),
-                     [&](EdgeId e) { return alive_[e] != 0; })) {
-      continue;
-    }
+  // Phase 3: budgeted reactivation of candidates whose edges are all
+  // alive again: base candidates in sorted pair order, then extras in
+  // install order.
+  const auto reactivate = [&](PathId id) {
+    if (activation_.is_active(id) || !survives(id)) return;
     if (budget == 0) {
       ++report.deferred;
-      continue;
+      return;
     }
-    activation_.set_extra_active(pair.a, pair.b, index, true);
+    activation_.set_active(id, true);
     --budget;
     ++report.reactivated;
+  };
+  for (const VertexPair& pair : system_->pairs()) {
+    for (const PathId id : system_->ids(pair.a, pair.b)) reactivate(id);
+  }
+  for (auto id = static_cast<PathId>(system_->total_paths());
+       id < activation_.size(); ++id) {
+    reactivate(id);
   }
 
   return report;

@@ -70,6 +70,10 @@ class PathRepairer {
 
  private:
   void fail_edge(EdgeId e, RepairReport& report);
+  /// Adds candidate `id` to the users of each of its edges.
+  void index_users(PathId id);
+  /// True iff every edge of candidate `id` is alive.
+  bool survives(PathId id) const;
 
   const Graph* graph_;
   const PathSystem* system_;
@@ -77,11 +81,9 @@ class PathRepairer {
   PathActivation activation_;
   std::vector<char> alive_;
   std::size_t down_ = 0;
-  /// edge id → base candidates (pair, index) using it, precomputed.
-  std::vector<std::vector<std::pair<VertexPair, std::size_t>>> edge_users_;
-  /// Extras installed so far: (pair, extra index) — scanned on failure
-  /// and recovery like base candidates.
-  std::vector<std::pair<VertexPair, std::size_t>> extras_;
+  /// edge id → candidate ids using it: every base candidate, and each
+  /// extra from its install on.
+  std::vector<std::vector<PathId>> edge_users_;
 };
 
 }  // namespace sor::engine

@@ -4,7 +4,7 @@
 
 namespace sor {
 
-void add_path_load(const Path& path, double weight, EdgeLoad& load) {
+void add_path_load(PathView path, double weight, EdgeLoad& load) {
   for (EdgeId e : path.edges) {
     SOR_DCHECK(e < load.size());
     load[e] += weight;

@@ -29,7 +29,7 @@ inline EdgeLoad zero_load(const Graph& g) {
 }
 
 /// Adds `weight` units of flow along every edge of `path`.
-void add_path_load(const Path& path, double weight, EdgeLoad& load);
+void add_path_load(PathView path, double weight, EdgeLoad& load);
 
 /// max_e load(e) / capacity(e); 0 for an empty graph load.
 double max_congestion(const Graph& g, const EdgeLoad& load);

@@ -19,7 +19,7 @@
 //
 // Oracle, called directly (no virtual dispatch per route step):
 //   std::size_t size() const;           double demand(std::size_t j) const;
-//   const Path& cheapest(std::size_t j, std::span<const double> lengths);
+//   PathView cheapest(std::size_t j, std::span<const double> lengths);
 //   void credit(std::size_t j, double amount);  // on the last cheapest(j)
 //   double dual_bound(std::span<const double> lengths);
 //   void average(double divisor, EdgeLoad& load);  // routes and load
@@ -137,7 +137,7 @@ PhaseLoopResult run_phase_loop(const Graph& g, Oracle& oracle, double eps,
     for (std::size_t j = 0; j < oracle.size(); ++j) {
       double remaining = oracle.demand(j) * scale;
       while (remaining > 1e-12) {
-        const Path& path = oracle.cheapest(j, lengths);
+        const PathView path = oracle.cheapest(j, lengths);
         double bottleneck = std::numeric_limits<double>::infinity();
         for (EdgeId e : path.edges) {
           bottleneck = std::min(bottleneck, g.edge(e).capacity);

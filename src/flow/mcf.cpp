@@ -31,7 +31,7 @@ class DijkstraOracle {
   std::size_t size() const { return commodities_.size(); }
   double demand(std::size_t j) const { return commodities_[j].amount; }
 
-  const Path& cheapest(std::size_t j, std::span<const double> lengths) {
+  PathView cheapest(std::size_t j, std::span<const double> lengths) {
     last_ = dijkstra(g_, commodities_[j].src, lengths)
                 .extract_path(g_, commodities_[j].dst);
     return last_;

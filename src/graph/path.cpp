@@ -6,7 +6,23 @@
 
 namespace sor {
 
-bool is_walk(const Graph& g, const Path& p) {
+bool operator==(PathView a, PathView b) {
+  return a.src == b.src && a.dst == b.dst &&
+         std::ranges::equal(a.edges, b.edges);
+}
+
+Path to_path(PathView view) {
+  return Path{view.src, view.dst, {view.edges.begin(), view.edges.end()}};
+}
+
+PathId PathTable::append(PathView path) {
+  edges_.insert(edges_.end(), path.edges.begin(), path.edges.end());
+  offsets_.push_back(edges_.size());
+  ends_.emplace_back(path.src, path.dst);
+  return static_cast<PathId>(ends_.size() - 1);
+}
+
+bool is_walk(const Graph& g, PathView p) {
   if (p.src >= g.num_vertices() || p.dst >= g.num_vertices()) return false;
   Vertex at = p.src;
   for (EdgeId e : p.edges) {
@@ -18,14 +34,14 @@ bool is_walk(const Graph& g, const Path& p) {
   return at == p.dst;
 }
 
-bool is_simple_path(const Graph& g, const Path& p) {
+bool is_simple_path(const Graph& g, PathView p) {
   if (!is_walk(g, p)) return false;
   std::vector<Vertex> verts = path_vertices(g, p);
   std::sort(verts.begin(), verts.end());
   return std::adjacent_find(verts.begin(), verts.end()) == verts.end();
 }
 
-std::vector<Vertex> path_vertices(const Graph& g, const Path& p) {
+std::vector<Vertex> path_vertices(const Graph& g, PathView p) {
   SOR_CHECK_MSG(is_walk(g, p), "path_vertices requires a valid walk");
   std::vector<Vertex> verts;
   verts.reserve(p.edges.size() + 1);
@@ -124,7 +140,7 @@ std::size_t PathHash::operator()(const Path& p) const {
   return h;
 }
 
-bool path_lexicographic_less(const Path& a, const Path& b) {
+bool path_lexicographic_less(PathView a, PathView b) {
   if (std::tie(a.src, a.dst) != std::tie(b.src, b.dst)) {
     return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
   }

@@ -11,7 +11,7 @@
 
 namespace sor {
 
-Vertex path_middle(const TwoStarGraph& ts, const Path& path) {
+Vertex path_middle(const TwoStarGraph& ts, PathView path) {
   const std::vector<Vertex> verts = path_vertices(ts.graph, path);
   std::unordered_set<Vertex> middles(ts.middles.begin(), ts.middles.end());
   for (Vertex v : verts) {
@@ -37,8 +37,8 @@ PairMiddles collect_pair_middles(const TwoStarGraph& ts,
   for (std::size_t l = 0; l < ts.left_leaves.size(); ++l) {
     for (std::size_t r = 0; r < ts.right_leaves.size(); ++r) {
       std::set<std::uint32_t> used;
-      for (const Path& p :
-           system.canonical_paths(ts.left_leaves[l], ts.right_leaves[r])) {
+      for (const PathView p :
+           system.paths(ts.left_leaves[l], ts.right_leaves[r])) {
         used.insert(middle_index.at(path_middle(ts, p)));
       }
       SOR_CHECK_MSG(!used.empty(), "pair without candidate paths");

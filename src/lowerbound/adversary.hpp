@@ -46,6 +46,6 @@ AdversaryResult find_adversarial_demand(const TwoStarGraph& ts,
 
 /// The middle vertex a candidate path routes through (every l→r path in
 /// the gadget uses exactly one). Throws if the path is not of that form.
-Vertex path_middle(const TwoStarGraph& ts, const Path& path);
+Vertex path_middle(const TwoStarGraph& ts, PathView path);
 
 }  // namespace sor

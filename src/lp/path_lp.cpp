@@ -11,17 +11,28 @@
 
 namespace sor {
 
+void RestrictedProblem::add_commodity(double demand) {
+  const auto next = static_cast<PathId>(paths.size());
+  commodities.push_back({demand, next, next});
+}
+
+void RestrictedProblem::add_candidate(PathView path) {
+  SOR_CHECK(!commodities.empty());
+  commodities.back().end = paths.append(path) + 1;
+}
+
 void validate_restricted_problem(const RestrictedProblem& problem) {
   SOR_CHECK(problem.graph != nullptr);
   [[maybe_unused]] const Graph& g = *problem.graph;
   for (const RestrictedCommodity& c : problem.commodities) {
     SOR_CHECK_MSG(c.demand > 0, "restricted commodity with zero demand");
-    SOR_CHECK_MSG(!c.candidates.empty(),
+    SOR_CHECK_MSG(c.begin < c.end,
                   "restricted commodity with no candidate paths");
-    const Vertex s = c.candidates.front().src;
-    const Vertex t = c.candidates.front().dst;
-    for (const Path& p : c.candidates) {
-      SOR_CHECK_MSG(p.src == s && p.dst == t,
+    SOR_CHECK(c.end <= problem.paths.size());
+    const PathView first = problem.paths[c.begin];
+    for (PathId id = c.begin; id < c.end; ++id) {
+      const PathView p = problem.paths[id];
+      SOR_CHECK_MSG(p.src == first.src && p.dst == first.dst,
                     "candidate endpoints disagree within a commodity");
       SOR_DCHECK(is_walk(g, p));
     }
@@ -34,9 +45,10 @@ EdgeLoad load_from_weights(const Graph& g, const RestrictedProblem& problem,
                            const std::vector<std::vector<double>>& weights) {
   EdgeLoad load = zero_load(g);
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const auto& c = problem.commodities[j];
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
-      if (weights[j][p] > 0) add_path_load(c.candidates[p], weights[j][p], load);
+    for (std::size_t p = 0; p < problem.commodities[j].size(); ++p) {
+      if (weights[j][p] > 0) {
+        add_path_load(problem.candidate(j, p), weights[j][p], load);
+      }
     }
   }
   return load;
@@ -74,19 +86,19 @@ class CandidateOracle {
     return problem_.commodities[j].demand;
   }
 
-  const Path& cheapest(std::size_t j, std::span<const double> lengths) {
-    const std::vector<Path>& candidates = problem_.commodities[j].candidates;
+  PathView cheapest(std::size_t j, std::span<const double> lengths) {
+    const RestrictedCommodity& c = problem_.commodities[j];
     double best_len = std::numeric_limits<double>::infinity();
     best_ = 0;
-    for (std::size_t p = 0; p < candidates.size(); ++p) {
+    for (std::size_t p = 0; p < c.size(); ++p) {
       double len = 0;
-      for (EdgeId e : candidates[p].edges) len += lengths[e];
+      for (EdgeId e : problem_.paths.edges(c.begin + p)) len += lengths[e];
       if (len < best_len) {
         best_len = len;
         best_ = p;
       }
     }
-    return candidates[best_];
+    return problem_.candidate(j, best_);
   }
 
   void credit(std::size_t j, double amount) { weights_[j][best_] += amount; }
@@ -119,9 +131,9 @@ double restricted_dual_bound(const RestrictedProblem& problem,
   double numerator = 0;
   for (const RestrictedCommodity& c : problem.commodities) {
     double min_len = std::numeric_limits<double>::infinity();
-    for (const Path& p : c.candidates) {
+    for (PathId id = c.begin; id < c.end; ++id) {
       double len = 0;
-      for (EdgeId e : p.edges) len += lengths[e];
+      for (EdgeId e : problem.paths.edges(id)) len += lengths[e];
       min_len = std::min(min_len, len);
     }
     numerator += c.demand * min_len;
@@ -143,18 +155,17 @@ RestrictedSolution route_restricted_fractions(
   solution.weights.resize(problem.commodities.size());
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
     const RestrictedCommodity& c = problem.commodities[j];
-    SOR_CHECK_MSG(fractions[j].size() == c.candidates.size(),
+    SOR_CHECK_MSG(fractions[j].size() == c.size(),
                   "fraction vector size mismatch for commodity " << j);
     double sum = 0;
     for (double f : fractions[j]) {
       SOR_CHECK(f >= 0);
       sum += f;
     }
-    solution.weights[j].assign(c.candidates.size(), 0.0);
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
+    solution.weights[j].assign(c.size(), 0.0);
+    for (std::size_t p = 0; p < c.size(); ++p) {
       const double share =
-          sum > 0 ? fractions[j][p] / sum
-                  : 1.0 / static_cast<double>(c.candidates.size());
+          sum > 0 ? fractions[j][p] / sum : 1.0 / static_cast<double>(c.size());
       solution.weights[j][p] = share * c.demand;
     }
   }
@@ -171,7 +182,7 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
 
   // Variable layout: [x_{j,p} in commodity-major order | C].
   std::size_t num_path_vars = 0;
-  for (const auto& c : problem.commodities) num_path_vars += c.candidates.size();
+  for (const auto& c : problem.commodities) num_path_vars += c.size();
   const std::size_t c_var = num_path_vars;
   const std::size_t num_vars = num_path_vars + 1;
 
@@ -185,13 +196,13 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
     for (const auto& c : problem.commodities) {
       LpConstraint row;
       row.coefficients.assign(num_vars, 0.0);
-      for (std::size_t p = 0; p < c.candidates.size(); ++p) {
+      for (std::size_t p = 0; p < c.size(); ++p) {
         row.coefficients[var + p] = 1.0;
       }
       row.sense = ConstraintSense::kEq;
       row.rhs = c.demand;
       lp.constraints.push_back(std::move(row));
-      var += c.candidates.size();
+      var += c.size();
     }
   }
 
@@ -202,8 +213,8 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
         g.num_edges());
     std::size_t var = 0;
     for (const auto& c : problem.commodities) {
-      for (const Path& p : c.candidates) {
-        for (EdgeId e : p.edges) {
+      for (PathId id = c.begin; id < c.end; ++id) {
+        for (EdgeId e : problem.paths.edges(id)) {
           auto& terms = edge_terms[e];
           if (!terms.empty() && terms.back().first == var) {
             terms.back().second += 1.0;  // path visits a parallel edge twice
@@ -235,7 +246,7 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
     SOR_COUNTER("lp/exact_truncated").add();
     std::vector<std::vector<double>> uniform(problem.commodities.size());
     for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-      uniform[j].assign(problem.commodities[j].candidates.size(), 1.0);
+      uniform[j].assign(problem.commodities[j].size(), 1.0);
     }
     RestrictedSolution fallback = route_restricted_fractions(problem, uniform);
     fallback.truncated = true;
@@ -250,11 +261,11 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
   std::size_t var = 0;
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
     const auto& c = problem.commodities[j];
-    solution.weights[j].assign(c.candidates.size(), 0.0);
-    for (std::size_t p = 0; p < c.candidates.size(); ++p) {
+    solution.weights[j].assign(c.size(), 0.0);
+    for (std::size_t p = 0; p < c.size(); ++p) {
       solution.weights[j][p] = std::max(0.0, lp_solution.x[var + p]);
     }
-    var += c.candidates.size();
+    var += c.size();
   }
   solution.load = load_from_weights(g, problem, solution.weights);
   solution.congestion = max_congestion(g, solution.load);
@@ -337,7 +348,7 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   RestrictedSolution solution;
   solution.weights.resize(problem.commodities.size());
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    solution.weights[j].assign(problem.commodities[j].candidates.size(), 0.0);
+    solution.weights[j].assign(problem.commodities[j].size(), 0.0);
   }
   CandidateOracle oracle(problem, solution.weights);
   PhaseLoopResult loop = run_phase_loop(g, oracle, eps, shape, bracket, "mwu",

@@ -30,15 +30,31 @@
 
 namespace sor {
 
-/// One commodity of the restricted problem.
+/// One commodity of the restricted problem: a demand and the contiguous
+/// range of its candidates' ids in the problem's path table.
 struct RestrictedCommodity {
   double demand = 0;
-  std::vector<Path> candidates;  // all with matching endpoints
+  PathId begin = 0;
+  PathId end = 0;
+
+  std::size_t size() const { return end - begin; }
 };
 
 struct RestrictedProblem {
   const Graph* graph = nullptr;
+  /// Every commodity's candidates, commodity after commodity; all of a
+  /// commodity's candidates share its endpoints.
+  PathTable paths;
   std::vector<RestrictedCommodity> commodities;
+
+  /// Opens the next commodity, with no candidates yet.
+  void add_commodity(double demand);
+  /// Appends a candidate to the last commodity.
+  void add_candidate(PathView path);
+  /// Candidate p of commodity j.
+  PathView candidate(std::size_t j, std::size_t p) const {
+    return paths[commodities[j].begin + static_cast<PathId>(p)];
+  }
 };
 
 struct RestrictedSolution {

@@ -34,14 +34,10 @@ RouteService::Answer RouteService::lookup(Vertex s, Vertex t) const {
   Answer answer;
   answer.snapshot = cache.guard;
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  SOR_COUNTER("serve/lookups").add();
   if (answer.snapshot != nullptr) {
     answer.result = answer.snapshot->lookup(s, t);
   }
-  if (!answer.result.found) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    SOR_COUNTER("serve/misses").add();
-  }
+  if (!answer.result.found) misses_.fetch_add(1, std::memory_order_relaxed);
   return answer;
 }
 
@@ -56,7 +52,6 @@ void RouteService::publish(std::shared_ptr<const RouteSnapshot> snap) {
       .set(static_cast<double>(snap->num_pairs()));
   SOR_GAUGE("serve/snapshot_paths")
       .set(static_cast<double>(snap->num_paths()));
-  SOR_COUNTER("serve/publishes").add();
   {
     const std::lock_guard<std::mutex> lock(swap_mu_);
     current_ = std::move(snap);
@@ -73,7 +68,6 @@ void RouteService::enqueue_update(const DemandUpdate& update) {
     pending_.push_back(update);
   }
   updates_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  SOR_COUNTER("serve/updates_enqueued").add();
 }
 
 std::vector<DemandUpdate> RouteService::drain_updates() {
@@ -83,7 +77,6 @@ std::vector<DemandUpdate> RouteService::drain_updates() {
     batch.swap(pending_);
   }
   updates_drained_.fetch_add(batch.size(), std::memory_order_relaxed);
-  if (!batch.empty()) SOR_COUNTER("serve/updates_applied").add(batch.size());
   return batch;
 }
 

@@ -22,6 +22,12 @@ double LookupResult::fraction_sum() const {
 }
 
 RouteSnapshot RouteSnapshot::build(std::uint64_t epoch, SplitTable table) {
+  return build(epoch, std::make_shared<const SplitTable>(std::move(table)));
+}
+
+RouteSnapshot RouteSnapshot::build(std::uint64_t epoch,
+                                   std::shared_ptr<const SplitTable> table) {
+  SOR_CHECK(table != nullptr);
   RouteSnapshot snap;
   snap.epoch_ = epoch;
   snap.table_ = std::move(table);
@@ -40,7 +46,7 @@ RouteSnapshot RouteSnapshot::build(std::uint64_t epoch, SplitTable table) {
 LookupResult RouteSnapshot::lookup(Vertex s, Vertex t) const {
   LookupResult result;
   result.epoch = epoch_;
-  result.paths = table_.rows(s, t);
+  result.paths = table_->rows(s, t);
   if (result.paths.empty()) return result;
   result.found = true;
   result.reverse = s > t;
@@ -51,12 +57,12 @@ std::string RouteSnapshot::serialize() const {
   std::ostringstream os;
   os << "sor-route-snapshot v1\n";
   os << "epoch " << epoch_ << "\n";
-  os << "pairs " << table_.num_pairs() << " paths " << table_.num_rows()
+  os << "pairs " << table_->num_pairs() << " paths " << table_->num_rows()
      << "\n";
-  for (const SplitPair& pair : table_.pairs()) {
+  for (const SplitPair& pair : table_->pairs()) {
     os << "pair " << pair.pair.a << " " << pair.pair.b << " " << pair.count
        << "\n";
-    for (const SplitRow& row : table_.rows(pair)) {
+    for (const SplitRow& row : table_->rows(pair)) {
       // Fractions as raw IEEE-754 bits: bit-exact round trip, no
       // formatting-precision ambiguity in the byte-identity contract.
       os << "path " << std::hex << std::bit_cast<std::uint64_t>(row.fraction)

@@ -23,6 +23,7 @@
 // equal tables are byte-identical.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,11 +54,12 @@ struct LookupResult {
 
 class RouteSnapshot {
  public:
-  RouteSnapshot() = default;
-
-  /// Freezes `table` as the routing table for `epoch`. Runs on the
-  /// control thread; the result is immutable and safe to share with
+  /// Freezes `table` as the routing table for `epoch`, sharing it (the
+  /// controller keeps the same table as its installed split). Runs on
+  /// the control thread; the result is immutable and safe to share with
   /// readers.
+  static RouteSnapshot build(std::uint64_t epoch,
+                             std::shared_ptr<const SplitTable> table);
   static RouteSnapshot build(std::uint64_t epoch, SplitTable table);
 
   /// Lock-free, allocation-free lookup (binary search over sorted pairs).
@@ -65,8 +67,8 @@ class RouteSnapshot {
   LookupResult lookup(Vertex s, Vertex t) const;
 
   std::uint64_t epoch() const { return epoch_; }
-  std::size_t num_pairs() const { return table_.num_pairs(); }
-  std::size_t num_paths() const { return table_.num_rows(); }
+  std::size_t num_pairs() const { return table_->num_pairs(); }
+  std::size_t num_paths() const { return table_->num_rows(); }
 
   /// FNV-1a over the serialized table — equal iff serialize() is equal.
   /// Precomputed at build; readers use it to prove an answer came from
@@ -79,9 +81,11 @@ class RouteSnapshot {
   std::string serialize() const;
 
  private:
+  RouteSnapshot() = default;
+
   std::uint64_t epoch_ = 0;
   std::uint64_t digest_ = 0;
-  SplitTable table_;
+  std::shared_ptr<const SplitTable> table_;  // never null
 };
 
 }  // namespace sor::serve

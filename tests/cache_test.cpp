@@ -373,8 +373,8 @@ TEST(PathSystemSerialization, PreservesOrderAndMultiplicity) {
       deserialize_path_system(serialize_path_system(system));
   EXPECT_EQ(restored.num_pairs(), system.num_pairs());
   EXPECT_EQ(restored.total_paths(), system.total_paths());
-  const auto original = system.canonical_paths(0, 3);
-  const auto round = restored.canonical_paths(0, 3);
+  const auto original = system.paths(0, 3);
+  const auto round = restored.paths(0, 3);
   ASSERT_EQ(round.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(round[i], original[i]);  // exact per-pair insertion order

@@ -48,7 +48,7 @@ TEST(Completion, SubsystemsRespectHopBounds) {
     const PathSystem& system = router.scale_system(j);
     for (const VertexPair& pair : system.pairs()) {
       const std::uint32_t dist = bfs(g, pair.a).hops[pair.b];
-      for (const Path& p : system.canonical_paths(pair.a, pair.b)) {
+      for (const PathView p : system.paths(pair.a, pair.b)) {
         EXPECT_LE(p.hops(),
                   std::max(router.scale_hop_bound(j), dist));
       }

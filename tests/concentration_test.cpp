@@ -120,8 +120,8 @@ TEST(Chernoff, PerDemandFailureDecaysWithK) {
       // (what the weak process starts from).
       EdgeLoad load = zero_load(g);
       for (const Commodity& c : demand.commodities()) {
-        const auto paths = ps.paths_oriented(c.src, c.dst);
-        for (const Path& p : paths) {
+        const auto paths = ps.paths(c.src, c.dst);
+        for (const PathView p : paths) {
           add_path_load(p, c.amount / static_cast<double>(paths.size()),
                         load);
         }
@@ -157,8 +157,8 @@ TEST(BadPatterns, DeletionBudgetIsBounded) {
   // Total initial (fractional) load = Σ_j d_j · avg-path-length <= d·|D|.
   double total_load = 0;
   for (const Commodity& c : demand.commodities()) {
-    const auto paths = ps.paths_oriented(c.src, c.dst);
-    for (const Path& p : paths) {
+    const auto paths = ps.paths(c.src, c.dst);
+    for (const PathView p : paths) {
       total_load += c.amount / static_cast<double>(paths.size()) *
                     static_cast<double>(p.hops());
     }
@@ -167,10 +167,7 @@ TEST(BadPatterns, DeletionBudgetIsBounded) {
   RestrictedProblem problem;
   problem.graph = &g;
   for (const Commodity& c : demand.commodities()) {
-    RestrictedCommodity rc;
-    rc.demand = c.amount;
-    rc.candidates = ps.paths_oriented(c.src, c.dst);
-    problem.commodities.push_back(std::move(rc));
+    append_commodity(problem, c, ps);
   }
   const double threshold = 1.0;
   const WeakRoutingResult r = weak_routing_process(problem, threshold);

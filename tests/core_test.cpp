@@ -29,14 +29,11 @@ TEST(PathSystem, CanonicalizesOrientation) {
   ps.add(Path{2, 0, {e12, e01}});  // given dst→src
   EXPECT_TRUE(ps.has_pair(0, 2));
   EXPECT_TRUE(ps.has_pair(2, 0));
-  const auto forward = ps.paths_oriented(0, 2);
+  const auto forward = ps.paths(2, 0);
   ASSERT_EQ(forward.size(), 1u);
   EXPECT_EQ(forward[0].src, 0u);
   EXPECT_EQ(forward[0].dst, 2u);
-  EXPECT_EQ(forward[0].edges, (std::vector<EdgeId>{e01, e12}));
-  const auto backward = ps.paths_oriented(2, 0);
-  EXPECT_EQ(backward[0].src, 2u);
-  EXPECT_EQ(backward[0].edges, (std::vector<EdgeId>{e12, e01}));
+  EXPECT_EQ(to_path(forward[0]).edges, (std::vector<EdgeId>{e01, e12}));
 }
 
 TEST(PathSystem, KeepsMultiplicity) {
@@ -83,7 +80,7 @@ TEST(PathSystem, MergeUnionsMultisets) {
   b.add(Path{1, 2, {e12}});
   const PathSystem m = merge(a, b);
   EXPECT_EQ(m.total_paths(), 3u);
-  EXPECT_EQ(m.canonical_paths(0, 1).size(), 2u);
+  EXPECT_EQ(m.paths(0, 1).size(), 2u);
 }
 
 TEST(Sampler, ProducesExactlyKPathsPerPair) {
@@ -94,7 +91,7 @@ TEST(Sampler, ProducesExactlyKPathsPerPair) {
   const PathSystem ps = sample_path_system_all_pairs(routing, options, 1);
   EXPECT_EQ(ps.num_pairs(), 16u * 15 / 2);
   for (const VertexPair& pair : ps.pairs()) {
-    EXPECT_EQ(ps.canonical_paths(pair.a, pair.b).size(), 5u);
+    EXPECT_EQ(ps.paths(pair.a, pair.b).size(), 5u);
   }
 }
 
@@ -107,8 +104,8 @@ TEST(Sampler, DeterministicInSeed) {
   const PathSystem b = sample_path_system_all_pairs(routing, options, 42);
   EXPECT_EQ(a.total_paths(), b.total_paths());
   for (const VertexPair& pair : a.pairs()) {
-    const auto pa = a.canonical_paths(pair.a, pair.b);
-    const auto pb = b.canonical_paths(pair.a, pair.b);
+    const auto pa = a.paths(pair.a, pair.b);
+    const auto pb = b.paths(pair.a, pair.b);
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
   }
@@ -127,9 +124,9 @@ TEST(Sampler, LambdaScalingUsesMinCut) {
   const PathSystem ps = sample_path_system(routing, pairs, options, 3);
   // Portals 0 and 5: λ capped... the direct bridges give λ(0,5) = 3 +
   // possible... actually λ(0,5) >= 3 (bridges) and is clamped at 4.
-  EXPECT_GE(ps.canonical_paths(0, 5).size(), 2u * 3);
+  EXPECT_GE(ps.paths(0, 5).size(), 2u * 3);
   // Intra-clique pair (1,2) in K5: λ = 4 (clamped).
-  EXPECT_EQ(ps.canonical_paths(1, 2).size(), 2u * 4);
+  EXPECT_EQ(ps.paths(1, 2).size(), 2u * 4);
 }
 
 TEST(Sampler, ForDemandCoversSupportOnly) {
@@ -200,8 +197,8 @@ TEST(Router, FailureMaskedPairFollowsFallbackContract) {
   d.add(0, 3, 1.0);
 
   PathActivation activation(ps);
-  activation.set_active(0, 3, 0, false);
-  activation.set_active(0, 3, 1, false);
+  activation.set_active(ps.ids(0, 3)[0], false);
+  activation.set_active(ps.ids(0, 3)[1], false);
   {
     SemiObliviousRouter router(g, ps);
     router.set_activation(&activation);
@@ -217,14 +214,14 @@ TEST(Router, FailureMaskedPairFollowsFallbackContract) {
     EXPECT_EQ(route.dilation, 1u);  // BFS finds the direct 0–3 edge
   }
   // Partially masked pair: the LP sees only the surviving candidate.
-  activation.set_active(0, 3, 1, true);
+  activation.set_active(ps.ids(0, 3)[1], true);
   {
     SemiObliviousRouter router(g, ps);
     router.set_activation(&activation);
     const FractionalRoute route = router.route_fractional(d);
     EXPECT_NEAR(route.congestion, 1.0, 1e-9);
     ASSERT_EQ(route.problem.commodities.size(), 1u);
-    EXPECT_EQ(route.problem.commodities[0].candidates.size(), 1u);
+    EXPECT_EQ(route.problem.commodities[0].size(), 1u);
   }
 }
 
@@ -238,43 +235,22 @@ TEST(PathActivation, ExtrasJoinTheCandidateList) {
   PathActivation activation(ps);
   EXPECT_EQ(activation.num_active(0, 2), 1u);
 
-  const std::size_t extra = activation.add_extra(Path{2, 0, {e02}});
-  EXPECT_EQ(activation.num_extras(0, 2), 1u);
+  const PathId extra = activation.add_extra(Path{2, 0, {e02}});
+  EXPECT_EQ(extra, 1u);  // after the base ids
+  EXPECT_EQ(activation.extras(0, 2).size(), 1u);
   EXPECT_EQ(activation.num_active(0, 2), 2u);
-  const std::vector<Path> oriented = activation.active_oriented(0, 2);
-  ASSERT_EQ(oriented.size(), 2u);
-  EXPECT_EQ(oriented[1].src, 0u);  // extra re-oriented s→t
-  EXPECT_EQ(oriented[1].edges, (std::vector<EdgeId>{e02}));
+  RestrictedProblem problem;
+  problem.graph = &g;
+  ASSERT_EQ(append_commodity(problem, {0, 2, 1.0}, ps, &activation), 2u);
+  EXPECT_EQ(problem.candidate(0, 1).src, 0u);  // extra stored canonically
+  EXPECT_EQ(to_path(problem.candidate(0, 1)).edges,
+            (std::vector<EdgeId>{e02}));
 
-  activation.set_extra_active(0, 2, extra, false);
+  activation.set_active(extra, false);
   EXPECT_EQ(activation.num_active(0, 2), 1u);
-  activation.set_active(0, 2, 0, false);
+  activation.set_active(ps.ids(0, 2)[0], false);
   EXPECT_EQ(activation.num_active(0, 2), 0u);
-  EXPECT_TRUE(activation.active_oriented(0, 2).empty());
-}
-
-TEST(PathActivation, FlagSnapshotIsSortedAndStable) {
-  PathSystem ps;
-  ps.add(Path{2, 3, {4}});
-  ps.add(Path{0, 1, {0}});
-  ps.add(Path{0, 1, {1, 2}});
-  PathActivation activation(ps);
-
-  const std::vector<ActivationFlag> snap = activation.flag_snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  // Sorted by (pair_key, extra, index): pair (0,1) first with both base
-  // candidates, then pair (2,3).
-  EXPECT_EQ(snap[0].pair_key, (std::uint64_t{0} << 32) | 1u);
-  EXPECT_EQ(snap[0].index, 0u);
-  EXPECT_EQ(snap[1].pair_key, (std::uint64_t{0} << 32) | 1u);
-  EXPECT_EQ(snap[1].index, 1u);
-  EXPECT_EQ(snap[2].pair_key, (std::uint64_t{2} << 32) | 3u);
-  for (const ActivationFlag& f : snap) {
-    EXPECT_FALSE(f.extra);
-    EXPECT_TRUE(f.active);
-  }
-  // Snapshots of an unchanged mask are identical.
-  EXPECT_EQ(activation.flag_snapshot(), snap);
+  EXPECT_EQ(append_commodity(problem, {0, 2, 1.0}, ps, &activation), 0u);
 }
 
 TEST(PathActivation, HammingCountsFlipsAndOneSidedKeys) {
@@ -282,23 +258,23 @@ TEST(PathActivation, HammingCountsFlipsAndOneSidedKeys) {
   ps.add(Path{0, 1, {0}});
   ps.add(Path{0, 1, {1, 2}});
   PathActivation activation(ps);
-  const std::vector<ActivationFlag> before = activation.flag_snapshot();
-  EXPECT_EQ(activation_hamming(before, before), 0u);
+  const auto flags = [&] {
+    return std::vector<char>(activation.flags().begin(),
+                             activation.flags().end());
+  };
+  const std::vector<char> before = flags();
+  EXPECT_EQ(activation.churn_since(before), 0u);
 
-  activation.set_active(0, 1, 1, false);
-  const std::vector<ActivationFlag> flipped = activation.flag_snapshot();
-  EXPECT_EQ(activation_hamming(before, flipped), 1u);
+  activation.set_active(ps.ids(0, 1)[1], false);
+  const std::vector<char> flipped = flags();
+  EXPECT_EQ(activation.churn_since(before), 1u);
 
-  // A newly installed extra is a key present only in the new snapshot —
-  // it counts as churn even though no shared flag changed.
+  // A newly installed extra is an id only the new mask has — it counts
+  // as churn even though no shared flag changed.
   activation.add_extra(Path{0, 1, {3}});
-  const std::vector<ActivationFlag> extended = activation.flag_snapshot();
-  ASSERT_EQ(extended.size(), 3u);
-  EXPECT_TRUE(extended.back().extra);
-  EXPECT_EQ(activation_hamming(flipped, extended), 1u);
-  EXPECT_EQ(activation_hamming(before, extended), 2u);
-  // Symmetric: removal reads the same as installation.
-  EXPECT_EQ(activation_hamming(extended, before), 2u);
+  ASSERT_EQ(activation.size(), 3u);
+  EXPECT_EQ(activation.churn_since(flipped), 1u);
+  EXPECT_EQ(activation.churn_since(before), 2u);
 }
 
 TEST(SplitTable, SortsMergesAndDropsZeroRows) {
@@ -326,7 +302,8 @@ TEST(SplitTable, SortsMergesAndDropsZeroRows) {
 TEST(SplitTable, FromWeightsMergesEqualCandidatesAndRejectsReversedPaths) {
   const Path a{0, 1, {0}};
   RestrictedProblem problem;
-  problem.commodities.push_back({2.0, {a, Path{0, 1, {1, 2}}, a}});
+  problem.add_commodity(2.0);
+  for (const Path& p : {a, Path{0, 1, {1, 2}}, a}) problem.add_candidate(p);
   const SplitTable table =
       SplitTable::from_weights(problem, {{0.5, 0.5, 1.0}});
   const std::span<const SplitRow> rows = table.rows(0, 1);
@@ -334,8 +311,11 @@ TEST(SplitTable, FromWeightsMergesEqualCandidatesAndRejectsReversedPaths) {
   EXPECT_EQ(rows[0], (SplitRow{a, 0.75}));
   EXPECT_EQ(rows[1].fraction, 0.25);
 
-  problem.commodities[0].candidates = {Path{1, 0, {0}}};
-  EXPECT_THROW(SplitTable::from_weights(problem, {{2.0}}), CheckError);
+  RestrictedProblem reversed_problem;
+  reversed_problem.add_commodity(2.0);
+  reversed_problem.add_candidate(Path{1, 0, {0}});
+  EXPECT_THROW(SplitTable::from_weights(reversed_problem, {{2.0}}),
+               CheckError);
 }
 
 TEST(Router, EmptyDemandIsZero) {

@@ -25,8 +25,8 @@ TEST(Derandomize, ProducesExactlyKPerPair) {
   const PathSystem ps = derandomized_path_system(routing, pairs, options);
   EXPECT_EQ(ps.num_pairs(), pairs.size());
   for (const VertexPair& pair : ps.pairs()) {
-    EXPECT_EQ(ps.canonical_paths(pair.a, pair.b).size(), 3u);
-    for (const Path& p : ps.canonical_paths(pair.a, pair.b)) {
+    EXPECT_EQ(ps.paths(pair.a, pair.b).size(), 3u);
+    for (const PathView p : ps.paths(pair.a, pair.b)) {
       EXPECT_TRUE(is_simple_path(g, p));
     }
   }
@@ -44,8 +44,8 @@ TEST(Derandomize, IsDeterministic) {
   const PathSystem a = derandomized_path_system(routing, pairs, options);
   const PathSystem b = derandomized_path_system(routing, pairs, options);
   for (const VertexPair& pair : a.pairs()) {
-    const auto pa = a.canonical_paths(pair.a, pair.b);
-    const auto pb = b.canonical_paths(pair.a, pair.b);
+    const auto pa = a.paths(pair.a, pair.b);
+    const auto pb = b.paths(pair.a, pair.b);
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
   }
@@ -115,7 +115,7 @@ TEST(Failures, SurvivingPathsDropExactlyHitPaths) {
   scenario.alive.assign(g.num_edges(), true);
   scenario.alive[e02] = false;
   const PathSystem alive = surviving_paths(ps, scenario);
-  EXPECT_EQ(alive.canonical_paths(0, 2).size(), 1u);
+  EXPECT_EQ(alive.paths(0, 2).size(), 1u);
   EXPECT_FALSE(alive.has_pair(0, 3));
   const auto stranded = stranded_pairs(ps, scenario);
   ASSERT_EQ(stranded.size(), 1u);
@@ -158,8 +158,8 @@ TEST(Failures, GomoryHuBackedLambdaSamplingMatchesDirect) {
   const PathSystem a = sample_path_system(routing, pairs, direct, 6);
   const PathSystem b = sample_path_system(routing, pairs, via_tree, 6);
   for (const VertexPair& pair : a.pairs()) {
-    EXPECT_EQ(a.canonical_paths(pair.a, pair.b).size(),
-              b.canonical_paths(pair.a, pair.b).size());
+    EXPECT_EQ(a.paths(pair.a, pair.b).size(),
+              b.paths(pair.a, pair.b).size());
   }
 }
 

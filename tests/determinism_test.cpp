@@ -126,10 +126,8 @@ TEST(PathLpDeterminism, MwuSolveBitIdenticalAcrossThreadCounts) {
   RestrictedProblem problem;
   problem.graph = &g;
   for (const VertexPair& pair : system.pairs()) {
-    RestrictedCommodity c;
-    c.demand = 1.0 + 0.25 * static_cast<double>(pair.a % 3);
-    c.candidates = system.paths_oriented(pair.a, pair.b);
-    problem.commodities.push_back(std::move(c));
+    const double amount = 1.0 + 0.25 * static_cast<double>(pair.a % 3);
+    append_commodity(problem, Commodity{pair.a, pair.b, amount}, system);
   }
   const auto solutions = at_pool_sizes([&] { return solve_restricted_mwu(problem); });
   const RestrictedSolution& reference = solutions[0];

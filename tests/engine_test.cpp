@@ -206,8 +206,8 @@ TEST(Repair, FailureDeactivatesOnlyAffectedCandidates) {
   const RepairReport report = repairer.apply_epoch(events, support);
   EXPECT_EQ(report.deactivated, 1u);
   EXPECT_EQ(report.fallbacks_installed, 0u);
-  EXPECT_FALSE(repairer.activation().is_active(0, 3, 0));
-  EXPECT_TRUE(repairer.activation().is_active(0, 3, 1));
+  EXPECT_FALSE(repairer.activation().is_active(f.ps.ids(0, 3)[0]));
+  EXPECT_TRUE(repairer.activation().is_active(f.ps.ids(0, 3)[1]));
   EXPECT_EQ(repairer.activation().num_active(0, 3), 1u);
 }
 
@@ -222,9 +222,10 @@ TEST(Repair, StrandedPairGetsMandatoryFallbackEvenWithZeroBudget) {
   const RepairReport report = repairer.apply_epoch(events, support);
   EXPECT_EQ(report.deactivated, 2u);
   EXPECT_EQ(report.fallbacks_installed, 1u);
-  ASSERT_EQ(repairer.activation().num_extras(0, 3), 1u);
+  const PathActivation& mask = repairer.activation();
+  ASSERT_EQ(mask.extras(0, 3).size(), 1u);
   // BFS on the surviving graph finds the direct edge.
-  EXPECT_EQ(repairer.activation().extra_path(0, 3, 0).edges,
+  EXPECT_EQ(to_path(mask.path(mask.extras(0, 3)[0])).edges,
             (std::vector<EdgeId>{f.e03}));
   EXPECT_EQ(repairer.activation().num_active(0, 3), 1u);
 }
@@ -240,7 +241,7 @@ TEST(Repair, RecoveryReactivatesWithinBudget) {
   const RepairReport report = repairer.apply_epoch(recover, support);
   EXPECT_EQ(report.reactivated, 1u);
   EXPECT_EQ(report.deferred, 0u);
-  EXPECT_TRUE(repairer.activation().is_active(0, 3, 0));
+  EXPECT_TRUE(repairer.activation().is_active(f.ps.ids(0, 3)[0]));
   EXPECT_EQ(repairer.failed_edges(), 0u);
 }
 
@@ -257,7 +258,53 @@ TEST(Repair, ZeroBudgetDefersReactivation) {
   const RepairReport report = repairer.apply_epoch(recover, support);
   EXPECT_EQ(report.reactivated, 0u);
   EXPECT_GE(report.deferred, 1u);
-  EXPECT_FALSE(repairer.activation().is_active(0, 3, 0));
+  EXPECT_FALSE(repairer.activation().is_active(f.ps.ids(0, 3)[0]));
+}
+
+TEST(Repair, BudgetOfOneReactivatesLowerPairsFirstAndBasesBeforeExtras) {
+  // Pair (1,2)'s candidate is added first, so id order alone would put it
+  // ahead of pair (0,3)'s.
+  DiamondFixture f;
+  PathSystem ps;
+  ps.add(Path{1, 2, {f.e13, f.e23}});
+  ps.add(Path{0, 3, {f.e01, f.e13}});
+  ps.add(Path{0, 3, {f.e02, f.e23}});
+  RepairOptions options;
+  options.churn_budget = 1;
+  PathRepairer repairer(f.g, ps, options);
+  const PathActivation& mask = repairer.activation();
+  const std::vector<VertexPair> support = {VertexPair::canonical(0, 3)};
+
+  // Every candidate loses a link; (0,3) falls back to the direct edge.
+  const std::vector<Event> fail = {{0, EventKind::kLinkFailure, f.e13, 0, 0},
+                                   {0, EventKind::kLinkFailure, f.e23, 0, 0}};
+  RepairReport report = repairer.apply_epoch(fail, support);
+  EXPECT_EQ(report.deactivated, 3u);
+  EXPECT_EQ(report.fallbacks_installed, 1u);
+  ASSERT_EQ(mask.extras(0, 3).size(), 1u);
+  const PathId extra = mask.extras(0, 3)[0];
+  report = repairer.apply_epoch(
+      std::vector<Event>{{1, EventKind::kLinkFailure, f.e03, 0, 0}}, {});
+  EXPECT_EQ(report.deactivated, 1u);
+
+  // Every link recovers: one reactivation per epoch, the rest deferred.
+  const std::vector<PathId> order = {ps.ids(0, 3)[0], ps.ids(0, 3)[1],
+                                     ps.ids(1, 2)[0], extra};
+  std::vector<Event> recover = {{2, EventKind::kLinkRecovery, f.e13, 0, 0},
+                                {2, EventKind::kLinkRecovery, f.e23, 0, 0},
+                                {2, EventKind::kLinkRecovery, f.e03, 0, 0}};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    report = repairer.apply_epoch(recover, {});
+    recover.clear();
+    EXPECT_EQ(report.reactivated, 1u) << "epoch " << i;
+    EXPECT_EQ(report.deferred, order.size() - 1 - i) << "epoch " << i;
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      EXPECT_EQ(mask.is_active(order[j]), j <= i) << "epoch " << i;
+    }
+  }
+  report = repairer.apply_epoch({}, {});
+  EXPECT_EQ(report.churn(), 0u);
+  EXPECT_EQ(report.deferred, 0u);
 }
 
 EngineRunConfig small_config() {

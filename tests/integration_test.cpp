@@ -67,9 +67,9 @@ TEST_P(PipelineTest, EndToEndInvariants) {
   // --- Sampling invariants -------------------------------------------
   EXPECT_EQ(system.num_pairs(), demand.support_size());
   for (const VertexPair& pair : system.pairs()) {
-    const auto paths = system.canonical_paths(pair.a, pair.b);
+    const auto paths = system.paths(pair.a, pair.b);
     EXPECT_EQ(paths.size(), param.k);
-    for (const Path& p : paths) {
+    for (const PathView p : paths) {
       EXPECT_TRUE(is_simple_path(g, p));
       EXPECT_EQ(p.src, pair.a);
       EXPECT_EQ(p.dst, pair.b);
@@ -97,10 +97,10 @@ TEST_P(PipelineTest, EndToEndInvariants) {
   // Load matches the weights' load (consistency of bookkeeping).
   EdgeLoad recomputed = zero_load(g);
   for (std::size_t j = 0; j < commodities.size(); ++j) {
-    const auto& cands = frac.problem.commodities[j].candidates;
-    for (std::size_t p = 0; p < cands.size(); ++p) {
+    for (std::size_t p = 0; p < frac.weights[j].size(); ++p) {
       if (frac.weights[j][p] > 0) {
-        add_path_load(cands[p], frac.weights[j][p], recomputed);
+        add_path_load(frac.problem.candidate(j, p), frac.weights[j][p],
+                      recomputed);
       }
     }
   }
@@ -170,7 +170,7 @@ TEST_P(LambdaSampleTest, DumbbellBridgesGateTheSparsity) {
   const std::vector<VertexPair> pairs{VertexPair::canonical(0, 5)};
   const PathSystem ps = sample_path_system(routing, pairs, options, 11);
   // λ(0,5) = #bridges (every 0→5 path crosses a bridge); sparsity = λ·k.
-  EXPECT_EQ(ps.canonical_paths(0, 5).size(),
+  EXPECT_EQ(ps.paths(0, 5).size(),
             static_cast<std::size_t>(std::min(bridges, 8u)) * 3);
 }
 
@@ -249,7 +249,7 @@ TEST_P(SourceTest, SampleRouteRoundEndToEnd) {
 
   // Sampling contract.
   for (const VertexPair& pair : ps.pairs()) {
-    for (const Path& p : ps.canonical_paths(pair.a, pair.b)) {
+    for (const PathView p : ps.paths(pair.a, pair.b)) {
       ASSERT_TRUE(is_simple_path(g, p)) << GetParam();
     }
   }

@@ -142,11 +142,9 @@ RestrictedProblem diamond_problem(const Graph& g, double demand) {
   // Two disjoint 2-hop paths 0→3.
   RestrictedProblem problem;
   problem.graph = &g;
-  RestrictedCommodity c;
-  c.demand = demand;
-  c.candidates.push_back(Path{0, 3, {0, 2}});  // via vertex 1
-  c.candidates.push_back(Path{0, 3, {1, 3}});  // via vertex 2
-  problem.commodities.push_back(std::move(c));
+  problem.add_commodity(demand);
+  problem.add_candidate(Path{0, 3, {0, 2}});  // via vertex 1
+  problem.add_candidate(Path{0, 3, {1, 3}});  // via vertex 2
   return problem;
 }
 
@@ -173,10 +171,8 @@ TEST(RestrictedExact, SinglePathForced) {
   const Graph g = diamond();
   RestrictedProblem problem;
   problem.graph = &g;
-  RestrictedCommodity c;
-  c.demand = 3.0;
-  c.candidates.push_back(Path{0, 3, {0, 2}});
-  problem.commodities.push_back(std::move(c));
+  problem.add_commodity(3.0);
+  problem.add_candidate(Path{0, 3, {0, 2}});
   const RestrictedSolution s = solve_restricted_exact(problem);
   EXPECT_NEAR(s.congestion, 3.0, 1e-8);
 }
@@ -189,18 +185,10 @@ TEST(RestrictedExact, TwoCommoditiesShareEdge) {
   g.add_edge(1, 2);  // e1
   RestrictedProblem problem;
   problem.graph = &g;
-  {
-    RestrictedCommodity a;
-    a.demand = 1.0;
-    a.candidates.push_back(Path{0, 2, {0, 1}});
-    problem.commodities.push_back(a);
-  }
-  {
-    RestrictedCommodity b;
-    b.demand = 2.0;
-    b.candidates.push_back(Path{0, 1, {0}});
-    problem.commodities.push_back(b);
-  }
+  problem.add_commodity(1.0);
+  problem.add_candidate(Path{0, 2, {0, 1}});
+  problem.add_commodity(2.0);
+  problem.add_candidate(Path{0, 1, {0}});
   const RestrictedSolution s = solve_restricted_exact(problem);
   EXPECT_NEAR(s.congestion, 3.0, 1e-8);
 }
@@ -238,13 +226,11 @@ TEST(RestrictedMwu, CrossValidatesWithExactOnSampledSystems) {
   RestrictedProblem problem;
   problem.graph = &g;
   for (const Commodity& c : demand.commodities()) {
-    RestrictedCommodity rc;
-    rc.demand = c.amount;
+    problem.add_commodity(c.amount);
     for (const Path& p : ksp.candidates(c.src, c.dst)) {
-      rc.candidates.push_back(p.src == c.src ? p : Path{
+      problem.add_candidate(p.src == c.src ? p : Path{
           p.dst, p.src, {p.edges.rbegin(), p.edges.rend()}});
     }
-    problem.commodities.push_back(std::move(rc));
   }
 
   const RestrictedSolution exact = solve_restricted_exact(problem);
@@ -343,28 +329,22 @@ TEST(RestrictedValidate, RejectsMalformedProblems) {
   {
     RestrictedProblem p;
     p.graph = &g;
-    RestrictedCommodity c;
-    c.demand = 0;  // zero demand
-    c.candidates.push_back(Path{0, 3, {0, 2}});
-    p.commodities.push_back(c);
+    p.add_commodity(0);  // zero demand
+    p.add_candidate(Path{0, 3, {0, 2}});
     EXPECT_THROW(validate_restricted_problem(p), CheckError);
   }
   {
     RestrictedProblem p;
     p.graph = &g;
-    RestrictedCommodity c;
-    c.demand = 1;  // no candidates
-    p.commodities.push_back(c);
+    p.add_commodity(1);  // no candidates
     EXPECT_THROW(validate_restricted_problem(p), CheckError);
   }
   {
     RestrictedProblem p;
     p.graph = &g;
-    RestrictedCommodity c;
-    c.demand = 1;
-    c.candidates.push_back(Path{0, 3, {0, 2}});
-    c.candidates.push_back(Path{0, 1, {0}});  // endpoint mismatch
-    p.commodities.push_back(c);
+    p.add_commodity(1);
+    p.add_candidate(Path{0, 3, {0, 2}});
+    p.add_candidate(Path{0, 1, {0}});  // endpoint mismatch
     EXPECT_THROW(validate_restricted_problem(p), CheckError);
   }
 }

@@ -269,7 +269,7 @@ TEST(Oracle, KOneKeepsExactlyHeaviestPath) {
   Demand d;
   d.add(0, 3, 4.0);
   const OracleSelection oracle = demand_aware_path_system(g, d, 1);
-  const auto paths = oracle.system.paths_oriented(0, 3);
+  const auto paths = oracle.system.paths(0, 3);
   ASSERT_EQ(paths.size(), 1u);
   // The fat route carries 3 of the 4 units → it is the heaviest.
   EXPECT_EQ(path_vertices(g, paths[0])[1], 1u);

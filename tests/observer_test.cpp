@@ -45,11 +45,9 @@ Graph diamond() {
 RestrictedProblem diamond_problem(const Graph& g, double demand) {
   RestrictedProblem problem;
   problem.graph = &g;
-  RestrictedCommodity c;
-  c.demand = demand;
-  c.candidates.push_back(Path{0, 3, {0, 2}});
-  c.candidates.push_back(Path{0, 3, {1, 3}});
-  problem.commodities.push_back(std::move(c));
+  problem.add_commodity(demand);
+  problem.add_candidate(Path{0, 3, {0, 2}});
+  problem.add_candidate(Path{0, 3, {1, 3}});
   return problem;
 }
 

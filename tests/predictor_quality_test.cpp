@@ -188,7 +188,7 @@ TEST_F(QualityTrackerChurnTest, FirstEpochHasZeroChurn) {
   PathActivation mask(system_);
   const SplitTable split(std::vector<SplitRow>{{make_path(0, 1, {0}), 1.0}});
   EpochQuality q;
-  tracker.observe_install(mask, split, q);
+  tracker.observe_install(mask, nullptr, split, q);
   EXPECT_EQ(q.mask_churn, 0u);
   EXPECT_DOUBLE_EQ(q.weight_l1_drift, 0);
   EXPECT_EQ(q.top_path_flips, 0u);
@@ -199,18 +199,18 @@ TEST_F(QualityTrackerChurnTest, FlagFlipAndExtraCountAsHamming) {
   PathActivation mask(system_);
   const SplitTable split;
   EpochQuality q0;
-  tracker.observe_install(mask, split, q0);
+  tracker.observe_install(mask, nullptr, split, q0);
 
   // One base flag flipped + one fallback installed = Hamming 2.
-  mask.set_active(0, 1, 0, false);
+  mask.set_active(system_.ids(0, 1)[0], false);
   mask.add_extra(make_path(2, 3, {4, 5}));
   EpochQuality q1;
-  tracker.observe_install(mask, split, q1);
+  tracker.observe_install(mask, &split, split, q1);
   EXPECT_EQ(q1.mask_churn, 2u);
 
   // Stable mask again: churn back to zero.
   EpochQuality q2;
-  tracker.observe_install(mask, split, q2);
+  tracker.observe_install(mask, &split, split, q2);
   EXPECT_EQ(q2.mask_churn, 0u);
 }
 
@@ -222,20 +222,20 @@ TEST_F(QualityTrackerChurnTest, WeightDriftAndTopFlipAreExact) {
 
   const SplitTable before(std::vector<SplitRow>{{direct, 1.0}});
   EpochQuality q0;
-  tracker.observe_install(mask, before, q0);
+  tracker.observe_install(mask, nullptr, before, q0);
 
   // Shift 60% of the pair onto the detour: L1 drift is
   // |0.4 - 1.0| + |0.6 - 0| = 1.2, and the top path flips.
   const SplitTable after(
       std::vector<SplitRow>{{direct, 0.4}, {detour, 0.6}});
   EpochQuality q1;
-  tracker.observe_install(mask, after, q1);
+  tracker.observe_install(mask, &before, after, q1);
   EXPECT_NEAR(q1.weight_l1_drift, 1.2, 1e-12);
   EXPECT_EQ(q1.top_path_flips, 1u);
 
   // Unchanged split: no drift, no flips.
   EpochQuality q2;
-  tracker.observe_install(mask, after, q2);
+  tracker.observe_install(mask, &after, after, q2);
   EXPECT_DOUBLE_EQ(q2.weight_l1_drift, 0);
   EXPECT_EQ(q2.top_path_flips, 0u);
 }
@@ -247,12 +247,12 @@ TEST_F(QualityTrackerChurnTest, PairAppearingCountsWholeWeight) {
   PathActivation mask(system_);
   const SplitTable before(std::vector<SplitRow>{{make_path(0, 1, {0}), 1.0}});
   EpochQuality q0;
-  tracker.observe_install(mask, before, q0);
+  tracker.observe_install(mask, nullptr, before, q0);
 
   const SplitTable after(std::vector<SplitRow>{
       {make_path(0, 1, {0}), 1.0}, {make_path(2, 3, {3}), 1.0}});
   EpochQuality q1;
-  tracker.observe_install(mask, after, q1);
+  tracker.observe_install(mask, &before, after, q1);
   EXPECT_NEAR(q1.weight_l1_drift, 1.0, 1e-12);
   EXPECT_EQ(q1.top_path_flips, 0u);
 }

@@ -68,11 +68,10 @@ void expect_solvers_agree(const Graph& g, const Demand& demand) {
   RestrictedProblem problem;
   problem.graph = &g;
   for (const Commodity& c : demand.commodities()) {
-    RestrictedCommodity rc;
-    rc.demand = c.amount;
-    rc.candidates = enumerate_simple_paths(g, c.src, c.dst);
-    ASSERT_FALSE(rc.candidates.empty());
-    problem.commodities.push_back(std::move(rc));
+    const std::vector<Path> paths = enumerate_simple_paths(g, c.src, c.dst);
+    ASSERT_FALSE(paths.empty());
+    problem.add_commodity(c.amount);
+    for (const Path& p : paths) problem.add_candidate(p);
   }
   const double exact = solve_restricted_exact(problem).congestion;
 
@@ -245,12 +244,10 @@ TEST_P(MwuExactAgreement, RandomRestrictedInstances) {
       a = static_cast<Vertex>(rng.next_u64(g.num_vertices()));
       b = static_cast<Vertex>(rng.next_u64(g.num_vertices()));
     }
-    auto paths = enumerate_simple_paths(g, a, b, 6);
+    const std::vector<Path> paths = enumerate_simple_paths(g, a, b, 6);
     if (paths.empty()) continue;
-    RestrictedCommodity rc;
-    rc.demand = 0.5 + rng.next_double() * 2.0;
-    rc.candidates = std::move(paths);
-    problem.commodities.push_back(std::move(rc));
+    problem.add_commodity(0.5 + rng.next_double() * 2.0);
+    for (const Path& p : paths) problem.add_candidate(p);
   }
   if (problem.commodities.empty()) GTEST_SKIP();
 

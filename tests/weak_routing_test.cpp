@@ -21,12 +21,7 @@ RestrictedProblem problem_from(const Graph& g, const PathSystem& ps,
                                const Demand& d) {
   RestrictedProblem problem;
   problem.graph = &g;
-  for (const Commodity& c : d.commodities()) {
-    RestrictedCommodity rc;
-    rc.demand = c.amount;
-    rc.candidates = ps.paths_oriented(c.src, c.dst);
-    problem.commodities.push_back(std::move(rc));
-  }
+  for (const Commodity& c : d.commodities()) append_commodity(problem, c, ps);
   return problem;
 }
 
