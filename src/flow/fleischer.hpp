@@ -23,7 +23,8 @@
 //   void credit(std::size_t j, double amount);  // on the last cheapest(j)
 //   double dual_bound(std::span<const double> lengths);
 //   void average(double divisor, EdgeLoad& load);  // routes and load
-// demand() and dual_bound() are in the caller's units.
+// demand() and dual_bound() are in the caller's units; the view cheapest()
+// returns is valid only until the oracle's next call.
 
 #include <algorithm>
 #include <cmath>

@@ -1,28 +1,27 @@
 #include "flow/mcf.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "flow/fleischer.hpp"
 #include "graph/search.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sor {
 
 namespace {
 
-/// The all-paths oracle: Dijkstra per route step, and a dual bound with
-/// one Dijkstra per distinct source (the routing step re-runs Dijkstra
-/// after every length update, which Fleischer's analysis requires).
-/// Records the routes in `paths` when it is non-null.
+/// The all-paths oracle: one Dijkstra run per route step, stopped when the
+/// commodity's target settles, and a dual bound with one full run per
+/// distinct source (the routing step re-runs Dijkstra after every length
+/// update, which Fleischer's analysis requires). One search serves the
+/// whole solve. Records the routes in `paths` when it is non-null.
 class DijkstraOracle {
  public:
   using PathWeights = std::vector<std::unordered_map<Path, double, PathHash>>;
 
   DijkstraOracle(const Graph& g, std::span<const Commodity> commodities,
                  PathWeights* paths)
-      : g_(g), commodities_(commodities), paths_(paths) {
+      : g_(g), commodities_(commodities), paths_(paths), search_(g) {
     for (std::size_t j = 0; j < commodities.size(); ++j) {
       by_source_[commodities[j].src].push_back(j);
     }
@@ -31,24 +30,27 @@ class DijkstraOracle {
   std::size_t size() const { return commodities_.size(); }
   double demand(std::size_t j) const { return commodities_[j].amount; }
 
+  /// Valid until the next cheapest() or dual_bound().
   PathView cheapest(std::size_t j, std::span<const double> lengths) {
-    last_ = dijkstra(g_, commodities_[j].src, lengths)
-                .extract_path(g_, commodities_[j].dst);
+    const Commodity& c = commodities_[j];
+    search_.run(c.src, lengths, c.dst);
+    last_ = search_.path_to(c.dst);
     return last_;
   }
 
   void credit(std::size_t j, double amount) {
-    if (paths_ != nullptr) (*paths_)[j][last_] += amount;
+    if (paths_ != nullptr) (*paths_)[j][to_path(last_)] += amount;
   }
 
   /// Σ_j d_j · dist_l(s_j, t_j) / Σ_e c_e · l_e — the duality lower bound
   /// on OPT congestion, valid for ANY positive length function l.
-  double dual_bound(std::span<const double> lengths) const {
+  double dual_bound(std::span<const double> lengths) {
     double numerator = 0;
     for (const auto& [src, indices] : by_source_) {
-      const SpTree tree = dijkstra(g_, src, lengths);
+      search_.run(src, lengths);
       for (std::size_t j : indices) {
-        numerator += commodities_[j].amount * tree.dist[commodities_[j].dst];
+        const Commodity& c = commodities_[j];
+        numerator += c.amount * search_.dist(c.dst);
       }
     }
     double denominator = 0;
@@ -71,7 +73,8 @@ class DijkstraOracle {
   std::span<const Commodity> commodities_;
   PathWeights* paths_;
   std::map<Vertex, std::vector<std::size_t>> by_source_;
-  Path last_;
+  DijkstraSearch search_;
+  PathView last_;
 };
 
 }  // namespace
@@ -101,9 +104,6 @@ McfResult min_congestion_routing(const Graph& g,
   result.load = std::move(loop.load);
   result.phases = loop.phases;
   result.truncated = loop.truncated;
-  SOR_COUNTER("mcf/phases").add(loop.phases);
-  SOR_GAUGE("mcf/duality_gap")
-      .set(result.congestion / std::max(result.lower_bound, 1e-300));
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <queue>
 
 namespace sor {
 
@@ -49,45 +48,91 @@ SpTree bfs(const Graph& g, Vertex source) {
   return tree;
 }
 
+DijkstraSearch::DijkstraSearch(const Graph& g, Ties ties)
+    : graph_(&g),
+      ties_(ties),
+      label_(g.num_vertices()),
+      settled_(g.num_vertices(), 0) {
+  order_.reserve(g.num_vertices());
+  heap_.reserve(g.num_vertices());
+}
+
+void DijkstraSearch::run(Vertex source, std::span<const double> lengths,
+                         Vertex target) {
+  const Graph& g = *graph_;
+  SOR_CHECK(source < g.num_vertices());
+  SOR_CHECK(target == kInvalidVertex || target < g.num_vertices());
+  SOR_CHECK(lengths.size() == g.num_edges());
+  if (++run_ == 0) {  // the stamp wrapped: clear every stale label
+    for (Label& label : label_) label.stamp = 0;
+    std::fill(settled_.begin(), settled_.end(), 0);
+    run_ = 1;
+  }
+  source_ = source;
+  heap_.clear();
+  order_.clear();
+  label_[source] = {0.0, kInvalidEdge, run_};
+  heap_.push_back({0.0, (std::uint64_t{kInvalidEdge} << 32) | source});
+
+  const auto later = [](const Entry& a, const Entry& b) {
+    return a.dist > b.dist || (a.dist == b.dist && a.key > b.key);
+  };
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const double d = heap_.back().dist;
+    const auto v = static_cast<Vertex>(heap_.back().key);
+    heap_.pop_back();
+    if (settled_[v] == run_) continue;
+    settled_[v] = run_;
+    order_.push_back(v);
+    if (v == target) break;
+    for (const HalfEdge& h : g.neighbors(v)) {
+      const double len = lengths[h.id];
+      SOR_DCHECK(len >= 0);
+      const double nd = d + len;
+      Label& label = label_[h.to];
+      if (nd < (label.stamp == run_ ? label.dist : kUnreachableDist)) {
+        label = {nd, h.id, run_};
+        const std::uint64_t tie = ties_ == Ties::kVertex ? h.to : h.id;
+        heap_.push_back({nd, (tie << 32) | h.to});
+        std::push_heap(heap_.begin(), heap_.end(), later);
+      }
+    }
+  }
+}
+
+PathView DijkstraSearch::path_to(Vertex t) {
+  const Graph& g = *graph_;
+  SOR_CHECK(t < g.num_vertices());
+  SOR_CHECK_MSG(settled(t),
+                "vertex " << t << " not reached from " << source_);
+  path_.clear();
+  for (Vertex at = t; at != source_;) {
+    const EdgeId e = label_[at].parent;
+    path_.push_back(e);
+    at = g.other_endpoint(e, at);
+  }
+  std::reverse(path_.begin(), path_.end());
+  return {source_, t, path_};
+}
+
 SpTree dijkstra(const Graph& g, Vertex source,
                 std::span<const double> edge_lengths) {
-  SOR_CHECK(source < g.num_vertices());
-  SOR_CHECK(edge_lengths.size() == g.num_edges());
+  DijkstraSearch search(g);
+  search.run(source, edge_lengths);
 
   SpTree tree;
   tree.source = source;
   tree.hops.assign(g.num_vertices(), kUnreachableHops);
   tree.dist.assign(g.num_vertices(), kUnreachableDist);
   tree.parent_edge.assign(g.num_vertices(), kInvalidEdge);
-
-  // (distance, tie-break edge id, vertex); tie-break keeps paths
-  // deterministic across runs.
-  using Entry = std::tuple<double, EdgeId, Vertex>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  tree.dist[source] = 0;
-  heap.emplace(0.0, kInvalidEdge, source);
-
-  std::vector<bool> settled(g.num_vertices(), false);
-  while (!heap.empty()) {
-    const auto [d, via, v] = heap.top();
-    heap.pop();
-    if (settled[v]) continue;
-    settled[v] = true;
+  // A parent settles before its child, so hops fill in settle order.
+  for (const Vertex v : search.settle_order()) {
+    const EdgeId via = search.parent_edge(v);
+    tree.dist[v] = search.dist(v);
     tree.parent_edge[v] = via;
-    std::uint32_t via_hops = 0;
-    if (v != source) {
-      via_hops = tree.hops[g.other_endpoint(via, v)] + 1;
-    }
-    tree.hops[v] = via_hops;
-    for (const HalfEdge& h : g.neighbors(v)) {
-      const double len = edge_lengths[h.id];
-      SOR_DCHECK(len >= 0);
-      const double nd = d + len;
-      if (nd < tree.dist[h.to]) {
-        tree.dist[h.to] = nd;
-        heap.emplace(nd, h.id, h.to);
-      }
-    }
+    tree.hops[v] =
+        v == source ? 0 : tree.hops[g.other_endpoint(via, v)] + 1;
   }
   return tree;
 }
@@ -98,7 +143,9 @@ Path shortest_path_hops(const Graph& g, Vertex s, Vertex t) {
 
 Path shortest_path(const Graph& g, Vertex s, Vertex t,
                    std::span<const double> edge_lengths) {
-  return dijkstra(g, s, edge_lengths).extract_path(g, t);
+  DijkstraSearch search(g);
+  search.run(s, edge_lengths, t);
+  return to_path(search.path_to(t));
 }
 
 std::vector<Vertex> hop_ball(const Graph& g, Vertex center,

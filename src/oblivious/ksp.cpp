@@ -1,9 +1,7 @@
 #include "oblivious/ksp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <queue>
 #include <set>
 
 #include "graph/search.hpp"
@@ -11,51 +9,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace sor {
-
-namespace {
-
-/// Dijkstra that ignores banned edges and vertices; returns an s→t path
-/// or an empty optional-equivalent (path with src == kInvalidVertex).
-Path restricted_shortest_path(const Graph& g, Vertex s, Vertex t,
-                              std::span<const double> lengths,
-                              const std::vector<bool>& banned_edge,
-                              const std::vector<bool>& banned_vertex) {
-  std::vector<double> dist(g.num_vertices(),
-                           std::numeric_limits<double>::infinity());
-  std::vector<EdgeId> parent(g.num_vertices(), kInvalidEdge);
-  using Entry = std::pair<double, Vertex>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[s] = 0;
-  heap.emplace(0.0, s);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > dist[v]) continue;
-    if (v == t) break;
-    for (const HalfEdge& h : g.neighbors(v)) {
-      if (banned_edge[h.id] || banned_vertex[h.to]) continue;
-      const double nd = d + lengths[h.id];
-      if (nd < dist[h.to]) {
-        dist[h.to] = nd;
-        parent[h.to] = h.id;
-        heap.emplace(nd, h.to);
-      }
-    }
-  }
-  Path p;
-  if (!std::isfinite(dist[t])) return p;  // src stays kInvalidVertex
-  p.src = s;
-  p.dst = t;
-  Vertex at = t;
-  while (at != s) {
-    p.edges.push_back(parent[at]);
-    at = g.other_endpoint(parent[at], at);
-  }
-  std::reverse(p.edges.begin(), p.edges.end());
-  return p;
-}
-
-}  // namespace
 
 std::vector<Path> k_shortest_paths(const Graph& g, Vertex s, Vertex t,
                                    std::size_t k,
@@ -80,8 +33,11 @@ std::vector<Path> k_shortest_paths(const Graph& g, Vertex s, Vertex t,
   };
   std::set<Path, decltype(cmp)> candidates(cmp);
 
-  std::vector<bool> banned_edge(g.num_edges(), false);
-  std::vector<bool> banned_vertex(g.num_vertices(), false);
+  // Spur searches pop equal distances in vertex order, and see a banned
+  // edge, or any edge into a banned vertex, at infinite length.
+  DijkstraSearch spur_search(g, DijkstraSearch::Ties::kVertex);
+  std::vector<double> spur_lengths;
+  constexpr double kBanned = std::numeric_limits<double>::infinity();
 
   while (result.size() < k) {
     const Path& last = result.back();
@@ -91,8 +47,7 @@ std::vector<Path> k_shortest_paths(const Graph& g, Vertex s, Vertex t,
     for (std::size_t i = 0; i < last.edges.size(); ++i) {
       const Vertex spur = last_verts[i];
 
-      std::fill(banned_edge.begin(), banned_edge.end(), false);
-      std::fill(banned_vertex.begin(), banned_vertex.end(), false);
+      spur_lengths.assign(edge_lengths.begin(), edge_lengths.end());
 
       // Ban edges that would reproduce an already-found path sharing this
       // root prefix.
@@ -100,22 +55,26 @@ std::vector<Path> k_shortest_paths(const Graph& g, Vertex s, Vertex t,
         if (found.edges.size() > i &&
             std::equal(found.edges.begin(), found.edges.begin() + i,
                        last.edges.begin())) {
-          banned_edge[found.edges[i]] = true;
+          spur_lengths[found.edges[i]] = kBanned;
         }
       }
       for (const Path& found : candidates) {
         if (found.edges.size() > i &&
             std::equal(found.edges.begin(), found.edges.begin() + i,
                        last.edges.begin())) {
-          banned_edge[found.edges[i]] = true;
+          spur_lengths[found.edges[i]] = kBanned;
         }
       }
       // Ban root-path vertices (loopless requirement).
-      for (std::size_t j = 0; j < i; ++j) banned_vertex[last_verts[j]] = true;
+      for (std::size_t j = 0; j < i; ++j) {
+        for (const HalfEdge& h : g.neighbors(last_verts[j])) {
+          spur_lengths[h.id] = kBanned;
+        }
+      }
 
-      const Path spur_path = restricted_shortest_path(
-          g, spur, t, edge_lengths, banned_edge, banned_vertex);
-      if (spur_path.src == kInvalidVertex) continue;
+      spur_search.run(spur, spur_lengths, t);
+      if (!spur_search.settled(t)) continue;
+      const PathView spur_path = spur_search.path_to(t);
 
       Path total;
       total.src = s;

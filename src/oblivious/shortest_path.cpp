@@ -31,7 +31,8 @@ std::string ShortestPathRouting::name() const {
 
 std::string ShortestPathRouting::cache_identity() const {
   // Deterministic point-mass distribution; the metric is the only
-  // parameter (edge-id tie-breaking is fixed by construction).
+  // parameter (ties follow dijkstra()'s fixed rule: the first strict
+  // improvement in (distance, arrival edge, vertex) pop order wins).
   return "sp;metric=" + std::string(metric_ == Metric::kHops ? "hops"
                                                              : "invcap");
 }

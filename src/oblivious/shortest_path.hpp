@@ -5,8 +5,8 @@
 // This is the k = 1 deterministic oblivious routing that the KKT'91 lower
 // bound (and experiment E2) shows is polynomially bad on the hypercube:
 // the distribution per pair is a point mass on one fixed path. Ties are
-// broken by edge id, mimicking an OSPF-style deterministic forwarding
-// table. Optionally uses inverse-capacity edge weights (common OSPF
+// broken by dijkstra()'s fixed rule (graph/search.hpp), mimicking an
+// OSPF-style deterministic forwarding table. Optionally uses inverse-capacity edge weights (common OSPF
 // practice) instead of hop counts.
 
 #include <mutex>

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "demand/generators.hpp"
@@ -223,6 +224,97 @@ TEST(Mcf, GapCertificateHolds) {
   const McfResult r = min_congestion_routing(g, d.commodities(), options);
   EXPECT_GT(r.lower_bound, 0);
   EXPECT_LE(r.congestion / r.lower_bound, 1.0 + options.epsilon + 1e-9);
+}
+
+/// One solve's every output bit, generated by a reference run and written
+/// as hexfloat literals. The shadow audit's regret is computed from these
+/// outputs, so a change to the search, the oracle or the phase loop that
+/// moves any of them moves the audit's figures.
+struct McfPin {
+  std::size_t phases;
+  double congestion;
+  double lower_bound;
+  std::vector<double> load;
+};
+
+void expect_pinned(const Graph& g, const Demand& demand, const McfPin& pin) {
+  const std::vector<Commodity> commodities = demand.commodities();
+  McfOptions recording;
+  recording.record_paths = true;
+  for (const McfOptions& options : {McfOptions{}, recording}) {
+    SCOPED_TRACE(testing::Message() << "record_paths " << options.record_paths);
+    const McfResult r = min_congestion_routing(g, commodities, options);
+    EXPECT_EQ(r.phases, pin.phases);
+    EXPECT_EQ(r.congestion, pin.congestion);
+    EXPECT_EQ(r.lower_bound, pin.lower_bound);
+    EXPECT_FALSE(r.truncated);
+    ASSERT_EQ(r.load.size(), pin.load.size());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(r.load[e], pin.load[e]) << "edge " << e;
+    }
+    if (!options.record_paths) continue;
+    // The decomposition carries each amount and re-adds to the load.
+    ASSERT_EQ(r.paths.size(), commodities.size());
+    EdgeLoad readded = zero_load(g);
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      double weight_sum = 0;
+      for (const auto& [path, weight] : r.paths[j]) {
+        EXPECT_TRUE(is_simple_path(g, path));
+        weight_sum += weight;
+        add_path_load(path, weight, readded);
+      }
+      EXPECT_NEAR(weight_sum, commodities[j].amount,
+                  1e-12 * commodities[j].amount);
+    }
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_NEAR(readded[e], r.load[e], 1e-12 * std::max(1.0, r.load[e]));
+    }
+  }
+}
+
+TEST(Mcf, GeantPerturbedGravityBitsArePinned) {
+  // The audit's shape: GÉANT, a noisy gravity matrix over all 231 pairs.
+  const Graph g = make_geant().graph;
+  Rng rng(7);
+  const Demand demand =
+      perturbed_gravity_demand(g, all_vertices(g), 40.0, 0.5, rng);
+  expect_pinned(
+      g, demand,
+      {434, 0x1.9693351a746f6p-1, 0x1.83490d39ef1c8p-1,
+       {0x1.68a2c3dd9afe1p+2, 0x1.336bf8936043ap+2, 0x1.1ac67517af865p+0,
+        0x1.67d69db1e76c1p+0, 0x1.77cfc84029189p+2, 0x1.dcbd3ae68cb7ap+1,
+        0x1.98d3d8277176fp+1, 0x1.838ea2b631392p+2, 0x1.8b3296fd1dd6dp+1,
+        0x1.5f013a829d4ebp+1, 0x1.d2b4ba660c01fp+1, 0x1.fc380261118b3p+2,
+        0x1.751ca7ab197d6p+1, 0x1.59e896a00c9b2p+1, 0x1.b9b2bddfe7d58p+1,
+        0x1.d17c36fc0c3d3p+1, 0x1.266a21b375c77p+2, 0x1.1cd161e75f886p+1,
+        0x1.7f4b622c11957p+1, 0x1.e3d9d08e85d9fp+1, 0x1.3c923e2e2eb3bp+1,
+        0x1.81fd20c030291p+1, 0x1.d640b788ff0f4p+1, 0x1.2fcdca72ef5f7p+1,
+        0x1.2fa2dd4192e69p+1, 0x1.c0c3188714797p+0, 0x1.221b6a2e3fcd3p+1,
+        0x1.387d1b35093bfp+0, 0x1.29497dc635368p+0, 0x1.1b6d71506230ep+1,
+        0x1.3260be06f5a1dp+1, 0x1.b6a372f916488p+0, 0x1.65cdeb4624dd7p+0,
+        0x1.3b7f08e2123d6p+1, 0x1.74e34f8b16a77p+0, 0x1.0ca90e194ebc9p+0}});
+}
+
+TEST(Mcf, UnitTorusPermutationBitsArePinned) {
+  // Unit capacities: every early phase ties on length between routes, so
+  // this pins the search's tie rule as well.
+  const Graph g = make_torus(4, 4);
+  Rng rng(5);
+  const Demand demand = random_permutation_demand(g, rng);
+  expect_pinned(
+      g, demand,
+      {265, 0x1.39f656f1826a4p+0, 0x1.2b1095e26b098p+0,
+       {0x1.2a8172f55fa34p+0, 0x1.1a1540b97aafdp+0, 0x1.13521cfb2b78cp+0,
+        0x1.1b0c8ef93cdc4p+0, 0x1.2a8172f55fa34p+0, 0x1.05cbd57e8d0aap+0,
+        0x1.125acebb694c5p+0, 0x1.04d4873ecade3p+0, 0x1.2a8172f55fa34p+0,
+        0x1.2d675db4a6289p+0, 0x1.694c5125acebbp-1, 0x1.39f656f1826a4p+0,
+        0x1.2b78c13521cfbp+0, 0x1.eabf4685502e6p-1, 0x1p+0,
+        0x1.2c700f74e3fc2p+0, 0x1.c9e6e20d86478p-1, 0x1.e4f37106c323cp-1,
+        0x1.39f656f1826a4p+0, 0x1.ecade304d4874p-1, 0x1.38ff08b1c03ddp+0,
+        0x1.e8d0aa05cbd58p-1, 0x1.00f74e3fc22c7p+0, 0x1.05cbd57e8d0aap+0,
+        0x1.b694c5125acecp-1, 0x1.24b59d76d298ap+0, 0x1.39f656f1826a4p+0,
+        0x1.36191df279b88p+0, 0x1.3807ba71fe116p+0, 0x1.03dd38ff08b1cp+0,
+        0x1.0d86477c9e6e2p+0, 0x1.2c700f74e3fc2p+0}});
 }
 
 TEST(Mcf, EmptyDemand) {

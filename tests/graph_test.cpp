@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -164,6 +166,79 @@ TEST(Search, DijkstraMatchesBfsOnUnitLengths) {
     const SpTree d = dijkstra(g, s, unit);
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_DOUBLE_EQ(d.dist[v], static_cast<double>(b.hops[v]));
+    }
+  }
+}
+
+TEST(Search, TieBreakIsFirstStrictImprovement) {
+  // Two unit routes reach vertex 2: 0-1-2 ends on e3 and 0-3-2 on e2.
+  // Vertex 1 arrived by e0 and pops before vertex 3 (e1), so e3 reaches 2
+  // first and keeps it, although e2 ties and has the lower id.
+  Graph g(4);
+  g.add_edge(0, 1);  // e0
+  g.add_edge(0, 3);  // e1
+  g.add_edge(3, 2);  // e2
+  g.add_edge(1, 2);  // e3
+  const std::vector<double> unit(g.num_edges(), 1.0);
+  EXPECT_EQ(dijkstra(g, 0, unit).parent_edge[2], 3u);
+  EXPECT_EQ(shortest_path(g, 0, 2, unit), (Path{0, 2, {0, 3}}));
+  DijkstraSearch search(g);
+  search.run(0, unit, 2);
+  EXPECT_EQ(search.parent_edge(2), 3u);
+
+  // Here the arrival edges (e0 into 2, e1 into 1) and the vertex ids order
+  // the two distance-1 pops apart, so the two tie rules pick different
+  // edges into 3.
+  Graph h(4);
+  h.add_edge(0, 2);  // e0
+  h.add_edge(0, 1);  // e1
+  h.add_edge(1, 3);  // e2
+  h.add_edge(2, 3);  // e3
+  DijkstraSearch by_edge(h);
+  by_edge.run(0, unit, 3);
+  EXPECT_EQ(by_edge.parent_edge(3), 3u);
+  DijkstraSearch by_vertex(h, DijkstraSearch::Ties::kVertex);
+  by_vertex.run(0, unit, 3);
+  EXPECT_EQ(by_vertex.parent_edge(3), 2u);
+}
+
+TEST(Search, StoppedRunMatchesFullTree) {
+  Rng rng(5);
+  const Graph torus = make_torus(6, 6);
+  Graph multi(6);  // parallel edges at equal and unequal lengths
+  for (const auto& [u, v] : {std::pair{0, 1}, {0, 1}, {1, 2}, {1, 2}, {2, 3},
+                            {3, 4}, {3, 4}, {4, 5}, {5, 0}, {1, 4}, {2, 5}}) {
+    multi.add_edge(static_cast<Vertex>(u), static_cast<Vertex>(v));
+  }
+  std::vector<double> multi_lengths(multi.num_edges());
+  for (double& len : multi_lengths) len = 1.0 + rng.next_u64(2);
+  const Graph er = make_erdos_renyi(20, 0.2, 11);
+  std::vector<double> er_lengths(er.num_edges());
+  for (double& len : er_lengths) len = 0.1 + rng.next_double();
+
+  const std::tuple<const char*, const Graph&, std::vector<double>> cases[] = {
+      {"torus", torus, std::vector<double>(torus.num_edges(), 1.0)},
+      {"multigraph", multi, multi_lengths},
+      {"er", er, er_lengths},
+  };
+  for (const auto& [name, g, lengths] : cases) {
+    SCOPED_TRACE(name);
+    DijkstraSearch full(g);
+    DijkstraSearch stopped(g);
+    for (Vertex s = 0; s < g.num_vertices(); ++s) {
+      const SpTree tree = dijkstra(g, s, lengths);
+      full.run(s, lengths);
+      ASSERT_EQ(full.settle_order().size(), g.num_vertices());
+      for (Vertex t = 0; t < g.num_vertices(); ++t) {
+        stopped.run(s, lengths, t);
+        ASSERT_TRUE(stopped.settled(t));
+        EXPECT_EQ(stopped.settle_order().back(), t);
+        EXPECT_EQ(stopped.dist(t), full.dist(t));
+        EXPECT_EQ(stopped.dist(t), tree.dist[t]);
+        const Path path = to_path(stopped.path_to(t));
+        EXPECT_EQ(path, to_path(full.path_to(t)));
+        EXPECT_EQ(path, tree.extract_path(g, t));
+      }
     }
   }
 }

@@ -144,6 +144,23 @@ TEST(KspPaths, OrderedDistinctAndCorrectCount) {
   EXPECT_EQ(paths[0].hops(), 6u);  // shortest corner-to-corner
 }
 
+TEST(KspPaths, SpurTiesFollowVertexOrder) {
+  // On a unit torus, equal-cost spur paths abound, and which one a spur
+  // search returns decides the later candidates: the seventh path here is
+  // the one spur searches that pop equal distances in vertex order give.
+  const Graph g = make_torus(6, 6);
+  const std::vector<double> unit(g.num_edges(), 1.0);
+  const std::vector<std::vector<EdgeId>> expected{
+      {0, 2},        {0, 3, 14, 5}, {0, 63, 62, 65}, {1, 12, 3, 2},
+      {1, 12, 14, 5}, {10, 8, 6, 4}, {61, 60, 63, 2},
+  };
+  const std::vector<Path> paths = k_shortest_paths(g, 0, 2, 7, unit);
+  ASSERT_EQ(paths.size(), expected.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(paths[i].edges, expected[i]) << "path " << i;
+  }
+}
+
 TEST(KspPaths, ExhaustsSmallGraphs) {
   // Path graph has exactly one simple 0→2 path.
   Graph g(3);

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string_view>
 
 #include "demand/generators.hpp"
 #include "flow/fleischer.hpp"
@@ -64,7 +66,10 @@ Demand random_pairs_demand(const Graph& g, Rng& rng, double scale) {
 /// path is the true OPT, solved exactly; the Garg–Könemann MCF and the
 /// restricted MWU over the same paths (two oracles on one phase loop)
 /// must each bracket it within their certificate, below the phase cap.
-void expect_solvers_agree(const Graph& g, const Demand& demand) {
+/// On an instance `known_uncertified`, both must still bracket OPT, and
+/// must stop at the phase cap: the check fails once they certify there.
+void expect_solvers_agree(const Graph& g, const Demand& demand,
+                          bool known_uncertified = false) {
   RestrictedProblem problem;
   problem.graph = &g;
   for (const Commodity& c : demand.commodities()) {
@@ -92,6 +97,10 @@ void expect_solvers_agree(const Graph& g, const Demand& demand) {
     SCOPED_TRACE(solver);
     EXPECT_LE(lower_bound, exact * (1 + 1e-6));
     EXPECT_LE(exact, congestion * (1 + 1e-6));
+    if (known_uncertified) {
+      EXPECT_EQ(phases, kMaxPhases);
+      return;
+    }
     EXPECT_LE(congestion, (1 + kEps) * lower_bound * (1 + 1e-9));
     EXPECT_LE(congestion, exact * (1 + kEps) + 1e-9);
     EXPECT_LT(phases, kMaxPhases);
@@ -130,20 +139,70 @@ TEST_P(FullPathLpVsMcf, AgreeOnRandomSmallInstances) {
   }
 }
 
+/// The structured graphs, the random tree drawn from `seed`.
+std::vector<std::pair<const char*, Graph>> structured_graphs(
+    std::uint64_t seed) {
+  Rng tree_rng(seed * 7 + 3);
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("ring", make_ring(6));
+  graphs.emplace_back("dumbbell", make_dumbbell(4, 2));
+  graphs.emplace_back("two-star", make_two_star(3, 2).graph);
+  graphs.emplace_back("tree", make_random_tree(8, tree_rng));
+  return graphs;
+}
+
 TEST_P(FullPathLpVsMcf, AgreeOnStructuredGraphsAtEveryScale) {
   const std::uint64_t seed = GetParam();
-  Rng tree_rng(seed * 7 + 3);
-  const std::pair<const char*, Graph> graphs[] = {
-      {"ring", make_ring(6)},
-      {"dumbbell", make_dumbbell(4, 2)},
-      {"two-star", make_two_star(3, 2).graph},
-      {"tree", make_random_tree(8, tree_rng)},
-  };
-  for (const auto& [name, g] : graphs) {
+  for (const auto& [name, g] : structured_graphs(seed)) {
     for (double scale : kDemandScales) {
       SCOPED_TRACE(testing::Message() << name << ", demand scale " << scale);
       Rng rng(seed * 13 + 1);
       expect_solvers_agree(g, random_pairs_demand(g, rng, scale));
+    }
+  }
+}
+
+// The one instance of the audit's shapes on which both solvers stop
+// uncertified at the phase cap. Its OPT is 10.3; the cold bracket straddles
+// the scaling band's top edge (8), so the loop keeps scale 1, and with OPT
+// anywhere in about [7, 16] the averaged primal does not close the gap
+// (at ε = 0.05 too). A loop that certifies it makes this test fail, and
+// the entry is then deleted.
+struct KnownUncertified {
+  std::uint64_t seed;
+  std::string_view graph;
+  std::string_view shape;
+  double scale;
+};
+constexpr KnownUncertified kKnownUncertified[] = {
+    {1, "dumbbell", "permutation", 10.0},
+};
+
+// The shadow audit's demand shapes: a gravity matrix over every pair
+// (total 10) and a random permutation, each times the scale.
+TEST_P(FullPathLpVsMcf, AgreeOnGravityAndPermutationDemands) {
+  const std::uint64_t seed = GetParam();
+  std::vector<std::pair<const char*, Graph>> graphs = structured_graphs(seed);
+  graphs.emplace_back("er", make_erdos_renyi(8, 0.45, seed));
+  for (const auto& [name, g] : graphs) {
+    Rng rng(seed * 13 + 1);
+    const std::pair<const char*, Demand> shapes[] = {
+        {"gravity", gravity_demand(g, 10.0)},
+        {"permutation", random_permutation_demand(g, rng)},
+    };
+    for (const auto& [shape, demand] : shapes) {
+      for (double scale : kDemandScales) {
+        SCOPED_TRACE(testing::Message() << name << ", " << shape
+                                        << ", demand scale " << scale);
+        Demand scaled = demand;
+        scaled.scale(scale);
+        const bool known = std::ranges::any_of(
+            kKnownUncertified, [&](const KnownUncertified& k) {
+              return k.seed == seed && k.graph == name && k.shape == shape &&
+                     k.scale == scale;
+            });
+        expect_solvers_agree(g, scaled, known);
+      }
     }
   }
 }
