@@ -30,7 +30,7 @@ using namespace sor;
 double failure_ratio(const Graph& g, const PathSystem& system,
                      const Demand& demand, const FailureScenario& scenario) {
   std::vector<EdgeId> edge_map;
-  const Graph survivor = surviving_graph(g, scenario, edge_map);
+  const Graph survivor = surviving_graph(g, scenario, &edge_map);
   // Translate surviving candidate paths into survivor-graph edge ids.
   const PathSystem alive = surviving_paths(system, scenario);
   PathSystem translated;

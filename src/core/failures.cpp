@@ -20,9 +20,7 @@ FailureScenario random_edge_failures(const Graph& g, std::size_t count,
     }
     // Keep only scenarios that preserve connectivity (standard in TE
     // robustness studies: the network is engineered to survive f faults).
-    std::vector<EdgeId> edge_map;
-    const Graph survivor = surviving_graph(g, scenario, edge_map);
-    if (survivor.is_connected()) return scenario;
+    if (surviving_graph(g, scenario).is_connected()) return scenario;
   }
   throw CheckError("no connectivity-preserving failure scenario found");
 }
@@ -69,14 +67,15 @@ std::vector<VertexPair> stranded_pairs(const PathSystem& system,
 }
 
 Graph surviving_graph(const Graph& g, const FailureScenario& scenario,
-                      std::vector<EdgeId>& edge_map) {
+                      std::vector<EdgeId>* edge_map) {
   SOR_CHECK(scenario.alive.size() == g.num_edges());
   Graph out(g.num_vertices());
-  edge_map.assign(g.num_edges(), kInvalidEdge);
+  if (edge_map != nullptr) edge_map->assign(g.num_edges(), kInvalidEdge);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (!scenario.alive[e]) continue;
     const Edge& edge = g.edge(e);
-    edge_map[e] = out.add_edge(edge.u, edge.v, edge.capacity);
+    const EdgeId id = out.add_edge(edge.u, edge.v, edge.capacity);
+    if (edge_map != nullptr) (*edge_map)[e] = id;
   }
   return out;
 }

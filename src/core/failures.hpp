@@ -36,9 +36,11 @@ PathSystem surviving_paths(const PathSystem& system,
 std::vector<VertexPair> stranded_pairs(const PathSystem& system,
                                        const FailureScenario& scenario);
 
-/// Copy of `g` with failed edges removed. Edge ids are re-numbered; the
-/// mapping old→new is returned through `edge_map` (kInvalidEdge if dead).
+/// Copy of `g` with failed edges removed. Edge ids are re-numbered; when
+/// `edge_map` is given, the mapping old→new is written to it (kInvalidEdge
+/// if dead). With every edge alive the copy equals `g`, adjacency order
+/// included.
 Graph surviving_graph(const Graph& g, const FailureScenario& scenario,
-                      std::vector<EdgeId>& edge_map);
+                      std::vector<EdgeId>* edge_map = nullptr);
 
 }  // namespace sor

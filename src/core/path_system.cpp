@@ -210,19 +210,61 @@ SplitTable::SplitTable(std::vector<SplitRow> rows) {
   }
 }
 
+namespace {
+
+/// The first of commodity j's candidates whose path equals candidate p's.
+std::size_t first_copy(const RestrictedProblem& problem, std::size_t j,
+                       std::size_t p) {
+  const PathView path = problem.candidate(j, p);
+  for (std::size_t q = 0; q < p; ++q) {
+    if (problem.candidate(j, q) == path) return q;
+  }
+  return p;
+}
+
+/// Commodity j's installed shares, the one merge rule behind from_weights
+/// and merged_fractions: weights[p] / demand for each positive weight,
+/// summed in candidate order onto p's first copy (0 on every other
+/// candidate).
+void merge_shares(const RestrictedProblem& problem, std::size_t j,
+                  std::span<const double> weights,
+                  std::vector<double>& shares) {
+  const RestrictedCommodity& c = problem.commodities[j];
+  SOR_CHECK(weights.size() == c.size());
+  shares.assign(c.size(), 0.0);
+  for (std::size_t p = 0; p < c.size(); ++p) {
+    if (weights[p] > 0) {
+      shares[first_copy(problem, j, p)] += weights[p] / c.demand;
+    }
+  }
+}
+
+}  // namespace
+
 SplitTable SplitTable::from_weights(
     const RestrictedProblem& problem,
     const std::vector<std::vector<double>>& weights) {
   std::vector<SplitRow> rows;
+  std::vector<double> shares;
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const RestrictedCommodity& c = problem.commodities[j];
-    for (std::size_t p = 0; p < c.size(); ++p) {
-      if (weights[j][p] <= 0) continue;
-      rows.push_back(
-          {to_path(problem.candidate(j, p)), weights[j][p] / c.demand});
+    merge_shares(problem, j, weights[j], shares);
+    for (std::size_t p = 0; p < shares.size(); ++p) {
+      if (shares[p] <= 0) continue;  // no row, or merged into a first copy
+      rows.push_back({to_path(problem.candidate(j, p)), shares[p]});
     }
   }
   return SplitTable(std::move(rows));
+}
+
+std::vector<double> SplitTable::merged_fractions(
+    const RestrictedProblem& problem, std::size_t j,
+    std::span<const double> weights) {
+  std::vector<double> fractions;
+  merge_shares(problem, j, weights, fractions);
+  for (std::size_t p = 0; p < fractions.size(); ++p) {
+    fractions[p] = fractions[first_copy(problem, j, p)];
+  }
+  return fractions;
 }
 
 std::span<const SplitRow> SplitTable::rows(Vertex s, Vertex t) const {

@@ -173,11 +173,21 @@ class SplitTable {
   explicit SplitTable(std::vector<SplitRow> rows);
 
   /// The split a restricted solve installs: candidate p of commodity j
-  /// carries weights[j][p] / demand_j of its pair. Commodity candidates
-  /// must be canonical (commodities from Demand::commodities() are).
+  /// carries weights[j][p] / demand_j of its pair, with equal candidates
+  /// merged as merged_fractions says. Commodity candidates must be
+  /// canonical (commodities from Demand::commodities() are).
   static SplitTable from_weights(
       const RestrictedProblem& problem,
       const std::vector<std::vector<double>>& weights);
+
+  /// The fraction from_weights installs on each of commodity j's
+  /// candidates: weights[q] / demand_j summed, in candidate order, over
+  /// the candidates q with a positive weight whose path equals p's — the
+  /// fraction of p's row, shared by every copy of a path stored twice (0
+  /// when the path gets no row).
+  static std::vector<double> merged_fractions(const RestrictedProblem& problem,
+                                              std::size_t j,
+                                              std::span<const double> weights);
 
   /// Pairs in sorted order.
   std::span<const SplitPair> pairs() const { return pairs_; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "core/failures.hpp"
 #include "flow/mcf.hpp"
 #include "serve/service.hpp"
 #include "telemetry/memory.hpp"
@@ -15,6 +16,16 @@
 #include "util/stopwatch.hpp"
 
 namespace sor::engine {
+
+namespace {
+
+/// The pair commodity j of `problem` routes (its candidates share it).
+VertexPair pair_of(const RestrictedProblem& problem, std::size_t j) {
+  const PathView first = problem.candidate(j, 0);
+  return {first.src, first.dst};
+}
+
+}  // namespace
 
 EpochController::EpochController(const Graph& g, const PathSystem& system,
                                  EngineOptions options)
@@ -31,29 +42,65 @@ EpochController::EpochController(const Graph& g, const PathSystem& system,
             options.quality.shadow_epsilon < 1);
 }
 
+void EpochController::append_candidates(RestrictedProblem& problem,
+                                        const Commodity& c) const {
+  if (append_commodity(problem, c, *system_, &repairer_.activation()) > 0) {
+    return;
+  }
+  // Pair outside the installed system (or its mandatory fallback was
+  // unreachable) — last-resort surviving-graph shortest path, the
+  // engine-side mirror of RouterOptions::add_shortest_fallback.
+  const Path fallback = repairer_.surviving_shortest_path(c.src, c.dst);
+  SOR_CHECK_MSG(fallback.src != kInvalidVertex,
+                "pair (" << c.src << "," << c.dst
+                         << ") disconnected on the surviving graph");
+  telemetry::Recorder::global().record(
+      "engine/stranded", {{"src", static_cast<std::uint64_t>(c.src)},
+                          {"dst", static_cast<std::uint64_t>(c.dst)},
+                          {"hops", fallback.hops()}});
+  problem.add_candidate(fallback);
+}
+
 RestrictedProblem EpochController::build_problem(const Demand& demand) const {
   SOR_SPAN("engine/build_problem");
   RestrictedProblem problem;
   problem.graph = graph_;
-  for (const Commodity& c : demand.commodities()) {
-    if (append_commodity(problem, c, *system_, &repairer_.activation()) > 0) {
+  for (const Commodity& c : demand.commodities()) append_candidates(problem, c);
+  return problem;
+}
+
+double EpochController::reroute(
+    std::span<const Commodity> realized, const RestrictedProblem& solved,
+    const std::vector<std::vector<double>>& weights) const {
+  // The activation mask does not change within an epoch, so a pair the
+  // prediction also had keeps the candidates it was solved on: the solved
+  // table is copied whole and its commodities reused with the realized
+  // demands and the fractions the installed table holds for their
+  // candidates (SplitTable::merged_fractions, the rule from_weights
+  // installs by). A pair only the realized matrix has takes its own candidates
+  // (or the fallback) and, with nothing installed for it, splits evenly;
+  // a pair only the prediction had drops out. Both commodity lists are
+  // sorted by pair, so one walk matches them.
+  RestrictedProblem problem;
+  problem.graph = graph_;
+  problem.paths = solved.paths;
+  problem.commodities.reserve(realized.size());
+  std::vector<std::vector<double>> fractions;
+  fractions.reserve(realized.size());
+  std::size_t j = 0;
+  for (const Commodity& c : realized) {
+    const VertexPair pair{c.src, c.dst};
+    while (j < solved.commodities.size() && pair_of(solved, j) < pair) ++j;
+    if (j < solved.commodities.size() && pair_of(solved, j) == pair) {
+      const RestrictedCommodity& s = solved.commodities[j];
+      problem.commodities.push_back({c.amount, s.begin, s.end});
+      fractions.push_back(SplitTable::merged_fractions(solved, j, weights[j]));
       continue;
     }
-    // Pair outside the installed system (or its mandatory fallback was
-    // unreachable) — last-resort surviving-graph shortest path, the
-    // engine-side mirror of RouterOptions::add_shortest_fallback.
-    const Path fallback = repairer_.surviving_shortest_path(c.src, c.dst);
-    SOR_CHECK_MSG(fallback.src != kInvalidVertex,
-                  "pair (" << c.src << "," << c.dst
-                           << ") disconnected on the surviving graph");
-    SOR_COUNTER("engine/adhoc_fallbacks").add();
-    telemetry::Recorder::global().record(
-        "engine/stranded", {{"src", static_cast<std::uint64_t>(c.src)},
-                            {"dst", static_cast<std::uint64_t>(c.dst)},
-                            {"hops", fallback.hops()}});
-    problem.add_candidate(fallback);
+    append_candidates(problem, c);
+    fractions.emplace_back(problem.commodities.back().size(), 0.0);
   }
-  return problem;
+  return route_restricted_fractions(problem, fractions).congestion;
 }
 
 std::vector<std::vector<double>> EpochController::remap_fractions(
@@ -88,13 +135,15 @@ EpochReport EpochController::step(std::span<const Event> events,
   report.events = events.size();
   report.realized_total = realized.total();
 
+  // The realized matrix's commodities, sorted by pair: the repair's
+  // support, the reroute's commodities and the shadow's.
+  std::vector<Commodity> commodities;
   {
     SOR_SPAN("engine/repair");
+    commodities = realized.commodities();
     std::vector<VertexPair> support;
-    for (const auto& [pair, amount] : realized.entries()) {
-      support.push_back(pair);
-    }
-    std::sort(support.begin(), support.end());
+    support.reserve(commodities.size());
+    for (const Commodity& c : commodities) support.push_back({c.src, c.dst});
     report.repair = repairer_.apply_epoch(events, support);
   }
   report.active_failures = repairer_.failed_edges();
@@ -233,10 +282,7 @@ EpochReport EpochController::step(std::span<const Event> events,
     report.congestion = solution.congestion;
   } else {
     SOR_SPAN("engine/reroute");
-    const RestrictedProblem realized_problem = build_problem(realized);
-    const RestrictedSolution applied = route_restricted_fractions(
-        realized_problem, remap_fractions(realized_problem));
-    report.congestion = applied.congestion;
+    report.congestion = reroute(commodities, problem, solution.weights);
   }
   // Routing-quality observatory: install churn every epoch, the shadow-
   // optimal regret solve on sampled epochs. All deterministic (the shadow
@@ -250,15 +296,20 @@ EpochReport EpochController::step(std::span<const Event> events,
   }
   if (quality_.shadow_due(report.epoch)) {
     SOR_SPAN("engine/shadow");
-    // OPT(D) of the realized matrix, the regret denominator (0 when the
-    // matrix is empty).
+    // OPT(D) of the realized matrix on the network that exists, the
+    // regret denominator (0 when the matrix is empty): with links down,
+    // the installed split cannot use them, and neither may the optimum it
+    // is measured against.
     McfResult shadow;
-    const std::vector<Commodity> commodities = realized.commodities();
     if (!commodities.empty()) {
       SOR_SPAN("lp/shadow");
       McfOptions mcf;
       mcf.epsilon = options_.quality.shadow_epsilon;
-      shadow = min_congestion_routing(*graph_, commodities, mcf);
+      FailureScenario scenario;
+      scenario.alive.assign(repairer_.alive().begin(),
+                            repairer_.alive().end());
+      shadow = min_congestion_routing(surviving_graph(*graph_, scenario),
+                                      commodities, mcf);
     }
     report.quality.shadow_sampled = true;
     report.quality.shadow_opt = shadow.congestion;

@@ -170,13 +170,23 @@ class EpochController {
   int health_status() const { return breaches_.empty() ? 0 : 1; }
 
  private:
-  /// One commodity per demand pair, in Demand::commodities() order, with
-  /// the mask's active candidates (canonical orientation).
+  /// Appends commodity `c` with the mask's active candidates (canonical
+  /// orientation), or with the surviving-graph shortest path when none is
+  /// active.
+  void append_candidates(RestrictedProblem& problem, const Commodity& c) const;
+  /// One commodity per demand pair, in Demand::commodities() order.
   RestrictedProblem build_problem(const Demand& demand) const;
   /// The installed split's fractions remapped onto `problem`'s candidate
   /// lists by path equality (0 for paths not installed).
   std::vector<std::vector<double>> remap_fractions(
       const RestrictedProblem& problem) const;
+  /// Congestion of the `realized` commodities (sorted by pair) on the
+  /// split installed from `solved` and its solution `weights`, routed on
+  /// `solved` itself: the same bits as remapping the installed table onto
+  /// build_problem(realized).
+  double reroute(std::span<const Commodity> realized,
+                 const RestrictedProblem& solved,
+                 const std::vector<std::vector<double>>& weights) const;
 
   const Graph* graph_;
   const PathSystem* system_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <istream>
+#include <locale>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -144,16 +145,19 @@ EventTrace load_trace(std::istream& is) {
     std::string key;
     SOR_CHECK(std::getline(is, line));
     std::istringstream row(line);
+    row.imbue(std::locale::classic());
     SOR_CHECK_MSG(row >> key >> trace.num_epochs && key == "epochs",
                   "bad trace epochs line");
     SOR_CHECK(std::getline(is, line));
     std::istringstream row2(line);
+    row2.imbue(std::locale::classic());
     SOR_CHECK_MSG(row2 >> key >> num_events && key == "events",
                   "bad trace events line");
   }
   for (std::size_t i = 0; i < num_events; ++i) {
     SOR_CHECK_MSG(std::getline(is, line), "truncated trace");
     std::istringstream row(line);
+    row.imbue(std::locale::classic());
     Event e;
     std::string kind;
     SOR_CHECK_MSG(row >> e.epoch >> kind, "bad trace event line: " << line);

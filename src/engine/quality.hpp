@@ -8,9 +8,9 @@
 // per-epoch signals:
 //
 //  * regret   — achieved congestion over the shadow-optimal MCF value for
-//               the realized matrix (min_congestion_routing, under the
-//               "lp/shadow" span), sampled every `shadow_every` epochs to
-//               bound cost;
+//               the realized matrix on the surviving graph
+//               (min_congestion_routing, under the "lp/shadow" span),
+//               sampled every `shadow_every` epochs to bound cost;
 //  * predictor— per-pair relative error of the pending prediction vs the
 //               realized matrix (score_prediction: MAPE + worst pair);
 //  * churn    — path-system stability between consecutive installs:
@@ -54,7 +54,8 @@ struct QualityOptions {
 /// means the regret fields are meaningless for this epoch.
 struct EpochQuality {
   bool shadow_sampled = false;
-  /// Shadow-optimal congestion (MCF primal) for the realized matrix.
+  /// Shadow-optimal congestion (MCF primal) for the realized matrix, on
+  /// the graph of the links alive this epoch.
   double shadow_opt = 0;
   /// Certified lower bound from the shadow solve.
   double shadow_lower_bound = 0;

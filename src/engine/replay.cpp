@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <istream>
+#include <locale>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -85,7 +86,12 @@ ControlLoopResult replay_record(
                           record.config.engine, record.config.seed, on_epoch);
 }
 
-void save_record(const EngineRunRecord& record, std::ostream& os) {
+void save_record(const EngineRunRecord& record, std::ostream& out) {
+  // Records are locale-free: the text is formatted in a classic-locale
+  // buffer (a grouping locale would write `seed 1,234,567`) and copied
+  // out, so the caller's stream keeps its own locale and precision.
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
   const EngineRunConfig& c = record.config;
   os << "sor-engine-record v1\n";
   os << std::setprecision(17);
@@ -110,6 +116,7 @@ void save_record(const EngineRunRecord& record, std::ostream& os) {
   os << "peak_window " << c.engine.peak_window << "\n";
   os << "churn_budget " << c.engine.repair.churn_budget << "\n";
   save_trace(record.trace, os);
+  out << os.str();
 }
 
 EngineRunRecord load_record(std::istream& is) {
@@ -122,6 +129,7 @@ EngineRunRecord load_record(std::istream& is) {
   for (std::size_t i = 0; i < num_config_lines; ++i) {
     SOR_CHECK_MSG(std::getline(is, line), "truncated engine record");
     std::istringstream row(line);
+    row.imbue(std::locale::classic());
     std::string key;
     SOR_CHECK(row >> key);
     auto read_string = [&]() {

@@ -367,9 +367,6 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   } else {
     SOR_COUNTER("mwu/phases_cold").add(loop.phases);
   }
-  if (loop.lower_bound > 0) {
-    SOR_GAUGE("mwu/duality_gap").set(loop.congestion / loop.lower_bound);
-  }
   return solution;
 }
 

@@ -71,13 +71,16 @@ class RouteSnapshot {
   std::size_t num_paths() const { return table_->num_rows(); }
 
   /// FNV-1a over the serialized table — equal iff serialize() is equal.
-  /// Precomputed at build; readers use it to prove an answer came from
-  /// exactly one published epoch.
+  /// Precomputed at build by hashing the writer's bytes as they are
+  /// produced (the text itself is never built); readers use it to prove
+  /// an answer came from exactly one published epoch.
   std::uint64_t digest() const { return digest_; }
 
   /// Canonical byte encoding: header, then pairs in sorted VertexPair
   /// order, each pair's rows in path_lexicographic_less order, fractions
-  /// as bit-exact hex doubles. Content-determined — see file comment.
+  /// as bit-exact hex doubles. Content-determined — see file comment —
+  /// and locale-free: numbers are formatted with std::to_chars, so no
+  /// global locale can group their digits.
   std::string serialize() const;
 
  private:

@@ -318,6 +318,33 @@ TEST(SplitTable, FromWeightsMergesEqualCandidatesAndRejectsReversedPaths) {
                CheckError);
 }
 
+TEST(SplitTable, MergedFractionsAreTheRowsFromWeightsInstalls) {
+  const Path a{0, 1, {0}};
+  const Path b{0, 1, {1, 2}};
+  const Path c{0, 1, {3, 4}};
+  RestrictedProblem problem;
+  problem.add_commodity(3.0);
+  for (const Path& p : {a, b, a, c, b}) problem.add_candidate(p);
+  // b's first copy carries nothing, c carries nothing at all.
+  const std::vector<double> weights = {0.3, 0.0, 0.7, 0.0, 1.1};
+  const std::vector<double> merged =
+      SplitTable::merged_fractions(problem, 0, weights);
+  EXPECT_EQ(merged, (std::vector<double>{0.3 / 3.0 + 0.7 / 3.0, 1.1 / 3.0,
+                                         0.3 / 3.0 + 0.7 / 3.0, 0.0,
+                                         1.1 / 3.0}));
+  // Every candidate's merged fraction is the row its path has.
+  const SplitTable table = SplitTable::from_weights(problem, {weights});
+  ASSERT_EQ(table.num_rows(), 2u);
+  for (std::size_t p = 0; p < merged.size(); ++p) {
+    const PathView path = problem.candidate(0, p);
+    double row_fraction = 0;
+    for (const SplitRow& row : table.rows(0, 1)) {
+      if (row.path == path) row_fraction = row.fraction;
+    }
+    EXPECT_EQ(merged[p], row_fraction) << "candidate " << p;
+  }
+}
+
 TEST(Router, EmptyDemandIsZero) {
   const Graph g = make_grid(2, 2);
   PathSystem ps;

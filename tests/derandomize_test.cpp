@@ -87,7 +87,7 @@ TEST(Failures, ScenarioKeepsConnectivityAndCount) {
   for (bool alive : scenario.alive) dead += !alive;
   EXPECT_EQ(dead, 3u);
   std::vector<EdgeId> edge_map;
-  const Graph survivor = surviving_graph(g, scenario, edge_map);
+  const Graph survivor = surviving_graph(g, scenario, &edge_map);
   EXPECT_TRUE(survivor.is_connected());
   EXPECT_EQ(survivor.num_edges(), g.num_edges() - 3);
   // Edge map is a bijection onto the survivor's ids for alive edges.

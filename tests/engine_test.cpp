@@ -5,15 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <locale>
 #include <queue>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/failures.hpp"
 #include "engine/controller.hpp"
 #include "engine/event_trace.hpp"
 #include "engine/predictor.hpp"
 #include "engine/repair.hpp"
 #include "engine/replay.hpp"
+#include "flow/mcf.hpp"
 #include "graph/generators.hpp"
+#include "grouping_locale.hpp"
+#include "serve/service.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/recorder.hpp"
@@ -439,6 +448,126 @@ TEST(Quality, DisabledShadowStillScoresPredictorAndChurn) {
             out.result.epochs.size() - 1);
 }
 
+// A 6-ring (edge v joins v and v+1) where pairs {0,2} and {1,4} each
+// store one candidate twice, and pair {1,3} is left out of the system so
+// that it routes on the surviving-graph fallback.
+struct RingFixture {
+  Graph g = make_ring(6);
+  PathSystem ps;
+
+  RingFixture() {
+    const auto add = [&](std::initializer_list<Vertex> vertices) {
+      ps.add(path_from_vertices(g, std::vector<Vertex>(vertices)));
+    };
+    add({0, 1, 2});
+    add({0, 1, 2});
+    add({0, 5, 4, 3, 2});
+    add({1, 2, 3, 4});
+    add({1, 0, 5, 4});
+    add({1, 2, 3, 4});
+    add({0, 1, 2, 3});
+    add({0, 5, 4, 3});
+    add({2, 3, 4, 5});
+    add({2, 1, 0, 5});
+  }
+};
+
+Demand ring_demand(std::initializer_list<Commodity> commodities) {
+  Demand d;
+  for (const Commodity& c : commodities) d.add(c.src, c.dst, c.amount);
+  return d;
+}
+
+// The realized matrix routed the way the controller once did: a fresh
+// problem over the mask's active candidates (or the fallback), each
+// candidate carrying the published row with an equal path.
+double reference_congestion(const RingFixture& f,
+                            const EpochController& controller,
+                            const serve::RouteSnapshot& snapshot,
+                            const Demand& realized) {
+  RestrictedProblem problem;
+  problem.graph = &f.g;
+  std::vector<std::vector<double>> fractions;
+  for (const Commodity& c : realized.commodities()) {
+    if (append_commodity(problem, c, f.ps, &controller.activation()) == 0) {
+      problem.add_candidate(
+          controller.repairer().surviving_shortest_path(c.src, c.dst));
+    }
+    const serve::LookupResult answer = snapshot.lookup(c.src, c.dst);
+    std::vector<double>& row_fractions = fractions.emplace_back();
+    const RestrictedCommodity& commodity = problem.commodities.back();
+    for (PathId id = commodity.begin; id < commodity.end; ++id) {
+      double fraction = 0;
+      for (const SplitRow& row : answer.paths) {
+        if (row.path == problem.paths[id]) fraction = row.fraction;
+      }
+      row_fractions.push_back(fraction);
+    }
+  }
+  return route_restricted_fractions(problem, fractions).congestion;
+}
+
+TEST(Controller, RerouteOnTheSolvedProblemMatchesTheInstalledTable) {
+  const RingFixture f;
+  serve::RouteService service;
+  EngineOptions options;
+  options.service = &service;
+  EpochController controller(f.g, f.ps, options);
+  // Epoch 1's prediction is epoch 0's matrix: it has {0,3}, which the
+  // realized matrix drops, and lacks {2,5} and the unsystemed {1,3},
+  // which it adds. Later epochs mix the two supports.
+  const std::vector<Demand> realized = {
+      ring_demand({{0, 2, 3.0}, {1, 4, 2.0}, {0, 3, 1.0}}),
+      ring_demand({{0, 2, 2.5}, {1, 4, 2.2}, {2, 5, 1.5}, {1, 3, 0.7}}),
+      ring_demand({{0, 2, 3.1}, {1, 4, 1.8}, {0, 3, 0.9}, {2, 5, 1.2}}),
+      ring_demand({{0, 2, 0.4}, {1, 3, 2.0}, {2, 5, 3.5}}),
+      ring_demand({{0, 2, 2.9}, {1, 4, 2.1}, {0, 3, 1.1}, {1, 3, 0.2}})};
+  const std::vector<Event> failure = {{3, EventKind::kLinkFailure, 4, 0, 0}};
+  bool merged_shares = false;
+  for (std::size_t t = 0; t < realized.size(); ++t) {
+    const std::span<const Event> events =
+        t == 3 ? std::span<const Event>(failure) : std::span<const Event>();
+    const EpochReport report = controller.step(events, realized[t]);
+    // A warm accept routes both copies of a duplicated candidate, so the
+    // installed table merges two positive shares.
+    merged_shares |= report.warm_accepted;
+    if (t == 0) continue;  // the bootstrap epoch routes the solve itself
+    EXPECT_EQ(report.congestion,
+              reference_congestion(f, controller, *service.snapshot(),
+                                   realized[t]))
+        << "epoch " << t;
+  }
+  EXPECT_TRUE(merged_shares);
+}
+
+TEST(Quality, ShadowSolvesOnTheSurvivingGraph) {
+  const RingFixture f;
+  EngineOptions options;
+  options.quality.shadow_every = 1;
+  EpochController controller(f.g, f.ps, options);
+  const Demand demand =
+      ring_demand({{0, 2, 3.0}, {1, 4, 2.0}, {0, 3, 1.0}, {2, 5, 1.5}});
+  const std::vector<Event> failure = {{1, EventKind::kLinkFailure, 0, 0, 0}};
+  controller.step({}, demand);
+  const EpochReport report = controller.step(failure, demand);
+  ASSERT_EQ(report.active_failures, 1u);
+  ASSERT_TRUE(report.quality.shadow_sampled);
+
+  McfOptions mcf;
+  mcf.epsilon = options.quality.shadow_epsilon;
+  FailureScenario scenario;
+  scenario.alive.assign(f.g.num_edges(), true);
+  scenario.alive[0] = false;
+  const Graph survivor = surviving_graph(f.g, scenario);
+  const std::vector<Commodity> commodities = demand.commodities();
+  const McfResult expected = min_congestion_routing(survivor, commodities, mcf);
+  EXPECT_EQ(report.quality.shadow_opt, expected.congestion);
+  EXPECT_EQ(report.quality.shadow_lower_bound, expected.lower_bound);
+  const McfResult full = min_congestion_routing(f.g, commodities, mcf);
+  EXPECT_GE(report.quality.shadow_opt, full.lower_bound);
+  EXPECT_GT(report.quality.shadow_opt, full.congestion);
+}
+
 TEST(Controller, ExactBackendRunsTheLoop) {
   EngineRunConfig config = small_config();
   config.trace.num_epochs = 4;
@@ -533,6 +662,40 @@ TEST(Replay, RecordRoundTripsAndReplaysByteIdentically) {
   const ControlLoopResult replayed = replay_record(loaded);
   EXPECT_EQ(digest_json(loaded, replayed).dump(2),
             digest_json(out.record, out.result).dump(2));
+}
+
+TEST(Replay, RecordIgnoresTheGlobalLocale) {
+  EngineRunRecord record;
+  record.config = small_config();
+  record.config.seed = 1234567;
+  record.config.stream.total = 12345.5;
+  record.trace = generate_trace(build_topology(record.config.topology),
+                                record.config.trace, record.config.seed);
+  record.trace.events.push_back(
+      {record.trace.num_epochs - 1, EventKind::kDemandDrift, kInvalidEdge,
+       0.25, 9876543210});
+  std::stringstream classic;
+  save_record(record, classic);
+  const std::string bytes = classic.str();
+  ASSERT_NE(bytes.find("\nseed 1234567\n"), std::string::npos);
+
+  const ScopedGroupingLocale grouping;
+  std::stringstream io;  // takes the grouping global locale
+  io.precision(3);
+  save_record(record, io);
+  EXPECT_EQ(io.str(), bytes);
+  // The caller's locale and precision come back.
+  EXPECT_EQ(std::use_facet<std::numpunct<char>>(io.getloc()).thousands_sep(),
+            ',');
+  EXPECT_EQ(io.precision(), 3);
+
+  const EngineRunRecord loaded = load_record(io);
+  EXPECT_EQ(loaded.config.seed, record.config.seed);
+  EXPECT_EQ(loaded.config.stream.total, record.config.stream.total);
+  EXPECT_EQ(loaded.trace, record.trace);
+  std::stringstream again;
+  save_record(loaded, again);
+  EXPECT_EQ(again.str(), bytes);
 }
 
 TEST(Replay, BuildTopologyRejectsUnknownSpecs) {

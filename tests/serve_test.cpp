@@ -10,9 +10,11 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "engine/replay.hpp"
 #include "graph/generators.hpp"
 #include "graph/path.hpp"
+#include "grouping_locale.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
@@ -93,6 +96,58 @@ TEST(Snapshot, SerializeIsContentDeterminedNotInsertionOrdered) {
   changed[0].fraction = 0.7500001;
   EXPECT_NE(RouteSnapshot::build(3, SplitTable(changed)).digest(),
             a.digest());
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Ids past 10^4 and up to 2^32 - 2, an epoch past 2^32, fractions whose
+// bits print shorter than 16 hex digits, and two equal paths the table
+// merges. SplitTable checks only canonical endpoints, so the paths need
+// no graph.
+RouteSnapshot wide_snapshot() {
+  const Path wide{10001, 12345, {10000, 65536}};
+  return RouteSnapshot::build(
+      std::uint64_t{1} << 32,
+      SplitTable({{wide, 0.25},
+                  {{20000, 20001, {99999}},
+                   std::numeric_limits<double>::denorm_min()},
+                  {{10001, 12345, {4294967294u}}, std::ldexp(1.0, -1000)},
+                  {wide, 0.5}}));
+}
+
+TEST(Snapshot, DigestIsFnv1aOfTheSerializedText) {
+  const RouteSnapshot snap = wide_snapshot();
+  const std::string text = snap.serialize();
+  EXPECT_EQ(text,
+            "sor-route-snapshot v1\n"
+            "epoch 4294967296\n"
+            "pairs 2 paths 3\n"
+            "pair 10001 12345 2\n"
+            "path 3fe8000000000000 10000 65536\n"
+            "path 170000000000000 4294967294\n"
+            "pair 20000 20001 1\n"
+            "path 1 99999\n");
+  EXPECT_EQ(snap.digest(), fnv1a(text));
+
+  const Graph g = make_ring(6);
+  const RouteSnapshot ring = RouteSnapshot::build(7, ring_split(g));
+  EXPECT_EQ(ring.digest(), fnv1a(ring.serialize()));
+}
+
+TEST(Snapshot, BytesIgnoreTheGlobalLocale) {
+  const std::string text = wide_snapshot().serialize();
+  const std::uint64_t digest = wide_snapshot().digest();
+  const ScopedGroupingLocale grouping;
+  const RouteSnapshot snap = wide_snapshot();
+  EXPECT_EQ(snap.serialize(), text);
+  EXPECT_EQ(snap.digest(), digest);
 }
 
 TEST(Service, LookupBeforeFirstPublishIsAMiss) {
