@@ -1,6 +1,7 @@
 #include "core/path_system.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "lp/path_lp.hpp"
@@ -165,114 +166,142 @@ std::size_t PathActivation::num_active(Vertex s, Vertex t) const {
 
 std::size_t append_commodity(RestrictedProblem& problem, const Commodity& c,
                              const PathSystem& system,
-                             const PathActivation* activation) {
+                             const PathActivation* activation,
+                             std::vector<PathId>* ids) {
   SOR_CHECK_MSG(c.src < c.dst, "commodity (" << c.src << "," << c.dst
                                              << ") is not canonical");
   SOR_CHECK(activation == nullptr || activation->system() == &system);
   problem.add_commodity(c.amount);
+  const auto append = [&](PathId id, PathView path) {
+    problem.add_candidate(path);
+    if (ids != nullptr) ids->push_back(id);
+  };
   for (const PathId id : system.ids(c.src, c.dst)) {
     if (activation == nullptr || activation->is_active(id)) {
-      problem.add_candidate(system.path(id));
+      append(id, system.path(id));
     }
   }
   if (activation != nullptr) {
     for (const PathId id : activation->extras(c.src, c.dst)) {
-      if (activation->is_active(id)) {
-        problem.add_candidate(activation->path(id));
-      }
+      if (activation->is_active(id)) append(id, activation->path(id));
     }
   }
   return problem.commodities.back().size();
 }
 
-SplitTable::SplitTable(std::vector<SplitRow> rows) {
-  std::erase_if(rows, [](const SplitRow& row) { return row.fraction <= 0; });
-  // Stable, so equal paths stay in input order and sum in that order.
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const SplitRow& x, const SplitRow& y) {
-                     return path_lexicographic_less(x.path, y.path);
-                   });
-  rows_.reserve(rows.size());
-  for (SplitRow& row : rows) {
-    SOR_CHECK_MSG(row.path.src < row.path.dst,
-                  "split row on a non-canonical path (" << row.path.src << ","
-                                                        << row.path.dst << ")");
-    if (!rows_.empty() && rows_.back().path == row.path) {
-      rows_.back().fraction += row.fraction;
-      continue;
-    }
-    const VertexPair pair{row.path.src, row.path.dst};
-    if (pairs_.empty() || !(pairs_.back().pair == pair)) {
-      pairs_.push_back({pair, static_cast<std::uint32_t>(rows_.size()), 0});
-    }
-    ++pairs_.back().count;
-    rows_.push_back(std::move(row));
-  }
-}
-
 namespace {
 
-/// The first of commodity j's candidates whose path equals candidate p's.
-std::size_t first_copy(const RestrictedProblem& problem, std::size_t j,
-                       std::size_t p) {
-  const PathView path = problem.candidate(j, p);
-  for (std::size_t q = 0; q < p; ++q) {
-    if (problem.candidate(j, q) == path) return q;
+/// Walks `order`, indices of rows sorted stably by path, in runs of equal
+/// paths: emit(first index of the run, the run's positive fractions
+/// summed in input order) — the one merge rule of a SplitTable.
+template <typename PathOf, typename FractionOf, typename Emit>
+void merge_equal_paths(std::span<const std::uint32_t> order,
+                       const PathOf& path_of, const FractionOf& fraction_of,
+                       const Emit& emit) {
+  for (std::size_t i = 0; i < order.size();) {
+    const PathView path = path_of(order[i]);
+    double sum = 0;
+    std::size_t end = i;
+    do {
+      const double fraction = fraction_of(order[end]);
+      if (fraction > 0) sum += fraction;
+      ++end;
+    } while (end < order.size() && path_of(order[end]) == path);
+    emit(order[i], sum);
+    i = end;
   }
-  return p;
 }
 
-/// Commodity j's installed shares, the one merge rule behind from_weights
-/// and merged_fractions: weights[p] / demand for each positive weight,
-/// summed in candidate order onto p's first copy (0 on every other
-/// candidate).
-void merge_shares(const RestrictedProblem& problem, std::size_t j,
-                  std::span<const double> weights,
-                  std::vector<double>& shares) {
-  const RestrictedCommodity& c = problem.commodities[j];
-  SOR_CHECK(weights.size() == c.size());
-  shares.assign(c.size(), 0.0);
-  for (std::size_t p = 0; p < c.size(); ++p) {
-    if (weights[p] > 0) {
-      shares[first_copy(problem, j, p)] += weights[p] / c.demand;
+/// 0, 1, ..., n - 1, sorted stably by path_of: an insertion sort, which
+/// allocates nothing, for a commodity's few candidates.
+template <typename PathOf>
+void sort_few_by_path(std::size_t n, const PathOf& path_of,
+                      std::vector<std::uint32_t>& order) {
+  order.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint32_t k = i;
+    for (; k > 0 && path_lexicographic_less(path_of(i), path_of(order[k - 1]));
+         --k) {
+      order[k] = order[k - 1];
     }
+    order[k] = i;
   }
 }
 
 }  // namespace
 
+void SplitTable::append_row(PathView path, double fraction) {
+  SOR_CHECK_MSG(path.src < path.dst, "split row on a non-canonical path ("
+                                         << path.src << "," << path.dst
+                                         << ")");
+  const VertexPair pair{path.src, path.dst};
+  if (pairs_.empty() || !(pairs_.back().pair == pair)) {
+    pairs_.push_back({pair, static_cast<std::uint32_t>(fractions_.size()), 0});
+  }
+  ++pairs_.back().count;
+  paths_.append(path);
+  fractions_.push_back(fraction);
+}
+
+SplitTable::SplitTable(std::span<const SplitRow> rows) {
+  const auto path_of = [&](std::uint32_t r) { return rows[r].path; };
+  // path_lexicographic_less orders by pair first, so the rows come out
+  // pair by pair.
+  std::vector<std::uint32_t> order(rows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return path_lexicographic_less(path_of(x), path_of(y));
+                   });
+  merge_equal_paths(
+      order, path_of, [&](std::uint32_t r) { return rows[r].fraction; },
+      [&](std::uint32_t first, double sum) {
+        if (sum > 0) append_row(rows[first].path, sum);
+      });
+}
+
 SplitTable SplitTable::from_weights(
     const RestrictedProblem& problem,
-    const std::vector<std::vector<double>>& weights) {
-  std::vector<SplitRow> rows;
-  std::vector<double> shares;
+    const std::vector<std::vector<double>>& weights,
+    std::vector<double>* shares) {
+  SOR_CHECK(weights.size() == problem.commodities.size());
+  SplitTable table;
+  if (shares != nullptr) shares->assign(problem.paths.size(), 0.0);
+  std::vector<std::uint32_t> order;
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    merge_shares(problem, j, weights[j], shares);
-    for (std::size_t p = 0; p < shares.size(); ++p) {
-      if (shares[p] <= 0) continue;  // no row, or merged into a first copy
-      rows.push_back({to_path(problem.candidate(j, p)), shares[p]});
+    const RestrictedCommodity& c = problem.commodities[j];
+    SOR_CHECK(weights[j].size() == c.size());
+    if (c.size() == 0) continue;
+    if (j > 0 && problem.commodities[j - 1].size() > 0) {
+      const PathView last = problem.candidate(j - 1, 0);
+      const PathView first = problem.candidate(j, 0);
+      SOR_CHECK_MSG((VertexPair{last.src, last.dst}) <
+                        (VertexPair{first.src, first.dst}),
+                    "commodity pairs are not sorted and distinct");
     }
+    // A commodity has at most k candidates (plus extras): sort them, then
+    // merge equal paths, each run in candidate order.
+    const auto path_of = [&](std::uint32_t p) {
+      return problem.candidate(j, p);
+    };
+    sort_few_by_path(c.size(), path_of, order);
+    merge_equal_paths(
+        order, path_of,
+        [&](std::uint32_t p) { return weights[j][p] / c.demand; },
+        [&](std::uint32_t first, double sum) {
+          if (shares != nullptr) (*shares)[c.begin + first] = sum;
+          if (sum > 0) table.append_row(problem.candidate(j, first), sum);
+        });
   }
-  return SplitTable(std::move(rows));
+  return table;
 }
 
-std::vector<double> SplitTable::merged_fractions(
-    const RestrictedProblem& problem, std::size_t j,
-    std::span<const double> weights) {
-  std::vector<double> fractions;
-  merge_shares(problem, j, weights, fractions);
-  for (std::size_t p = 0; p < fractions.size(); ++p) {
-    fractions[p] = fractions[first_copy(problem, j, p)];
-  }
-  return fractions;
-}
-
-std::span<const SplitRow> SplitTable::rows(Vertex s, Vertex t) const {
+SplitRows SplitTable::rows(Vertex s, Vertex t) const {
   const VertexPair key = VertexPair::canonical(s, t);
   const auto it = std::lower_bound(
       pairs_.begin(), pairs_.end(), key,
       [](const SplitPair& e, const VertexPair& k) { return e.pair < k; });
-  if (it == pairs_.end() || !(it->pair == key)) return {};
+  if (it == pairs_.end() || !(it->pair == key)) return rows(SplitPair{});
   return rows(*it);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "core/failures.hpp"
 #include "flow/mcf.hpp"
@@ -16,16 +17,6 @@
 #include "util/stopwatch.hpp"
 
 namespace sor::engine {
-
-namespace {
-
-/// The pair commodity j of `problem` routes (its candidates share it).
-VertexPair pair_of(const RestrictedProblem& problem, std::size_t j) {
-  const PathView first = problem.candidate(j, 0);
-  return {first.src, first.dst};
-}
-
-}  // namespace
 
 EpochController::EpochController(const Graph& g, const PathSystem& system,
                                  EngineOptions options)
@@ -43,8 +34,10 @@ EpochController::EpochController(const Graph& g, const PathSystem& system,
 }
 
 void EpochController::append_candidates(RestrictedProblem& problem,
-                                        const Commodity& c) const {
-  if (append_commodity(problem, c, *system_, &repairer_.activation()) > 0) {
+                                        const Commodity& c,
+                                        std::vector<PathId>* ids) const {
+  if (append_commodity(problem, c, *system_, &repairer_.activation(), ids) >
+      0) {
     return;
   }
   // Pair outside the installed system (or its mandatory fallback was
@@ -59,69 +52,60 @@ void EpochController::append_candidates(RestrictedProblem& problem,
                           {"dst", static_cast<std::uint64_t>(c.dst)},
                           {"hops", fallback.hops()}});
   problem.add_candidate(fallback);
+  if (ids != nullptr) ids->push_back(kInvalidPathId);
 }
 
-RestrictedProblem EpochController::build_problem(const Demand& demand) const {
+RestrictedProblem EpochController::build_problem(
+    const Demand& demand, std::vector<PathId>& ids) const {
   SOR_SPAN("engine/build_problem");
   RestrictedProblem problem;
   problem.graph = graph_;
-  for (const Commodity& c : demand.commodities()) append_candidates(problem, c);
+  ids.clear();
+  for (const Commodity& c : demand.commodities()) {
+    append_candidates(problem, c, &ids);
+  }
   return problem;
 }
 
-double EpochController::reroute(
-    std::span<const Commodity> realized, const RestrictedProblem& solved,
-    const std::vector<std::vector<double>>& weights) const {
+double EpochController::reroute(std::span<const Commodity> realized,
+                                RestrictedProblem&& solved,
+                                std::vector<double>&& shares) const {
   // The activation mask does not change within an epoch, so a pair the
-  // prediction also had keeps the candidates it was solved on: the solved
-  // table is copied whole and its commodities reused with the realized
-  // demands and the fractions the installed table holds for their
-  // candidates (SplitTable::merged_fractions, the rule from_weights
-  // installs by). A pair only the realized matrix has takes its own candidates
-  // (or the fallback) and, with nothing installed for it, splits evenly;
-  // a pair only the prediction had drops out. Both commodity lists are
-  // sorted by pair, so one walk matches them.
-  RestrictedProblem problem;
-  problem.graph = graph_;
-  problem.paths = solved.paths;
+  // prediction also had keeps the candidates it was solved on, with the
+  // realized demand and the shares the install gave them. A pair only the
+  // realized matrix has appends its own candidates (or the fallback) to
+  // the table and, with nothing installed for it, splits evenly; a pair
+  // only the prediction had drops out. Both commodity lists are sorted by
+  // pair, so one walk matches them.
+  RestrictedProblem problem = std::move(solved);
+  const std::vector<RestrictedCommodity> predicted =
+      std::exchange(problem.commodities, {});
   problem.commodities.reserve(realized.size());
-  std::vector<std::vector<double>> fractions;
-  fractions.reserve(realized.size());
+  const auto pair_of = [&](const RestrictedCommodity& c) {
+    const PathView first = problem.paths[c.begin];
+    return VertexPair{first.src, first.dst};
+  };
   std::size_t j = 0;
   for (const Commodity& c : realized) {
     const VertexPair pair{c.src, c.dst};
-    while (j < solved.commodities.size() && pair_of(solved, j) < pair) ++j;
-    if (j < solved.commodities.size() && pair_of(solved, j) == pair) {
-      const RestrictedCommodity& s = solved.commodities[j];
-      problem.commodities.push_back({c.amount, s.begin, s.end});
-      fractions.push_back(SplitTable::merged_fractions(solved, j, weights[j]));
-      continue;
+    while (j < predicted.size() && pair_of(predicted[j]) < pair) ++j;
+    if (j < predicted.size() && pair_of(predicted[j]) == pair) {
+      problem.commodities.push_back({c.amount, predicted[j].begin,
+                                     predicted[j].end});
+    } else {
+      append_candidates(problem, c);
     }
-    append_candidates(problem, c);
-    fractions.emplace_back(problem.commodities.back().size(), 0.0);
   }
-  return route_restricted_fractions(problem, fractions).congestion;
+  shares.resize(problem.paths.size(), 0.0);
+  return route_restricted_fractions(problem, shares).congestion;
 }
 
-std::vector<std::vector<double>> EpochController::remap_fractions(
-    const RestrictedProblem& problem) const {
-  std::vector<std::vector<double>> fractions(problem.commodities.size());
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    fractions[j].assign(problem.commodities[j].size(), 0.0);
-    // Commodities come from Demand::commodities(), so every candidate is
-    // canonical and compares directly against the table's rows.
-    const PathView first = problem.candidate(j, 0);
-    const std::span<const SplitRow> rows =
-        installed_->rows(first.src, first.dst);
-    for (std::size_t p = 0; p < fractions[j].size(); ++p) {
-      const PathView path = problem.candidate(j, p);
-      const auto row = std::lower_bound(
-          rows.begin(), rows.end(), path, [](const SplitRow& r, PathView v) {
-            return path_lexicographic_less(r.path, v);
-          });
-      if (row != rows.end() && row->path == path) {
-        fractions[j][p] = row->fraction;
-      }
+std::vector<double> EpochController::remap_fractions(
+    std::span<const PathId> ids) const {
+  std::vector<double> fractions(ids.size(), 0.0);
+  for (std::size_t q = 0; q < ids.size(); ++q) {
+    if (ids[q] < installed_shares_.size()) {
+      fractions[q] = installed_shares_[ids[q]];
     }
   }
   return fractions;
@@ -160,17 +144,16 @@ EpochReport EpochController::step(std::span<const Event> events,
           static_cast<std::uint64_t>(report.active_failures)}});
   }
 
-  // Predict; bootstrap epoch routes the realized matrix directly.
-  Demand target;
+  // Predict: the predictor scores its pending prediction against the
+  // realized matrix, then folds the matrix in for the next epoch. The
+  // bootstrap epoch has no prediction and routes the realized matrix.
+  std::optional<ScoredPrediction> scored;
   {
     SOR_SPAN("engine/predict");
-    if (predictor_->observations() == 0) {
-      target = realized;
-    } else {
-      target = predictor_->predict();
-      report.prediction_error = relative_l1_error(target, realized);
-      // Observatory: per-pair scoring of the same pending prediction.
-      const PredictorScore score = score_prediction(target, realized);
+    scored = predictor_->observe(realized);
+    if (scored) {
+      report.prediction_error = scored->error;
+      const PredictorScore& score = scored->score;
       report.quality.predictor_mape = score.mape;
       report.quality.worst_pair_error = score.worst_error;
       report.quality.worst_src = score.worst_src;
@@ -183,9 +166,11 @@ EpochReport EpochController::step(std::span<const Event> events,
            {"worst_pair_error", score.worst_error}});
     }
   }
+  const Demand& target = scored ? scored->predicted : realized;
   report.predicted_total = target.total();
 
-  const RestrictedProblem problem = build_problem(target);
+  std::vector<PathId> candidate_ids;
+  RestrictedProblem problem = build_problem(target, candidate_ids);
   RestrictedSolution solution;
   {
     SOR_SPAN("engine/solve");
@@ -208,7 +193,7 @@ EpochReport EpochController::step(std::span<const Event> events,
       RestrictedMwuOptions mwu;
       mwu.epsilon = options_.epsilon;
       if (have_warm) {
-        warm.fractions = remap_fractions(problem);
+        warm.fractions = remap_fractions(candidate_ids);
         warm.lengths = warm_lengths_;
         mwu.warm = &warm;
       }
@@ -252,10 +237,19 @@ EpochReport EpochController::step(std::span<const Event> events,
 
   // The table this install replaces: the quality tracker diffs against it.
   const std::shared_ptr<const SplitTable> previous = installed_;
+  // Each candidate's share of the installed split, by candidate id: the
+  // warm start re-applies it by activation id, the reroute as it stands.
+  std::vector<double> shares;
   {
     SOR_SPAN("engine/install");
     installed_ = std::make_shared<const SplitTable>(
-        SplitTable::from_weights(problem, solution.weights));
+        SplitTable::from_weights(problem, solution.weights, &shares));
+    installed_shares_.assign(repairer_.activation().size(), 0.0);
+    for (std::size_t q = 0; q < candidate_ids.size(); ++q) {
+      if (candidate_ids[q] != kInvalidPathId) {
+        installed_shares_[candidate_ids[q]] = shares[q];
+      }
+    }
     if (!solution.dual_lengths.empty()) warm_lengths_ = solution.dual_lengths;
   }
 
@@ -278,11 +272,12 @@ EpochReport EpochController::step(std::span<const Event> events,
   }
 
   // The realized matrix rides the installed split.
-  if (predictor_->observations() == 0) {
+  if (!scored) {
     report.congestion = solution.congestion;
   } else {
     SOR_SPAN("engine/reroute");
-    report.congestion = reroute(commodities, problem, solution.weights);
+    report.congestion =
+        reroute(commodities, std::move(problem), std::move(shares));
   }
   // Routing-quality observatory: install churn every epoch, the shadow-
   // optimal regret solve on sampled epochs. All deterministic (the shadow
@@ -389,7 +384,6 @@ EpochReport EpochController::step(std::span<const Event> events,
                      epoch_breaches.end());
   }
 
-  predictor_->observe(realized);
   return report;
 }
 

@@ -5,15 +5,16 @@
 // Per epoch the controller:
 //   1. applies the epoch's failure/recovery events and repairs the path
 //      system (activation masks + budgeted fallbacks, engine/repair);
-//   2. predicts the epoch's demand from history (engine/predictor);
+//   2. predicts the epoch's demand from history, scores that prediction
+//      against the realized matrix and feeds the matrix back into the
+//      predictor (engine/predictor);
 //   3. re-solves the restricted path LP for the predicted matrix,
 //      warm-started with the previous epoch's split fractions and MWU
 //      dual lengths (src/lp warm entry points) — the semi-oblivious
 //      payoff: same sparse path system, cheap re-optimization;
 //   4. installs the resulting split and measures the congestion the
 //      *realized* matrix experiences under it;
-//   5. feeds the realized matrix back into the predictor and saves the
-//      warm-start state for the next epoch;
+//   5. saves the warm-start state for the next epoch;
 //   6. runs the routing-quality observatory (engine/quality): predictor
 //      scoring, install-churn tracking, and — on sampled epochs — the
 //      shadow-optimal regret solve.
@@ -172,21 +173,25 @@ class EpochController {
  private:
   /// Appends commodity `c` with the mask's active candidates (canonical
   /// orientation), or with the surviving-graph shortest path when none is
-  /// active.
-  void append_candidates(RestrictedProblem& problem, const Commodity& c) const;
-  /// One commodity per demand pair, in Demand::commodities() order.
-  RestrictedProblem build_problem(const Demand& demand) const;
-  /// The installed split's fractions remapped onto `problem`'s candidate
-  /// lists by path equality (0 for paths not installed).
-  std::vector<std::vector<double>> remap_fractions(
-      const RestrictedProblem& problem) const;
+  /// active. With `ids` set, pushes each candidate's activation id
+  /// (kInvalidPathId for the fallback).
+  void append_candidates(RestrictedProblem& problem, const Commodity& c,
+                         std::vector<PathId>* ids = nullptr) const;
+  /// One commodity per demand pair, in Demand::commodities() order; `ids`
+  /// receives each candidate's activation id, by candidate id.
+  RestrictedProblem build_problem(const Demand& demand,
+                                  std::vector<PathId>& ids) const;
+  /// The installed shares re-applied to a problem whose candidates have
+  /// activation ids `ids`: one flat fraction per candidate id.
+  std::vector<double> remap_fractions(std::span<const PathId> ids) const;
   /// Congestion of the `realized` commodities (sorted by pair) on the
-  /// split installed from `solved` and its solution `weights`, routed on
-  /// `solved` itself: the same bits as remapping the installed table onto
-  /// build_problem(realized).
+  /// split installed from `solved`, whose candidates carry `shares`
+  /// (SplitTable::from_weights), routed on `solved` itself, which it
+  /// consumes: a pair the prediction also had keeps its candidates and
+  /// shares, a realized-only pair splits evenly over its own.
   double reroute(std::span<const Commodity> realized,
-                 const RestrictedProblem& solved,
-                 const std::vector<std::vector<double>>& weights) const;
+                 RestrictedProblem&& solved,
+                 std::vector<double>&& shares) const;
 
   const Graph* graph_;
   const PathSystem* system_;
@@ -197,6 +202,10 @@ class EpochController {
   /// The split installed by the last solve (null before the first),
   /// shared with the snapshot published from it.
   std::shared_ptr<const SplitTable> installed_;
+  /// The same split by activation id: the first copy of a path in its
+  /// commodity carries its row's fraction; later copies, ids the solve
+  /// did not route, and ids added since carry 0.
+  std::vector<double> installed_shares_;
   std::vector<double> warm_lengths_;
   /// Controller-local solve-latency sketch: per-run quantiles for the
   /// EpochReport health snapshot (the global "engine/solve_seconds"

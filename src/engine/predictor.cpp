@@ -56,14 +56,20 @@ PredictorScore score_prediction(const Demand& predicted,
   return score;
 }
 
-void DemandPredictor::observe(const Demand& realized) {
+std::optional<ScoredPrediction> DemandPredictor::observe(
+    const Demand& realized) {
+  std::optional<ScoredPrediction> scored;
   if (observations_ > 0) {
-    const Demand pending = predict_impl();
-    errors_.push_back(relative_l1_error(pending, realized));
-    mapes_.push_back(score_prediction(pending, realized).mape);
+    scored.emplace();
+    scored->predicted = predict_impl();
+    scored->error = relative_l1_error(scored->predicted, realized);
+    scored->score = score_prediction(scored->predicted, realized);
+    errors_.push_back(scored->error);
+    mapes_.push_back(scored->score.mape);
   }
   update(realized);
   ++observations_;
+  return scored;
 }
 
 Demand DemandPredictor::predict() const {

@@ -16,6 +16,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,15 @@ struct PredictorScore {
 PredictorScore score_prediction(const Demand& predicted,
                                 const Demand& realized);
 
+/// A pending prediction with its two scores against the realized matrix.
+struct ScoredPrediction {
+  Demand predicted;
+  /// relative_l1_error(predicted, realized).
+  double error = 0;
+  /// score_prediction(predicted, realized).
+  PredictorScore score;
+};
+
 class DemandPredictor {
  public:
   virtual ~DemandPredictor() = default;
@@ -56,8 +66,10 @@ class DemandPredictor {
   virtual std::string name() const = 0;
 
   /// Scores the pending prediction against `realized` (from the second
-  /// observation on), then folds the matrix into the predictor state.
-  void observe(const Demand& realized);
+  /// observation on) and records both scores, then folds the matrix into
+  /// the predictor state. Returns the scored prediction, nullopt on the
+  /// first observation.
+  std::optional<ScoredPrediction> observe(const Demand& realized);
 
   /// Prediction for the next epoch; empty before any observation (the
   /// controller bootstraps by routing the first realized matrix).

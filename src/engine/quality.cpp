@@ -12,20 +12,20 @@ namespace sor::engine {
 namespace {
 
 // Σ fractions in path order.
-double weight_sum(std::span<const SplitRow> rows) {
+double weight_sum(const SplitRows& rows) {
   double sum = 0;
-  for (const SplitRow& row : rows) sum += row.fraction;
+  for (const SplitRow row : rows) sum += row.fraction;
   return sum;
 }
 
 // The largest-fraction row; rows are path-sorted, so ties resolve to the
 // lexicographically smallest path.
-const Path& top_path(std::span<const SplitRow> rows) {
-  const SplitRow* top = &rows.front();
-  for (const SplitRow& row : rows) {
-    if (row.fraction > top->fraction) top = &row;
+PathView top_path(const SplitRows& rows) {
+  SplitRow top = rows.front();
+  for (const SplitRow row : rows) {
+    if (row.fraction > top.fraction) top = row;
   }
-  return top->path;
+  return top.path;
 }
 
 }  // namespace
@@ -47,8 +47,8 @@ void QualityTracker::observe_install(const PathActivation& activation,
       if (prev[i].pair == cur[j].pair) {
         // Both epochs installed this pair: row-level L1 over the union of
         // paths (both row lists are path-sorted).
-        const std::span<const SplitRow> before = previous->rows(prev[i]);
-        const std::span<const SplitRow> after = installed.rows(cur[j]);
+        const SplitRows before = previous->rows(prev[i]);
+        const SplitRows after = installed.rows(cur[j]);
         std::size_t a = 0;
         std::size_t b = 0;
         while (a < before.size() && b < after.size()) {

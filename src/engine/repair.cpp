@@ -139,8 +139,8 @@ RepairReport PathRepairer::apply_epoch(std::span<const Event> events,
     --budget;
     ++report.reactivated;
   };
-  for (const VertexPair& pair : system_->pairs()) {
-    for (const PathId id : system_->ids(pair.a, pair.b)) reactivate(id);
+  for (std::size_t i = 0; i < system_->num_pairs(); ++i) {
+    for (const PathId id : system_->ids_at(i)) reactivate(id);
   }
   for (auto id = static_cast<PathId>(system_->total_paths());
        id < activation_.size(); ++id) {

@@ -1,15 +1,9 @@
 #include "graph/path.hpp"
 
 #include <algorithm>
-#include <tuple>
 #include <unordered_map>
 
 namespace sor {
-
-bool operator==(PathView a, PathView b) {
-  return a.src == b.src && a.dst == b.dst &&
-         std::ranges::equal(a.edges, b.edges);
-}
 
 Path to_path(PathView view) {
   return Path{view.src, view.dst, {view.edges.begin(), view.edges.end()}};
@@ -138,14 +132,6 @@ std::size_t PathHash::operator()(const Path& p) const {
   mix(p.dst);
   for (EdgeId e : p.edges) mix(e);
   return h;
-}
-
-bool path_lexicographic_less(PathView a, PathView b) {
-  if (std::tie(a.src, a.dst) != std::tie(b.src, b.dst)) {
-    return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
-  }
-  return std::lexicographical_compare(a.edges.begin(), a.edges.end(),
-                                      b.edges.begin(), b.edges.end());
 }
 
 }  // namespace sor

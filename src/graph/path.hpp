@@ -11,10 +11,12 @@
 // back to back in one array, addressed by a dense PathId. Readers see a
 // path as a non-owning PathView, which a Path also converts to.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -32,7 +34,10 @@ struct PathView {
   std::size_t hops() const { return edges.size(); }
 
   /// Equal endpoints and edge sequences.
-  friend bool operator==(PathView a, PathView b);
+  friend bool operator==(PathView a, PathView b) {
+    return a.src == b.src && a.dst == b.dst &&
+           std::ranges::equal(a.edges, b.edges);
+  }
 };
 
 struct Path {
@@ -51,6 +56,8 @@ Path to_path(PathView view);
 
 /// Dense index of a path in a PathTable.
 using PathId = std::uint32_t;
+/// No path's id.
+inline constexpr PathId kInvalidPathId = ~PathId{0};
 
 /// Append-only CSR path storage: one edge array, an offset array, and
 /// each path's endpoints, as appended. Appending may reallocate, so it
@@ -113,6 +120,11 @@ struct PathHash {
 /// lexicographically. The tie-break used everywhere map-keyed path state
 /// must be emitted in a stable order (quality churn rows, route-snapshot
 /// serialization).
-bool path_lexicographic_less(PathView a, PathView b);
+inline bool path_lexicographic_less(PathView a, PathView b) {
+  if (std::tie(a.src, a.dst) != std::tie(b.src, b.dst)) {
+    return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+  }
+  return std::ranges::lexicographical_compare(a.edges, b.edges);
+}
 
 }  // namespace sor

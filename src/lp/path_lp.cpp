@@ -147,25 +147,26 @@ double restricted_dual_bound(const RestrictedProblem& problem,
 }
 
 RestrictedSolution route_restricted_fractions(
-    const RestrictedProblem& problem,
-    const std::vector<std::vector<double>>& fractions) {
+    const RestrictedProblem& problem, std::span<const double> fractions) {
   validate_restricted_problem(problem);
-  SOR_CHECK(fractions.size() == problem.commodities.size());
+  SOR_CHECK_MSG(fractions.size() == problem.paths.size(),
+                "fraction vector size " << fractions.size() << " for "
+                                        << problem.paths.size()
+                                        << " candidates");
   RestrictedSolution solution;
   solution.weights.resize(problem.commodities.size());
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
     const RestrictedCommodity& c = problem.commodities[j];
-    SOR_CHECK_MSG(fractions[j].size() == c.size(),
-                  "fraction vector size mismatch for commodity " << j);
+    const std::span<const double> own = fractions.subspan(c.begin, c.size());
     double sum = 0;
-    for (double f : fractions[j]) {
+    for (double f : own) {
       SOR_CHECK(f >= 0);
       sum += f;
     }
     solution.weights[j].assign(c.size(), 0.0);
     for (std::size_t p = 0; p < c.size(); ++p) {
       const double share =
-          sum > 0 ? fractions[j][p] / sum : 1.0 / static_cast<double>(c.size());
+          sum > 0 ? own[p] / sum : 1.0 / static_cast<double>(c.size());
       solution.weights[j][p] = share * c.demand;
     }
   }
@@ -244,10 +245,7 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
     // uniform candidate split — always feasible, never optimal — so the
     // caller's epoch completes instead of failing.
     SOR_COUNTER("lp/exact_truncated").add();
-    std::vector<std::vector<double>> uniform(problem.commodities.size());
-    for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-      uniform[j].assign(problem.commodities[j].size(), 1.0);
-    }
+    const std::vector<double> uniform(problem.paths.size(), 1.0);
     RestrictedSolution fallback = route_restricted_fractions(problem, uniform);
     fallback.truncated = true;
     return fallback;

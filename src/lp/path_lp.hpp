@@ -84,7 +84,7 @@ struct RestrictedSolution {
 };
 
 /// Warm-start state carried between epochs of the TE control loop: the
-/// previous solution re-expressed as per-commodity split fractions plus
+/// previous solution re-expressed as per-candidate split fractions plus
 /// the MWU's final dual edge lengths. Both are optional (empty = absent).
 ///
 /// Soundness does not depend on where the state comes from: any positive
@@ -92,9 +92,10 @@ struct RestrictedSolution {
 /// restricted_dual_bound), and any fraction vector yields a feasible
 /// routing, so a stale warm start can cost phases but never correctness.
 struct RestrictedWarmStart {
-  /// fractions[j][p] ≥ 0; renormalized per commodity internally. Sizes
-  /// must match the problem's candidate lists when non-empty.
-  std::vector<std::vector<double>> fractions;
+  /// fractions[id] ≥ 0 for each candidate id of the problem's path table
+  /// (size problem.paths.size() when non-empty); renormalized per
+  /// commodity internally.
+  std::vector<double> fractions;
   /// Per-edge dual lengths (size num_edges()); non-positive entries are
   /// clamped to a tiny positive value.
   std::vector<double> lengths;
@@ -133,14 +134,14 @@ RestrictedSolution solve_restricted_mwu(
 double restricted_dual_bound(const RestrictedProblem& problem,
                              std::span<const double> lengths);
 
-/// Routes the problem's demands along fixed per-commodity split fractions
-/// (renormalized; a commodity whose fractions sum to 0 splits uniformly).
-/// Returns the resulting feasible solution with lower_bound = 0 — the
-/// primal half of a warm-start accept test, also used by the control loop
-/// to apply the last installed split to a newly realized demand.
+/// Routes the problem's demands along fixed split fractions, one per
+/// candidate id of its path table (renormalized per commodity; a
+/// commodity whose fractions sum to 0 splits uniformly). Returns the
+/// resulting feasible solution with lower_bound = 0 — the primal half of a
+/// warm-start accept test, also used by the control loop to apply the
+/// last installed split to a newly realized demand.
 RestrictedSolution route_restricted_fractions(
-    const RestrictedProblem& problem,
-    const std::vector<std::vector<double>>& fractions);
+    const RestrictedProblem& problem, std::span<const double> fractions);
 
 /// Validates a RestrictedProblem (endpoints match, demands positive,
 /// every commodity has at least one candidate). Throws CheckError.

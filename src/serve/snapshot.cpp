@@ -40,7 +40,7 @@ void write_snapshot(std::uint64_t epoch, const SplitTable& table,
     put(" ");
     put_number(put, pair.count);
     put("\n");
-    for (const SplitRow& row : table.rows(pair)) {
+    for (const SplitRow row : table.rows(pair)) {
       // Fractions as raw IEEE-754 bits in lowercase hex: bit-exact round
       // trip, no formatting-precision ambiguity in the byte-identity
       // contract.
@@ -60,15 +60,15 @@ void write_snapshot(std::uint64_t epoch, const SplitTable& table,
 std::vector<Path> LookupResult::oriented_paths() const {
   std::vector<Path> out;
   out.reserve(paths.size());
-  for (const SplitRow& row : paths) {
-    out.push_back(reverse ? reversed(row.path) : row.path);
+  for (const SplitRow row : paths) {
+    out.push_back(reverse ? reversed(row.path) : to_path(row.path));
   }
   return out;
 }
 
 double LookupResult::fraction_sum() const {
   double sum = 0;
-  for (const SplitRow& row : paths) sum += row.fraction;
+  for (const SplitRow row : paths) sum += row.fraction;
   return sum;
 }
 

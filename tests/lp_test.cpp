@@ -257,7 +257,9 @@ TEST(RestrictedWarm, RepeatSolveIsAcceptedWithoutPhases) {
   EXPECT_GE(cold.phases, 1u);
 
   RestrictedWarmStart warm;
-  warm.fractions = cold.weights;  // renormalized internally
+  // One commodity, so its weights are the fractions by candidate id.
+  ASSERT_EQ(problem.commodities.size(), 1u);
+  warm.fractions = cold.weights[0];  // renormalized internally
   warm.lengths = cold.dual_lengths;
   options.warm = &warm;
   const RestrictedSolution rerun = solve_restricted_mwu(problem, options);
@@ -291,18 +293,18 @@ TEST(RestrictedWarm, RouteFractionsAppliesTheSplit) {
   const Graph g = diamond();
   const RestrictedProblem problem = diamond_problem(g, 1.0);
   const RestrictedSolution one_path =
-      route_restricted_fractions(problem, {{1.0, 0.0}});
+      route_restricted_fractions(problem, std::vector<double>{1.0, 0.0});
   EXPECT_NEAR(one_path.congestion, 1.0, 1e-12);
   const RestrictedSolution even =
-      route_restricted_fractions(problem, {{0.5, 0.5}});
+      route_restricted_fractions(problem, std::vector<double>{0.5, 0.5});
   EXPECT_NEAR(even.congestion, 0.5, 1e-12);
   // All-zero fractions fall back to a uniform split.
   const RestrictedSolution uniform =
-      route_restricted_fractions(problem, {{0.0, 0.0}});
+      route_restricted_fractions(problem, std::vector<double>{0.0, 0.0});
   EXPECT_NEAR(uniform.congestion, 0.5, 1e-12);
   // Unnormalized fractions are renormalized per commodity.
   const RestrictedSolution scaled =
-      route_restricted_fractions(problem, {{2.0, 2.0}});
+      route_restricted_fractions(problem, std::vector<double>{2.0, 2.0});
   EXPECT_NEAR(scaled.congestion, 0.5, 1e-12);
 }
 
@@ -313,7 +315,7 @@ TEST(RestrictedWarm, StaleWarmStartCostsPhasesNotCorrectness) {
   const Graph g = diamond();
   const RestrictedProblem problem = diamond_problem(g, 1.0);
   RestrictedWarmStart warm;
-  warm.fractions = {{1.0, 0.0}};
+  warm.fractions = {1.0, 0.0};
   warm.lengths.assign(g.num_edges(), 1.0);
   RestrictedMwuOptions options;
   options.epsilon = 0.05;

@@ -39,15 +39,21 @@ Path ring_path(const Graph& g, std::initializer_list<Vertex> vertices) {
 
 // A small hand-built routing table on C6: pair {1,4} split across the two
 // arcs, pair {0,2} on a single path plus a zero-fraction row the table
-// must drop.
-std::vector<SplitRow> ring_rows(const Graph& g) {
-  return {{ring_path(g, {1, 2, 3, 4}), 0.75},
-          {ring_path(g, {1, 0, 5, 4}), 0.25},
-          {ring_path(g, {0, 1, 2}), 1.0},
-          {ring_path(g, {0, 5, 4, 3, 2}), 0.0}};
-}
+// must drop. The rows view the paths it owns.
+struct RingRows {
+  std::vector<Path> paths;
+  std::vector<SplitRow> rows;
 
-SplitTable ring_split(const Graph& g) { return SplitTable(ring_rows(g)); }
+  explicit RingRows(const Graph& g)
+      : paths{ring_path(g, {1, 2, 3, 4}), ring_path(g, {1, 0, 5, 4}),
+              ring_path(g, {0, 1, 2}), ring_path(g, {0, 5, 4, 3, 2})},
+        rows{{paths[0], 0.75},
+             {paths[1], 0.25},
+             {paths[2], 1.0},
+             {paths[3], 0.0}} {}
+};
+
+SplitTable ring_split(const Graph& g) { return SplitTable(RingRows(g).rows); }
 
 TEST(Snapshot, LookupAnswersBothOrientationsAndMisses) {
   const Graph g = make_ring(6);
@@ -83,7 +89,8 @@ TEST(Snapshot, LookupAnswersBothOrientationsAndMisses) {
 
 TEST(Snapshot, SerializeIsContentDeterminedNotInsertionOrdered) {
   const Graph g = make_ring(6);
-  const std::vector<SplitRow> rows = ring_rows(g);
+  const RingRows ring(g);
+  const std::vector<SplitRow>& rows = ring.rows;
   // Same content, reversed insertion order.
   const RouteSnapshot a = RouteSnapshot::build(3, SplitTable(rows));
   const RouteSnapshot b = RouteSnapshot::build(
@@ -113,13 +120,14 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // no graph.
 RouteSnapshot wide_snapshot() {
   const Path wide{10001, 12345, {10000, 65536}};
-  return RouteSnapshot::build(
-      std::uint64_t{1} << 32,
-      SplitTable({{wide, 0.25},
-                  {{20000, 20001, {99999}},
-                   std::numeric_limits<double>::denorm_min()},
-                  {{10001, 12345, {4294967294u}}, std::ldexp(1.0, -1000)},
-                  {wide, 0.5}}));
+  const Path far{20000, 20001, {99999}};
+  const Path high{10001, 12345, {4294967294u}};
+  const std::vector<SplitRow> rows = {
+      {wide, 0.25},
+      {far, std::numeric_limits<double>::denorm_min()},
+      {high, std::ldexp(1.0, -1000)},
+      {wide, 0.5}};
+  return RouteSnapshot::build(std::uint64_t{1} << 32, SplitTable(rows));
 }
 
 TEST(Snapshot, DigestIsFnv1aOfTheSerializedText) {
@@ -317,7 +325,7 @@ std::uint64_t answer_digest(std::uint64_t h, Vertex s, Vertex t,
   mix(r.found ? 1 : 0);
   if (!r.found) return h;
   mix(r.epoch);
-  for (const SplitRow& row : r.paths) {
+  for (const SplitRow row : r.paths) {
     mix(std::bit_cast<std::uint64_t>(row.fraction));
     mix(row.path.src);
     mix(row.path.dst);
