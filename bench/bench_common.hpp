@@ -50,9 +50,10 @@ namespace sor::bench {
 /// src/cache/) — the warm-vs-cold fixture chain asserts on it.
 // v5: added the "health" block (runtime health registry snapshot:
 // quantile-sketch summaries with bucket counts, per-sketch watermarks
-// (dropped in v9), epoch-windowed series, recorder drop counters, and
-// the SLO breach list + 0/1 status, see src/telemetry/metrics.hpp) — the
-// SLO fixture chain and `sor_cli slo` evaluate it.
+// (dropped in v9), epoch-windowed series (dropped in v10), recorder drop
+// counters, and the SLO breach list + 0/1 status, see
+// src/telemetry/metrics.hpp) — the SLO fixture chain and `sor_cli slo`
+// evaluate it.
 // v6: added the "provenance" block (compiler id/version, build type,
 // flags, sanitize mode, build fingerprint, git describe — see
 // src/telemetry/buildinfo.hpp) and the "memory" block (current/peak RSS
@@ -73,9 +74,12 @@ namespace sor::bench {
 // signals are health sketches), no counter is named cost/... (solver
 // cost is read from the spans block, and every span also feeds the
 // health sketch "<span name>_seconds"), and "health" has no
-// "watermarks" (each sketch's exact max is its watermark). The health
-// "rates"/"gauges" windows now cover every registry counter and gauge.
-inline constexpr int kArtifactSchemaVersion = 9;
+// "watermarks" (each sketch's exact max is its watermark).
+// v10: every registry signal has a reader. "health" keeps no per-epoch
+// windows (its "rates" and "gauges" series and their epoch count are
+// gone), and "telemetry" keeps only the counters and gauges something
+// reads (lp/simplex_bytes; engine/ and router/last_congestion).
+inline constexpr int kArtifactSchemaVersion = 10;
 
 namespace detail {
 // Captured at static initialization — close enough to process start for
@@ -192,9 +196,9 @@ inline telemetry::JsonValue artifact_json(const std::string& id,
   cache_block.set("entries", cache_stats.entries);
   doc.set("cache", std::move(cache_block));
 
-  // v5: runtime health snapshot (sketch quantiles, windowed series,
-  // recorder drops, SLO breaches). Carries enabled=false with empty
-  // contents under SOR_TELEMETRY=off.
+  // v5: runtime health snapshot (sketch quantiles, recorder drops, SLO
+  // breaches). Carries enabled=false with empty contents under
+  // SOR_TELEMETRY=off.
   doc.set("health", telemetry::health_to_json());
 
   // v6: build provenance (configure-time compiler identity plus the

@@ -1,9 +1,10 @@
 // Validates a BENCH_<id>.json artifact against the schema documented in
 // EXPERIMENTS.md. Exits 0 if the document parses and every required key
 // has the right shape; prints the first violation and exits 1 otherwise.
-// Artifacts stamped with a schema_version NEWER than this checker knows
-// (> 9) exit with the dedicated code 3: "rebuild the checker", not "the
-// artifact is broken". Usage errors exit 2.
+// One schema is accepted, v10: an older artifact exits 1 ("written by an
+// old bench build"), and one stamped NEWER than this checker knows exits
+// with the dedicated code 3: "rebuild the checker", not "the artifact is
+// broken". Usage errors exit 2.
 //
 // Usage: check_bench_json <path/to/BENCH_E1.json>
 //        check_bench_json --chrome-trace <path/to/trace.json>
@@ -16,7 +17,7 @@
 // non-negative durations.
 //
 // --require-cache-hits runs the full schema check and additionally fails
-// unless the v4 "cache" block reports at least one artifact-cache hit
+// unless the "cache" block reports at least one artifact-cache hit
 // (memory or disk) — the warm half of the cold/warm fixture chain.
 //
 // --compare-tables asserts the "table" blocks of two artifacts are
@@ -37,9 +38,9 @@ namespace {
 
 using sor::telemetry::JsonValue;
 
-/// Highest schema_version this checker understands; keep in lockstep with
+/// The schema_version this checker understands; keep in lockstep with
 /// bench_common.hpp's kArtifactSchemaVersion.
-constexpr int kMaxKnownSchemaVersion = 9;
+constexpr int kSchemaVersion = 10;
 /// Exit code for artifacts from a NEWER schema than this build knows.
 /// Distinct from 1 (schema violation) and 2 (usage) so fixtures and CI
 /// can tell "stale checker" apart from "broken artifact".
@@ -57,6 +58,17 @@ void check_member(const JsonValue& doc, const char* key, JsonValue::Kind kind,
   require(doc.has(key), std::string("missing key \"") + key + "\"");
   require(doc.at(key).kind() == kind,
           std::string("key \"") + key + "\" is not a " + kind_name);
+}
+
+/// A block may change shape only with a schema bump, so a key outside
+/// the ones v10 defines for `block` (a re-added "watermarks", say) means
+/// the artifact drifted from its version stamp.
+void check_keys(const JsonValue& block, const std::string& where,
+                const std::set<std::string>& keys) {
+  for (const auto& [key, value] : block.members()) {
+    require(keys.count(key) == 1, where + " carries \"" + key +
+                                      "\", which schema v10 does not define");
+  }
 }
 
 void check_span_node(const JsonValue& node, const std::string& where) {
@@ -293,7 +305,7 @@ std::set<std::string> check_convergence(const JsonValue& doc) {
   return solvers;
 }
 
-/// The schema-v4 artifact-cache block: counters from
+/// The artifact-cache block: counters from
 /// cache::ArtifactCache::global().stats() plus the enabled flag. All
 /// counters are non-negative; a disabled cache must report zero traffic
 /// (the kill switch bypasses both tiers entirely).
@@ -316,7 +328,7 @@ void check_cache(const JsonValue& doc) {
   }
 }
 
-/// The schema-v6 provenance block (src/telemetry/buildinfo.hpp): the
+/// The provenance block (src/telemetry/buildinfo.hpp): the
 /// configure-time build identity, all strings, none empty — "unknown" is
 /// the documented placeholder, an empty field means the block was
 /// assembled by hand.
@@ -337,7 +349,7 @@ void check_provenance(const JsonValue& doc) {
           "provenance/build_fingerprint is not a 16-hex-digit fingerprint");
 }
 
-/// The schema-v6 memory block (src/telemetry/memory.hpp): RSS figures
+/// The memory block (src/telemetry/memory.hpp): RSS figures
 /// with peak >= current (both sides of one sample), and per-subsystem
 /// live/high-water byte accounts with high_water >= live (the high-water
 /// mark is monotone over live).
@@ -367,12 +379,7 @@ void check_memory(const JsonValue& doc) {
   }
 }
 
-/// One [epoch, value] windowed series from the health block: pairs with
-/// non-decreasing epoch indices within a run. A decrease is legal only
-/// as a restart to epoch 0 — a process that drives several control
-/// loops (E16 runs warm and cold modes back to back) rolls each run's
-/// epochs from 0 into the same window ring.
-/// The v7 routing-quality block (src/engine/quality.hpp): sampled regret
+/// The routing-quality block (src/engine/quality.hpp): sampled regret
 /// series (parallel arrays over the shadow epochs), per-epoch predictor
 /// scores with -1/null bootstrap sentinels, and per-epoch churn series.
 void check_quality(const JsonValue& doc) {
@@ -483,7 +490,7 @@ void check_quality(const JsonValue& doc) {
           "quality/churn/total_top_path_flips disagrees with its series");
 }
 
-/// The schema-v8 serving block (src/serve/): throughput and latency
+/// The serving block (src/serve/): throughput and latency
 /// figures from the snapshot-swapped serving bench, plus the two
 /// correctness audits the serving layer guarantees — zero torn answers
 /// (every lookup matched exactly one published epoch) and byte-identity
@@ -523,35 +530,17 @@ void check_serving(const JsonValue& doc) {
           "byte-identical to route_fractional on the same matrix)");
 }
 
-void check_health_window(const JsonValue& window, const std::string& where) {
-  require(window.is_array(), where + " is not an array");
-  double last_epoch = -1;
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const std::string pw = where + "[" + std::to_string(i) + "]";
-    const JsonValue& point = window.at(i);
-    require(point.is_array() && point.size() == 2,
-            pw + " is not an [epoch, value] pair");
-    require(point.at(std::size_t{0}).is_number() &&
-                point.at(std::size_t{1}).is_number(),
-            pw + " entries are not numbers");
-    const double epoch = point.at(std::size_t{0}).as_number();
-    require(epoch >= last_epoch || epoch == 0,
-            pw + " epoch indices decrease without a run restart");
-    last_epoch = epoch;
-  }
-}
-
-/// The schema-v5 runtime-health block (src/telemetry/metrics.hpp):
-/// sketch snapshots whose bucket counts reconcile with the reported
-/// count and whose quantiles are ordered, epoch-indexed windowed series,
-/// recorder drop accounting, and a breach list consistent with the 0/1
-/// status. v5-v8 also carry per-sketch "watermarks"; v9 must not (each
-/// sketch's max is its watermark).
-void check_health(const JsonValue& doc, bool one_registry) {
+/// The runtime-health block (src/telemetry/metrics.hpp): sketch
+/// snapshots whose bucket counts reconcile with the reported count and
+/// whose quantiles are ordered, recorder drop accounting, and a breach
+/// list consistent with the 0/1 status — and nothing else (each sketch's
+/// max is its watermark; the registry keeps no per-epoch windows).
+void check_health(const JsonValue& doc) {
   check_member(doc, "health", JsonValue::Kind::kObject, "object");
   const JsonValue& health = doc.at("health");
+  check_keys(health, "health",
+             {"enabled", "recorder", "sketches", "breaches", "status"});
   check_member(health, "enabled", JsonValue::Kind::kBool, "bool");
-  check_member(health, "epochs_rolled", JsonValue::Kind::kNumber, "number");
   check_member(health, "recorder", JsonValue::Kind::kObject, "object");
   const JsonValue& recorder = health.at("recorder");
   check_member(recorder, "recorded", JsonValue::Kind::kNumber, "number");
@@ -600,26 +589,6 @@ void check_health(const JsonValue& doc, bool one_registry) {
       require(p99 <= sketch.at("max").as_number(),
               where + " p99 exceeds the exact max");
     }
-  }
-
-  if (one_registry) {
-    require(!health.has("watermarks"),
-            "v9 health block carries \"watermarks\" (read each sketch's "
-            "max instead)");
-  } else {
-    check_member(health, "watermarks", JsonValue::Kind::kObject, "object");
-    for (const auto& [name, value] : health.at("watermarks").members()) {
-      require(value.is_number(),
-              "health/watermarks/" + name + " not a number");
-    }
-  }
-  check_member(health, "rates", JsonValue::Kind::kObject, "object");
-  for (const auto& [name, window] : health.at("rates").members()) {
-    check_health_window(window, "health/rates/" + name);
-  }
-  check_member(health, "gauges", JsonValue::Kind::kObject, "object");
-  for (const auto& [name, window] : health.at("gauges").members()) {
-    check_health_window(window, "health/gauges/" + name);
   }
 
   check_member(health, "breaches", JsonValue::Kind::kArray, "array");
@@ -743,25 +712,19 @@ int main(int argc, char** argv) {
 
   require(doc.is_object(), "top level is not an object");
   check_member(doc, "schema_version", JsonValue::Kind::kNumber, "number");
-  require(doc.at("schema_version").as_number() >= 3,
-          "schema_version < 3 (artifact written by an old bench build)");
-  if (doc.at("schema_version").as_number() > kMaxKnownSchemaVersion) {
+  const double version = doc.at("schema_version").as_number();
+  if (version > kSchemaVersion) {
     std::fprintf(stderr,
-                 "unknown schema_version %g (this checker understands <= %d; "
+                 "unknown schema_version %g (this checker understands %d; "
                  "artifact written by a newer bench build — rebuild the "
                  "checker)\n",
-                 doc.at("schema_version").as_number(), kMaxKnownSchemaVersion);
+                 version, kSchemaVersion);
     return kExitUnknownVersion;
   }
-  const bool has_cache_block = doc.at("schema_version").as_number() >= 4;
-  const bool has_health_block = doc.at("schema_version").as_number() >= 5;
-  const bool has_provenance_block = doc.at("schema_version").as_number() >= 6;
-  const bool has_quality_block = doc.at("schema_version").as_number() >= 7;
-  const bool has_serving_block = doc.at("schema_version").as_number() >= 8;
-  // v9: one registry, one sketch type, one timer (see bench_common.hpp).
-  const bool one_registry = doc.at("schema_version").as_number() >= 9;
-  require(has_cache_block || !require_cache_hits,
-          "--require-cache-hits needs a schema v4+ artifact");
+  require(version == kSchemaVersion,
+          "schema_version " + std::to_string(static_cast<int>(version)) +
+              " < " + std::to_string(kSchemaVersion) +
+              " (artifact written by an old bench build)");
   check_member(doc, "experiment", JsonValue::Kind::kString, "string");
   check_member(doc, "title", JsonValue::Kind::kString, "string");
   check_member(doc, "claim", JsonValue::Kind::kString, "string");
@@ -790,17 +753,12 @@ int main(int argc, char** argv) {
   const JsonValue& telemetry = doc.at("telemetry");
   check_member(telemetry, "counters", JsonValue::Kind::kObject, "object");
   check_member(telemetry, "gauges", JsonValue::Kind::kObject, "object");
-  if (one_registry) {
-    require(!telemetry.has("histograms"),
-            "v9 telemetry block carries \"histograms\" (distributions are "
-            "health sketches)");
-    for (const auto& [name, value] : telemetry.at("counters").members()) {
-      require(name.rfind("cost/", 0) != 0,
-              "v9 telemetry counter \"" + name +
-                  "\" is a cost/ counter (solver cost lives in the spans)");
-    }
-  } else {
-    check_member(telemetry, "histograms", JsonValue::Kind::kObject, "object");
+  // Distributions are health sketches: no "histograms" map.
+  check_keys(telemetry, "telemetry", {"counters", "gauges"});
+  for (const auto& [name, value] : telemetry.at("counters").members()) {
+    require(name.rfind("cost/", 0) != 0,
+            "telemetry counter \"" + name +
+                "\" is a cost/ counter (solver cost lives in the spans)");
   }
 
   check_member(doc, "spans", JsonValue::Kind::kArray, "array");
@@ -817,18 +775,16 @@ int main(int argc, char** argv) {
 
   check_events(doc);
   const std::set<std::string> solvers = check_convergence(doc);
-  if (has_cache_block) check_cache(doc);
-  if (has_health_block) check_health(doc, one_registry);
-  if (has_provenance_block) {
-    check_provenance(doc);
-    check_memory(doc);
-  }
+  check_cache(doc);
+  check_health(doc);
+  check_provenance(doc);
+  check_memory(doc);
   // The quality block is per-bench opt-in (only control-loop benches have
   // an epoch structure to observe), so validate it wherever it appears.
-  if (has_quality_block && doc.has("quality")) check_quality(doc);
+  if (doc.has("quality")) check_quality(doc);
   // Likewise the serving block: only the serving bench carries it, but it
   // must validate wherever present (and E17 requires it below).
-  if (has_serving_block && doc.has("serving")) check_serving(doc);
+  if (doc.has("serving")) check_serving(doc);
   if (require_cache_hits) {
     const JsonValue& cache = doc.at("cache");
     require(cache.at("enabled").as_bool(),
@@ -859,41 +815,29 @@ int main(int argc, char** argv) {
     require(doc.at("events").at("events").size() > 0,
             "E16 artifact has no recorder events (controller instrumentation "
             "or SOR_TELEMETRY off)");
-    if (has_health_block) {
-      // The control loop must have fed the health layer: solve-latency
-      // quantiles and a congestion watermark (acceptance criteria for the
-      // runtime-health PR).
-      const JsonValue& sketches = doc.at("health").at("sketches");
-      require(sketches.has("engine/solve_seconds"),
-              "E16 health block has no engine/solve_seconds sketch");
-      require(sketches.at("engine/solve_seconds").at("count").as_number() > 0,
-              "E16 engine/solve_seconds sketch is empty");
-      require(sketches.has("engine/congestion"),
-              "E16 health block has no engine/congestion sketch");
-      require(sketches.at("engine/congestion").at("max").as_number() > 0,
-              "E16 congestion watermark is zero");
-      require(one_registry ||
-                  doc.at("health").at("watermarks").has("engine/congestion"),
-              "E16 health block has no engine/congestion watermark");
-      require(doc.at("health").at("epochs_rolled").as_number() > 0,
-              "E16 health block rolled no epoch windows");
-    }
-    if (has_quality_block) {
-      // The control-loop bench must carry the observatory's output: a
-      // quality block with at least one shadow sample (E16 runs with
-      // shadow_every = 2) and a scored prediction.
-      require(doc.has("quality"), "E16 artifact is missing quality block");
-      const JsonValue& quality = doc.at("quality");
-      require(quality.at("shadow_solves").as_number() > 0,
-              "E16 quality block has no shadow samples (observatory off?)");
-      require(quality.at("predictor").at("scored_epochs").as_number() > 0,
-              "E16 quality block scored no predictions");
-    }
+    // The control loop must have fed the health layer: solve-latency
+    // quantiles and a congestion watermark.
+    const JsonValue& sketches = doc.at("health").at("sketches");
+    require(sketches.has("engine/solve_seconds"),
+            "E16 health block has no engine/solve_seconds sketch");
+    require(sketches.at("engine/solve_seconds").at("count").as_number() > 0,
+            "E16 engine/solve_seconds sketch is empty");
+    require(sketches.has("engine/congestion"),
+            "E16 health block has no engine/congestion sketch");
+    require(sketches.at("engine/congestion").at("max").as_number() > 0,
+            "E16 congestion watermark is zero");
+    // The control-loop bench must carry the observatory's output: a
+    // quality block with at least one shadow sample (E16 runs with
+    // shadow_every = 2) and a scored prediction.
+    require(doc.has("quality"), "E16 artifact is missing quality block");
+    const JsonValue& quality = doc.at("quality");
+    require(quality.at("shadow_solves").as_number() > 0,
+            "E16 quality block has no shadow samples (observatory off?)");
+    require(quality.at("predictor").at("scored_epochs").as_number() > 0,
+            "E16 quality block scored no predictions");
   }
 
   if (doc.at("experiment").as_string() == "E17") {
-    require(has_serving_block,
-            "E17 artifact predates schema v8 (no serving block possible)");
     require(doc.has("serving"), "E17 artifact is missing the serving block");
     require(doc.at("events").at("events").size() > 0,
             "E17 artifact has no recorder events (publish instrumentation "

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "cache/binary.hpp"
-#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
 namespace sor::cache {
@@ -83,7 +82,6 @@ std::shared_ptr<const std::string> ArtifactCache::get(const CacheKey& key) {
     if (it != entries_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       ++stats_.hits;
-      SOR_COUNTER("cache/hits").add();
       return it->second.payload;
     }
   }
@@ -93,14 +91,12 @@ std::shared_ptr<const std::string> ArtifactCache::get(const CacheKey& key) {
     // insert_locked overwrites, keeping the tiers consistent either way.
     insert_locked(id, payload);
     ++stats_.disk_hits;
-    SOR_COUNTER("cache/disk_hits").add();
     return payload;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.misses;
   }
-  SOR_COUNTER("cache/misses").add();
   return nullptr;
 }
 
@@ -113,7 +109,6 @@ void ArtifactCache::put(const CacheKey& key, std::string payload) {
     insert_locked(id, blob);
     ++stats_.puts;
   }
-  SOR_COUNTER("cache/puts").add();
   write_disk(key, *blob);
 }
 
@@ -144,7 +139,6 @@ void ArtifactCache::evict_to_budget_locked() {
     entries_.erase(it);
     lru_.pop_back();
     ++stats_.evictions;
-    SOR_COUNTER("cache/evictions").add();
   }
 }
 
@@ -252,7 +246,6 @@ void ArtifactCache::quarantine(const std::string& path) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.corrupt;
   }
-  SOR_COUNTER("cache/corrupt").add();
 }
 
 }  // namespace sor::cache

@@ -23,9 +23,9 @@
 //
 // Kill switch: SOR_CACHE=off (or 0) disables all lookups and stores,
 // mirroring SOR_TELEMETRY; set_enabled() overrides for tests. Hit/miss/
-// eviction counts are mirrored into the telemetry registry under
-// "cache/*" and exposed as CacheStats for the bench artifact "cache"
-// block (schema v4).
+// eviction counts live in CacheStats alone, whatever SOR_TELEMETRY says:
+// the bench artifact's "cache" block, the run ledger and the SLO cache
+// floor all read stats().
 
 #include <cstdint>
 #include <list>
@@ -62,6 +62,16 @@ struct CacheStats {
   std::uint64_t corrupt = 0;      // quarantined disk entries
   std::uint64_t bytes = 0;        // memory tier resident bytes
   std::uint64_t entries = 0;      // memory tier entry count
+
+  /// Lookups served by either tier over all lookups; -1 when there was no
+  /// lookup (so an SLO floor does not breach an idle cache).
+  double hit_rate() const {
+    const std::uint64_t served = hits + disk_hits;
+    const std::uint64_t lookups = served + misses;
+    return lookups == 0 ? -1.0
+                        : static_cast<double>(served) /
+                              static_cast<double>(lookups);
+  }
 };
 
 class ArtifactCache {

@@ -33,7 +33,6 @@ RestrictedProblem SemiObliviousRouter::build_problem(
     SOR_CHECK_MSG(options_.add_shortest_fallback,
                   "no candidate paths for pair (" << c.src << "," << c.dst
                                                   << ")");
-    SOR_COUNTER("router/fallback_paths").add();
     problem.add_candidate(shortest_path_hops(*graph_, c.src, c.dst));
   }
   return problem;
@@ -85,10 +84,8 @@ FractionalRoute SemiObliviousRouter::route_fractional(
 
   RestrictedSolution solution;
   if (backend == LpBackend::kExact) {
-    SOR_COUNTER("router/backend_exact").add();
     solution = solve_restricted_exact(route.problem);
   } else {
-    SOR_COUNTER("router/backend_mwu").add();
     RestrictedMwuOptions mwu;
     mwu.epsilon = options_.epsilon;
     solution = solve_restricted_mwu(route.problem, mwu);

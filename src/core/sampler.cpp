@@ -112,7 +112,6 @@ PathSystem sample_path_system_uncached(const ObliviousRouting& routing,
     for (std::size_t j = 0; j < count; ++j) {
       sampled[i].push_back(routing.sample_path(pair.a, pair.b, rng));
     }
-    SOR_COUNTER("sampler/paths_sampled").add(count);
     SOR_SKETCH("sampler/paths_per_pair").observe(static_cast<double>(count));
   });
 
@@ -143,9 +142,7 @@ PathSystem sample_path_system_uncached(const ObliviousRouting& routing,
   for (auto& list : sampled) {
     for (Path& p : list) system.add(std::move(p));
   }
-  if (options.deduplicate) {
-    SOR_COUNTER("sampler/paths_deduplicated").add(system.deduplicate());
-  }
+  if (options.deduplicate) system.deduplicate();
   if (telemetry::enabled()) {
     // Installed (post-dedup) sparsity per pair — the k that matters for
     // Theorem 2.5's trade-off.

@@ -5,11 +5,11 @@
 #include <optional>
 #include <utility>
 
+#include "cache/cache.hpp"
 #include "core/failures.hpp"
 #include "flow/mcf.hpp"
 #include "serve/service.hpp"
 #include "telemetry/memory.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
@@ -225,7 +225,6 @@ EpochReport EpochController::step(std::span<const Event> events,
   report.phases = solution.phases;
   report.truncated = solution.truncated;
   if (solution.truncated) {
-    SOR_COUNTER("engine/solves_truncated").add();
     telemetry::Recorder::global().record(
         "engine/solve_truncated",
         {{"epoch", static_cast<std::uint64_t>(report.epoch)},
@@ -320,24 +319,17 @@ EpochReport EpochController::step(std::span<const Event> events,
          {"regret", report.quality.regret},
          {"truncated", shadow.truncated}});
   }
-  // Quality metrics; the quality/... names export through Prometheus as
-  // sor_quality_*. Regret and MAPE only feed on the epochs that produced
-  // them, so their sketches never see sentinel values.
+  // Quality sketches; they export through Prometheus as sor_quality_*.
+  // Regret and MAPE only feed on the epochs that produced them, so their
+  // sketches never see sentinel values.
   if (report.quality.shadow_sampled) {
     SOR_SKETCH("quality/regret").observe(report.quality.regret);
-    SOR_GAUGE("quality/last_regret").set(report.quality.regret);
   }
   if (report.quality.predictor_mape >= 0) {
     SOR_SKETCH("quality/predictor_mape").observe(report.quality.predictor_mape);
-    SOR_GAUGE("quality/last_predictor_mape")
-        .set(report.quality.predictor_mape);
   }
-  SOR_COUNTER("quality/mask_churn").add(report.quality.mask_churn);
-  SOR_COUNTER("quality/top_path_flips").add(report.quality.top_path_flips);
-  SOR_GAUGE("quality/weight_l1_drift").set(report.quality.weight_l1_drift);
 
   SOR_GAUGE("engine/last_congestion").set(report.congestion);
-  SOR_COUNTER("engine/epochs").add();
   telemetry::Recorder::global().record(
       "engine/epoch",
       {{"epoch", static_cast<std::uint64_t>(report.epoch)},
@@ -349,20 +341,14 @@ EpochReport EpochController::step(std::span<const Event> events,
        {"churn", static_cast<std::uint64_t>(report.repair.churn())},
        {"solve_ms", report.solve_ms}});
 
-  // Runtime health: feed the sketches, close this epoch's registry
-  // window, snapshot the figures into the report, and check the SLOs.
-  // report.congestion is deterministic, so the congestion sketch and its
-  // max (the watermark) are too; the latency figures are wall clock and
-  // stay out of the replay digest.
+  // Runtime health: feed the congestion sketch, snapshot the figures
+  // into the report, and check the SLOs. report.congestion is
+  // deterministic, so the congestion sketch and its max (the watermark)
+  // are too; the latency figures are wall clock and stay out of the
+  // replay digest. Peak RSS at the epoch boundary is wall-clock-free but
+  // allocator-dependent, so it is digest-excluded like them.
   SOR_SKETCH("engine/congestion").observe(report.congestion);
-  SOR_COUNTER("engine/churn").add(report.repair.churn());
-  // Peak RSS at the epoch boundary: set before the roll so the windowed
-  // series carries one memory point per epoch. Wall-clock-free but
-  // allocator-dependent, so digest-excluded like the latency figures.
   const telemetry::MemoryUsage memory = telemetry::sample_memory_usage();
-  SOR_GAUGE("engine/peak_rss_bytes")
-      .set(static_cast<double>(memory.peak_rss_bytes));
-  telemetry::Registry::global().roll_epoch(report.epoch);
 
   congestion_watermark_ = std::max(congestion_watermark_, report.congestion);
   const StatsSummary solve_summary = solve_sketch_.summary();
@@ -370,7 +356,8 @@ EpochReport EpochController::step(std::span<const Event> events,
   report.health.solve_p95_ms = solve_summary.p95 * 1e3;
   report.health.solve_p99_ms = solve_summary.p99 * 1e3;
   report.health.congestion_watermark = congestion_watermark_;
-  report.health.cache_hit_rate = telemetry::cache_hit_rate();
+  report.health.cache_hit_rate =
+      cache::ArtifactCache::global().stats().hit_rate();
   report.health.peak_rss_bytes = memory.peak_rss_bytes;
   report.health.recorder_dropped = telemetry::Recorder::global().dropped();
   if (slo_.active()) {

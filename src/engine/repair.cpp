@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
 namespace sor::engine {
@@ -121,7 +120,6 @@ RepairReport PathRepairer::apply_epoch(std::span<const Event> events,
       if (fallback.src == kInvalidVertex) continue;  // disconnected pair
       index_users(activation_.add_extra(fallback));
       ++report.fallbacks_installed;
-      SOR_COUNTER("engine/fallback_installs").add();
     }
     budget = budget > 0 ? budget - 1 : 0;
   }

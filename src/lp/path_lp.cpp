@@ -7,7 +7,6 @@
 #include "flow/fleischer.hpp"
 #include "lp/simplex.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sor {
 
@@ -244,7 +243,6 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
     // Budgeted solve ran out of time (or pivots): fall back to the
     // uniform candidate split — always feasible, never optimal — so the
     // caller's epoch completes instead of failing.
-    SOR_COUNTER("lp/exact_truncated").add();
     const std::vector<double> uniform(problem.paths.size(), 1.0);
     RestrictedSolution fallback = route_restricted_fractions(problem, uniform);
     fallback.truncated = true;
@@ -307,7 +305,6 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
       warm.warm_accepted = true;
       normalize_lengths(raw_warm);
       warm.dual_lengths = std::move(raw_warm);
-      SOR_COUNTER("lp/warm_accepts").add();
       return warm;
     }
     bracket = {lb, warm.congestion};
@@ -341,8 +338,8 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   }
 
   // Warm-vs-cold is the interesting axis for re-solve cost: the control
-  // loop lives on warm solves being cheap, so the trace label and the
-  // phase counters split on it.
+  // loop lives on warm solves being cheap, so the trace label splits on
+  // it.
   RestrictedSolution solution;
   solution.weights.resize(problem.commodities.size());
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
@@ -358,13 +355,6 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   solution.truncated = loop.truncated;
   normalize_lengths(loop.lengths);
   solution.dual_lengths = std::move(loop.lengths);
-  // Two call sites, not a ternary name: SOR_COUNTER interns its name into
-  // a function-local static on first execution.
-  if (warm_lengths) {
-    SOR_COUNTER("mwu/phases_warm").add(loop.phases);
-  } else {
-    SOR_COUNTER("mwu/phases_cold").add(loop.phases);
-  }
   return solution;
 }
 

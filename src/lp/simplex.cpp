@@ -56,7 +56,6 @@ class Tableau {
       if (b_[leaving] < kZeroTol) {
         ++degenerate_streak;
         ++stats.degenerate_pivots;
-        SOR_COUNTER("simplex/degenerate_pivots").add();
         observer.count("degenerate_pivots");
       } else {
         degenerate_streak = 0;
@@ -162,7 +161,6 @@ class Tableau {
   }
 
   void pivot(std::size_t row, std::size_t col) {
-    SOR_COUNTER("simplex/pivots").add();
     const double p = a_[row][col];
     SOR_DCHECK(std::abs(p) > kPivotTol);
     const double inv = 1.0 / p;

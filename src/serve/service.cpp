@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
 namespace sor::serve {
@@ -43,15 +42,6 @@ RouteService::Answer RouteService::lookup(Vertex s, Vertex t) const {
 
 void RouteService::publish(std::shared_ptr<const RouteSnapshot> snap) {
   SOR_CHECK(snap != nullptr);
-  // serve/* gauges: the registry windows them at each epoch roll (one
-  // point per publish when the controller drives us). Exported as
-  // sor_serve_* by prometheus_text().
-  SOR_GAUGE("serve/snapshot_epoch")
-      .set(static_cast<double>(snap->epoch()));
-  SOR_GAUGE("serve/snapshot_pairs")
-      .set(static_cast<double>(snap->num_pairs()));
-  SOR_GAUGE("serve/snapshot_paths")
-      .set(static_cast<double>(snap->num_paths()));
   {
     const std::lock_guard<std::mutex> lock(swap_mu_);
     current_ = std::move(snap);

@@ -13,7 +13,6 @@ SimResult simulate_store_and_forward(const Graph& g,
                                      std::span<const Path> packet_paths,
                                      Rng& rng) {
   SOR_SPAN("sim/store_and_forward");
-  SOR_COUNTER("sim/packets").add(packet_paths.size());
   SimResult result;
 
   struct PacketState {
@@ -87,8 +86,6 @@ SimResult simulate_store_and_forward(const Graph& g,
       }
     }
   }
-  SOR_COUNTER("sim/steps").add(step);
-  SOR_GAUGE("sim/makespan").set(static_cast<double>(step));
   result.makespan = step;
   return result;
 }

@@ -454,9 +454,9 @@ void render_attribution(const JsonValue& doc, std::ostream& os) {
   }
 }
 
-/// Schema-v5 health block: sketch quantile table, watermarks, and the
-/// SLO breach list. Latency sketches render with format_seconds, the
-/// rest with format_quantity (satellite of the runtime health layer).
+/// Health block: sketch quantile table (each sketch's max is its
+/// watermark) and the SLO breach list. Latency sketches render with
+/// format_seconds, the rest with format_quantity.
 void render_health(const JsonValue& doc, std::ostream& os) {
   if (!doc.has("health") || !doc.at("health").is_object()) return;
   const JsonValue& health = doc.at("health");
@@ -470,9 +470,6 @@ void render_health(const JsonValue& doc, std::ostream& os) {
                         health.at("status").is_number() &&
                         health.at("status").as_number() != 0;
   os << (breached ? "BREACHED" : "OK");
-  if (health.has("epochs_rolled")) {
-    os << ", " << number_text(health.at("epochs_rolled")) << " epoch(s)";
-  }
   if (health.has("recorder") && health.at("recorder").is_object() &&
       health.at("recorder").has("dropped")) {
     os << ", " << number_text(health.at("recorder").at("dropped"))

@@ -12,11 +12,7 @@
 //
 //   spans_to_json() ->
 //     [{"name": str, "count": n, "seconds": s, "children": [...]}, ...]
-//
-// CSV: one "kind,name,field,value" row per counter and gauge, for
-// spreadsheet-side consumption.
 
-#include <iosfwd>
 #include <vector>
 
 #include "telemetry/json.hpp"
@@ -62,8 +58,5 @@ JsonValue chrome_trace_json(const std::vector<TimelineEvent>& timeline,
                             const std::vector<RecorderEvent>& events,
                             const std::vector<ConvergenceTrace>& traces = {});
 JsonValue chrome_trace_json();  // global timeline + recorder + convergence
-
-void write_registry_csv(std::ostream& os,
-                        const Registry& registry = Registry::global());
 
 }  // namespace sor::telemetry

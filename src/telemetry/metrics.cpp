@@ -9,21 +9,6 @@
 
 namespace sor::telemetry {
 
-double cache_hit_rate() {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const auto& [name, value] : Registry::global().counters()) {
-    if (name == "cache/hits" || name == "cache/disk_hits") {
-      hits += value;
-    } else if (name == "cache/misses") {
-      misses += value;
-    }
-  }
-  const std::uint64_t total = hits + misses;
-  if (total == 0) return -1.0;
-  return static_cast<double>(hits) / static_cast<double>(total);
-}
-
 namespace {
 
 JsonValue sketch_json(const SketchSnapshot& snap) {
@@ -47,17 +32,6 @@ JsonValue sketch_json(const SketchSnapshot& snap) {
   return s;
 }
 
-JsonValue window_json(const std::vector<WindowPoint>& window) {
-  JsonValue out = JsonValue::array();
-  for (const WindowPoint& point : window) {
-    JsonValue pair = JsonValue::array();
-    pair.push(static_cast<std::uint64_t>(point.epoch));
-    pair.push(point.value);
-    out.push(std::move(pair));
-  }
-  return out;
-}
-
 JsonValue breach_json(const SloBreach& breach) {
   JsonValue b = JsonValue::object();
   b.set("slo", breach.slo);
@@ -73,7 +47,6 @@ JsonValue health_to_json() {
   const Registry& registry = Registry::global();
   JsonValue doc = JsonValue::object();
   doc.set("enabled", enabled());
-  doc.set("epochs_rolled", registry.epochs_rolled());
 
   JsonValue recorder = JsonValue::object();
   recorder.set("recorded", Recorder::global().recorded());
@@ -85,18 +58,6 @@ JsonValue health_to_json() {
     sketches.set(name, sketch_json(snap));
   }
   doc.set("sketches", std::move(sketches));
-
-  JsonValue rates = JsonValue::object();
-  for (const auto& [name, window] : registry.counter_windows()) {
-    rates.set(name, window_json(window));
-  }
-  doc.set("rates", std::move(rates));
-
-  JsonValue gauges = JsonValue::object();
-  for (const auto& [name, window] : registry.gauge_windows()) {
-    gauges.set(name, window_json(window));
-  }
-  doc.set("gauges", std::move(gauges));
 
   JsonValue breaches = JsonValue::array();
   for (const SloBreach& breach : registry.breaches()) {
@@ -111,31 +72,6 @@ JsonValue epoch_health_json(std::uint64_t epoch) {
   const Registry& registry = Registry::global();
   JsonValue doc = JsonValue::object();
   doc.set("epoch", static_cast<std::uint64_t>(epoch));
-
-  const auto at_epoch = [epoch](const std::vector<WindowPoint>& window,
-                                double& out) {
-    for (auto it = window.rbegin(); it != window.rend(); ++it) {
-      if (it->epoch == epoch) {
-        out = it->value;
-        return true;
-      }
-    }
-    return false;
-  };
-
-  JsonValue rates = JsonValue::object();
-  for (const auto& [name, window] : registry.counter_windows()) {
-    double value = 0;
-    if (at_epoch(window, value)) rates.set(name, value);
-  }
-  doc.set("rates", std::move(rates));
-
-  JsonValue gauges = JsonValue::object();
-  for (const auto& [name, window] : registry.gauge_windows()) {
-    double value = 0;
-    if (at_epoch(window, value)) gauges.set(name, value);
-  }
-  doc.set("gauges", std::move(gauges));
 
   JsonValue sketches = JsonValue::object();
   for (const auto& [name, snap] : registry.sketches()) {

@@ -2,8 +2,8 @@
 
 // Runtime health exporters over telemetry::Registry: the artifact
 // `health` block, per-epoch JSONL snapshots, and the Prometheus text
-// exposition. The registry's epoch windows (Registry::roll_epoch) and
-// sketches are the data; this file only renders them.
+// exposition. The registry's sketches, metrics and breach list are the
+// data; this file only renders them.
 
 #include <cstdint>
 #include <iosfwd>
@@ -15,20 +15,14 @@
 
 namespace sor::telemetry {
 
-/// Hit rate over the telemetry cache counters (cache/hits +
-/// cache/disk_hits vs cache/misses); -1 when there was no cache traffic
-/// (so an SLO floor does not spuriously breach an idle cache).
-double cache_hit_rate();
-
-/// The artifact `health` block (schema v9): kill-switch state, recorder
+/// The artifact `health` block (schema v10): kill-switch state, recorder
 /// drop counters, sketch snapshots with quantiles (each sketch's exact
-/// max is its watermark), the counter ("rates") and gauge windows, the
-/// breach list, and the 0/1 health status.
+/// max is its watermark), the breach list, and the 0/1 health status.
 JsonValue health_to_json();
 
-/// One JSONL snapshot line for epoch `epoch`: the window points closed
-/// under that epoch plus running sketch summaries. The periodic JSONL
-/// exporter appends one such line per epoch roll.
+/// One JSONL snapshot line for epoch `epoch`: the running sketch
+/// summaries at that epoch's boundary. `sor_cli monitor --health-jsonl`
+/// appends one such line per epoch.
 JsonValue epoch_health_json(std::uint64_t epoch);
 
 /// Escapes a label VALUE per the Prometheus text exposition format:

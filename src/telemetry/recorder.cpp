@@ -47,10 +47,9 @@ void Recorder::record(
   } else {
     events_[head_] = std::move(event);
     head_ = (head_ + 1) % capacity_;
+    // Overflow is not silent: dropped() reaches the artifact health
+    // block and every EpochHealth.
     ++dropped_;
-    // Overflow is no longer silent: the drop count is a first-class
-    // metric (and a field in the artifact health block).
-    SOR_COUNTER("recorder/dropped").add();
   }
   ++recorded_;
 }

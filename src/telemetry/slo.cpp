@@ -42,7 +42,6 @@ namespace {
 
 void record_side_effects(const SloBreach& breach) {
   Registry::global().record_breach(breach);
-  SOR_COUNTER("slo/breaches").add();
   Recorder::global().record(
       "slo/breach",
       {{"slo", breach.slo},
@@ -80,7 +79,6 @@ std::vector<SloBreach> SloTracker::check_epoch(std::uint64_t epoch,
     breaches.push_back({"max_predictor_mape", epoch, predictor_mape,
                         config_.max_predictor_mape});
   }
-  total_breaches_ += breaches.size();
   for (const SloBreach& breach : breaches) record_side_effects(breach);
   return breaches;
 }

@@ -76,8 +76,8 @@ class SloTracker {
   bool active() const { return config_.any_set(); }
 
   /// Evaluates the config against one epoch's health and quality figures
-  /// and records every violation (registry + flight recorder +
-  /// slo/breaches counter). Negative values mean "no figure this epoch"
+  /// and records every violation (registry breach list + flight
+  /// recorder). Negative values mean "no figure this epoch"
   /// and skip the matching check: `cache_hit_rate < 0` = no cache
   /// traffic, `regret < 0` = not a shadow-sampled epoch,
   /// `predictor_mape < 0` = bootstrap epoch. Returns this epoch's
@@ -88,13 +88,8 @@ class SloTracker {
                                      double regret = -1,
                                      double predictor_mape = -1);
 
-  std::size_t total_breaches() const { return total_breaches_; }
-  /// 0 while every checked epoch held the SLOs, 1 after any breach.
-  int status() const { return total_breaches_ == 0 ? 0 : 1; }
-
  private:
   SloConfig config_;
-  std::size_t total_breaches_ = 0;
 };
 
 /// Offline evaluation of `config` against a BENCH_*.json artifact: the

@@ -39,37 +39,32 @@ Registry& Registry::global() {
 
 namespace {
 
-/// Interns `name` in `map`, creating the value on first access.
-template <typename Map>
-auto& intern(Map& map, std::string_view name) {
+/// Interns `name` in `map`, creating the metric on first access.
+template <typename Metric>
+Metric& intern(std::map<std::string, std::unique_ptr<Metric>, std::less<>>& map,
+               std::string_view name) {
   auto it = map.find(name);
-  if (it == map.end()) it = map.try_emplace(std::string(name)).first;
-  return it->second;
-}
-
-void bound_window(std::vector<WindowPoint>& window) {
-  if (window.size() > Registry::kWindowCapacity) {
-    window.erase(window.begin(), window.end() - Registry::kWindowCapacity);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), std::make_unique<Metric>()).first;
   }
+  return *it->second;
 }
 
 }  // namespace
 
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard lock(mu_);
-  return *intern(counters_, name).metric;
+  return intern(counters_, name);
 }
 
 Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard lock(mu_);
-  return *intern(gauges_, name).metric;
+  return intern(gauges_, name);
 }
 
 Sketch& Registry::sketch(std::string_view name) {
   std::lock_guard lock(mu_);
-  auto& sketch = intern(sketches_, name);
-  if (sketch == nullptr) sketch = std::make_unique<Sketch>();
-  return *sketch;
+  return intern(sketches_, name);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
@@ -77,7 +72,7 @@ std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
   std::vector<std::pair<std::string, std::uint64_t>> out;
   out.reserve(counters_.size());
   for (const auto& [name, c] : counters_) {
-    out.emplace_back(name, c.metric->value());
+    out.emplace_back(name, c->value());
   }
   return out;
 }
@@ -87,7 +82,7 @@ std::vector<std::pair<std::string, double>> Registry::gauges() const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) {
-    out.emplace_back(name, g.metric->value());
+    out.emplace_back(name, g->value());
   }
   return out;
 }
@@ -101,54 +96,6 @@ std::vector<std::pair<std::string, SketchSnapshot>> Registry::sketches()
     out.emplace_back(name, sketch->snapshot());
   }
   return out;
-}
-
-void Registry::roll_epoch(std::uint64_t epoch) {
-  if (!enabled()) return;
-  std::lock_guard lock(mu_);
-  for (auto& [name, entry] : counters_) {
-    Counter& c = *entry.metric;
-    const std::uint64_t total = c.value();
-    // A reset() since the last roll zeroed the mark too, so total < mark
-    // only when a reset races this roll; count from zero then.
-    const std::uint64_t mark =
-        c.mark_.exchange(total, std::memory_order_relaxed);
-    const std::uint64_t delta = total >= mark ? total - mark : total;
-    entry.window.push_back({epoch, static_cast<double>(delta)});
-    bound_window(entry.window);
-  }
-  for (auto& [name, entry] : gauges_) {
-    entry.window.push_back({epoch, entry.metric->value()});
-    bound_window(entry.window);
-  }
-  ++epochs_rolled_;
-}
-
-std::uint64_t Registry::epochs_rolled() const {
-  std::lock_guard lock(mu_);
-  return epochs_rolled_;
-}
-
-namespace {
-
-template <typename Map>
-WindowSeries windows_of(const Map& map) {
-  WindowSeries out;
-  out.reserve(map.size());
-  for (const auto& [name, entry] : map) out.emplace_back(name, entry.window);
-  return out;
-}
-
-}  // namespace
-
-WindowSeries Registry::counter_windows() const {
-  std::lock_guard lock(mu_);
-  return windows_of(counters_);
-}
-
-WindowSeries Registry::gauge_windows() const {
-  std::lock_guard lock(mu_);
-  return windows_of(gauges_);
 }
 
 void Registry::record_breach(const SloBreach& breach) {
@@ -169,16 +116,9 @@ int Registry::health_status() const {
 
 void Registry::reset() {
   std::lock_guard lock(mu_);
-  for (auto& [name, entry] : counters_) {
-    entry.metric->reset();
-    entry.window.clear();
-  }
-  for (auto& [name, entry] : gauges_) {
-    entry.metric->reset();
-    entry.window.clear();
-  }
+  for (auto& [name, counter] : counters_) counter->reset();
+  for (auto& [name, gauge] : gauges_) gauge->reset();
   for (auto& [name, sketch] : sketches_) sketch->reset();
-  epochs_rolled_ = 0;
   breaches_.clear();
 }
 

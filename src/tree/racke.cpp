@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "telemetry/span.hpp"
-#include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
 
 namespace sor {
@@ -34,7 +33,6 @@ RaeckeEnsemble::RaeckeEnsemble(const Graph& g, const RaeckeOptions& options)
     num_trees = 2 * static_cast<std::size_t>(std::ceil(lg)) + 4;
   }
   SOR_CHECK(options.eta > 0);
-  SOR_GAUGE("tree/racke_trees").set(static_cast<double>(num_trees));
 
   Rng rng(options.seed);
   std::vector<double> cumulative_rload(g.num_edges(), 0.0);

@@ -1,13 +1,14 @@
 // Runtime health layer tests: quantile-sketch bucketing and quantiles,
-// the registry's epoch windows and the SOR_TELEMETRY kill switch over
-// them (no recording when disabled), merge determinism of sharded
-// sketches across thread pool sizes (the PR 5 determinism contract
-// extended to telemetry), SLO tracker breach side effects (registry +
-// flight recorder), offline artifact SLO evaluation, the Prometheus
-// exposition format, and the one-registry contract over a whole control
-// loop (every span feeds one seconds sketch; telemetry off records
-// nothing). The concurrent-interning stress runs under
-// SOR_SANITIZE=thread like every other test.
+// the registry and the SOR_TELEMETRY kill switch over it (no recording
+// when disabled), merge determinism of sharded sketches across thread
+// pool sizes (the pool-size bit-stability contract extended to
+// telemetry), SLO tracker breach side effects (registry + flight
+// recorder), the SLO cache floor over the artifact cache's own counts,
+// offline artifact SLO evaluation, the Prometheus exposition format,
+// and the one-registry contract over a whole control loop (every span
+// feeds one seconds sketch; telemetry off records nothing). The
+// concurrent-interning stress runs under SOR_SANITIZE=thread like every
+// other test.
 
 #include <gtest/gtest.h>
 
@@ -125,19 +126,9 @@ TEST(Sketch, KillSwitchMakesObserveANoop) {
   EXPECT_EQ(sketch.snapshot().buckets.size(), 0u);
 }
 
-/// The closed window of one named series, empty when it has none.
-std::vector<telemetry::WindowPoint> window_of(
-    const telemetry::WindowSeries& all, const std::string& name) {
-  for (const auto& [series, window] : all) {
-    if (series == name) return window;
-  }
-  return {};
-}
-
-// Satellite 2: under SOR_TELEMETRY=off nothing in the registry records —
-// counters, gauges, sketches, epoch rolls, and breach recording are all
-// no-ops (and the hot path takes no locks: the guard is one relaxed
-// atomic-bool load).
+// Under SOR_TELEMETRY=off nothing in the registry records — counters,
+// gauges, sketches, and breach recording are all no-ops (and the hot path
+// takes no locks: the guard is one relaxed atomic-bool load).
 TEST(RegistryWindows, KillSwitchDisablesAllRecording) {
   reset_health();
   const ScopedEnable disable(false);
@@ -145,86 +136,13 @@ TEST(RegistryWindows, KillSwitchDisablesAllRecording) {
   registry.counter("test/off_counter").add(7);
   registry.gauge("test/off_gauge").set(3.5);
   registry.sketch("test/off_sketch").observe(1.0);
-  registry.roll_epoch(0);
   registry.record_breach({"max_congestion", 0, 2.0, 1.0});
 
   EXPECT_EQ(registry.counter("test/off_counter").value(), 0u);
   EXPECT_DOUBLE_EQ(registry.gauge("test/off_gauge").value(), 0.0);
   EXPECT_EQ(registry.sketch("test/off_sketch").count(), 0u);
-  EXPECT_EQ(registry.epochs_rolled(), 0u);
-  EXPECT_TRUE(
-      window_of(registry.counter_windows(), "test/off_counter").empty());
   EXPECT_TRUE(registry.breaches().empty());
   EXPECT_EQ(registry.health_status(), 0);
-}
-
-TEST(RegistryWindows, RollEpochClosesCounterDeltasAndGaugeValues) {
-  reset_health();
-  const ScopedEnable enable;
-  auto& registry = telemetry::Registry::global();
-  auto& counter = registry.counter("test/window_counter");
-  auto& gauge = registry.gauge("test/window_gauge");
-
-  counter.add(3);
-  gauge.set(1.5);
-  registry.roll_epoch(0);
-  counter.add(5);
-  gauge.set(2.5);
-  registry.roll_epoch(1);
-
-  const auto counts =
-      window_of(registry.counter_windows(), "test/window_counter");
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0].epoch, 0u);
-  EXPECT_DOUBLE_EQ(counts[0].value, 3.0);  // delta, not running total
-  EXPECT_EQ(counts[1].epoch, 1u);
-  EXPECT_DOUBLE_EQ(counts[1].value, 5.0);
-  EXPECT_EQ(counter.value(), 8u);  // the counter itself keeps the total
-  const auto values = window_of(registry.gauge_windows(), "test/window_gauge");
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_DOUBLE_EQ(values[0].value, 1.5);
-  EXPECT_DOUBLE_EQ(values[1].value, 2.5);
-  EXPECT_EQ(registry.epochs_rolled(), 2u);
-}
-
-// A counter reset between two rolls (engine_test resets
-// engine/solves_truncated between runs) must not close a wrapped delta:
-// the next window holds the count since the reset.
-TEST(RegistryWindows, CounterResetBetweenRollsDoesNotWrap) {
-  reset_health();
-  const ScopedEnable enable;
-  auto& registry = telemetry::Registry::global();
-  auto& counter = registry.counter("test/reset_counter");
-  counter.add(5);
-  registry.roll_epoch(0);
-  counter.reset();
-  counter.add(2);
-  registry.roll_epoch(1);
-  counter.reset();
-  counter.add(9);
-  registry.roll_epoch(2);
-
-  const auto window =
-      window_of(registry.counter_windows(), "test/reset_counter");
-  ASSERT_EQ(window.size(), 3u);
-  EXPECT_DOUBLE_EQ(window[0].value, 5.0);
-  EXPECT_DOUBLE_EQ(window[1].value, 2.0);
-  EXPECT_DOUBLE_EQ(window[2].value, 9.0);
-
-  // Registry::reset() clears windows, roll marks, and breaches together.
-  registry.record_breach({"max_congestion", 2, 2.0, 1.0});
-  counter.add(4);
-  registry.reset();
-  EXPECT_EQ(registry.epochs_rolled(), 0u);
-  EXPECT_TRUE(registry.breaches().empty());
-  EXPECT_TRUE(
-      window_of(registry.counter_windows(), "test/reset_counter").empty());
-  counter.add(1);
-  registry.roll_epoch(0);
-  const auto after =
-      window_of(registry.counter_windows(), "test/reset_counter");
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_DOUBLE_EQ(after[0].value, 1.0);
 }
 
 // Satellite 3: a sharded observation stream merges to byte-identical
@@ -321,14 +239,9 @@ TEST(RegistryWindows, ConcurrentInterningAndRecordingIsSafe) {
     registry.sketch("stress/sketch" + id)
         .observe(static_cast<double>(i % 100 + 1));
   });
-  auto& registry = telemetry::Registry::global();
   std::uint64_t total = 0;
-  registry.roll_epoch(0);
-  for (const auto& [name, window] : registry.counter_windows()) {
-    if (name.rfind("stress/", 0) != 0) continue;
-    for (const auto& point : window) {
-      total += static_cast<std::uint64_t>(point.value);
-    }
+  for (const auto& [name, value] : telemetry::Registry::global().counters()) {
+    if (name.rfind("stress/", 0) == 0) total += value;
   }
   EXPECT_EQ(total, kN);
   reset_health();
@@ -422,13 +335,11 @@ TEST(Slo, TrackerRecordsBreachesToRegistryAndFlightRecorder) {
   // Healthy epoch: nothing breaches; hit rate -1 means "no traffic" and
   // skips the floor.
   EXPECT_TRUE(tracker.check_epoch(0, 0.8, 5.0, -1.0).empty());
-  EXPECT_EQ(tracker.status(), 0);
+  EXPECT_EQ(telemetry::Registry::global().health_status(), 0);
 
   // Everything breaches at once.
   const auto breaches = tracker.check_epoch(1, 2.0, 50.0, 0.1);
   ASSERT_EQ(breaches.size(), 3u);
-  EXPECT_EQ(tracker.status(), 1);
-  EXPECT_EQ(tracker.total_breaches(), 3u);
   EXPECT_EQ(telemetry::Registry::global().health_status(), 1);
   EXPECT_EQ(telemetry::Registry::global().breaches().size(), 3u);
 
@@ -439,6 +350,53 @@ TEST(Slo, TrackerRecordsBreachesToRegistryAndFlightRecorder) {
     if (event.category == "slo/breach") ++recorded;
   }
   EXPECT_EQ(recorded, 3u);
+
+  // Registry::reset() clears the breach list with the metrics.
+  reset_health();
+  EXPECT_TRUE(telemetry::Registry::global().breaches().empty());
+  EXPECT_EQ(telemetry::Registry::global().health_status(), 0);
+}
+
+// The cache floor reads the artifact cache's own counts, which move
+// whatever SOR_TELEMETRY says: two identical runs against a cleared,
+// memory-only cache miss every lookup, then hit every one, and both fall
+// short of a 0.99 floor with telemetry off as well as on.
+TEST(Slo, CacheFloorHoldsWithTelemetryOff) {
+  for (const bool on : {false, true}) {
+    reset_health();
+    const ScopedEnable telemetry_switch(on);
+    const bool cache_was_enabled = cache::ArtifactCache::enabled();
+    cache::ArtifactCache::set_enabled(true);
+    cache::ArtifactCache& cache = cache::ArtifactCache::global();
+    const std::string directory = cache.directory();
+    cache.set_directory("");
+    cache.clear();
+    engine::EngineRunConfig config;
+    config.trace.num_epochs = 2;
+    config.engine.slo.min_cache_hit_rate = 0.99;
+
+    std::vector<double> rates;
+    for (int run = 0; run < 2; ++run) {
+      const engine::EngineRunOutput out = engine::run_from_config(config);
+      ASSERT_EQ(out.result.epochs.size(), 2u);
+      EXPECT_EQ(out.result.health_status, 1) << "telemetry " << on;
+      for (const engine::EpochReport& report : out.result.epochs) {
+        EXPECT_EQ(report.health.breaches, 1u) << "telemetry " << on;
+      }
+      ASSERT_FALSE(out.result.breaches.empty());
+      EXPECT_EQ(out.result.breaches.front().slo, "cache_hit_rate");
+      rates.push_back(out.result.epochs.back().health.cache_hit_rate);
+    }
+    const cache::CacheStats stats = cache.stats();
+    EXPECT_GT(stats.misses, 0u);
+    EXPECT_EQ(stats.hits + stats.disk_hits, stats.misses);
+    EXPECT_DOUBLE_EQ(rates[0], 0.0) << "telemetry " << on;
+    EXPECT_DOUBLE_EQ(rates[1], 0.5) << "telemetry " << on;
+    EXPECT_DOUBLE_EQ(rates[1], stats.hit_rate());
+    cache.clear();
+    cache.set_directory(directory);
+    cache::ArtifactCache::set_enabled(cache_was_enabled);
+  }
   reset_health();
 }
 
@@ -530,10 +488,9 @@ TEST(Slo, EvaluateArtifactReportsRecordedAndReEvaluatedBreaches) {
 TEST(Exporters, PrometheusTextExposesCountersAndSketchSummaries) {
   reset_health();
   const ScopedEnable enable;
-  SOR_COUNTER("promtest/events").add(3);
+  telemetry::Registry::global().counter("promtest/events").add(3);
   auto& sketch = telemetry::Registry::global().sketch("promtest/lat");
   for (int i = 1; i <= 100; ++i) sketch.observe(static_cast<double>(i));
-  telemetry::Registry::global().roll_epoch(0);
 
   const std::string text = telemetry::prometheus_text();
   EXPECT_NE(text.find("# TYPE sor_promtest_events counter\n"
@@ -543,13 +500,13 @@ TEST(Exporters, PrometheusTextExposesCountersAndSketchSummaries) {
   EXPECT_NE(text.find("sor_promtest_lat{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(text.find("sor_promtest_lat_count 100"), std::string::npos);
-  // A windowed counter exports once, under its own name: no _total copy.
+  // A counter exports once, under its own name: no _total copy.
   EXPECT_EQ(text.find("sor_promtest_events_total"), std::string::npos);
   reset_health();
 }
 
-// Satellite: ring overflow is not silent — the evictions show up in the
-// health block's recorder figures (and in the recorder/dropped counter).
+// Ring overflow is not silent: the evictions show up in the health
+// block's recorder figures.
 TEST(Exporters, RecorderOverflowSurfacesInHealthBlock) {
   reset_health();
   const ScopedEnable enable;
@@ -574,30 +531,33 @@ TEST(Exporters, HealthJsonCarriesSketchesWatermarksAndStatus) {
   registry.sketch("jsontest/lat").observe(0.25);
   registry.gauge("jsontest/gauge").set(1.25);
   registry.counter("jsontest/rate").add(4);
-  registry.roll_epoch(0);
   registry.record_breach({"max_congestion", 0, 2.0, 1.0});
 
   const telemetry::JsonValue doc = telemetry::health_to_json();
   EXPECT_TRUE(doc.at("enabled").as_bool());
-  EXPECT_EQ(doc.at("epochs_rolled").as_number(), 1.0);
   const telemetry::JsonValue& sketch =
       doc.at("sketches").at("jsontest/lat");
   EXPECT_EQ(sketch.at("count").as_number(), 1.0);
   // The sketch's exact max is the watermark; no second copy is exported.
   EXPECT_DOUBLE_EQ(sketch.at("max").as_number(), 0.25);
-  EXPECT_FALSE(doc.has("watermarks"));
-  EXPECT_DOUBLE_EQ(
-      doc.at("rates").at("jsontest/rate").at(std::size_t{0}).at(
-          std::size_t{1}).as_number(),
-      4.0);
+  // Nothing else: no watermarks and no per-epoch windows (counters and
+  // gauges export in the artifact's telemetry block only).
+  const auto keys = [](const telemetry::JsonValue& object) {
+    std::set<std::string> out;
+    for (const auto& [key, value] : object.members()) out.insert(key);
+    return out;
+  };
+  EXPECT_EQ(keys(doc), (std::set<std::string>{"enabled", "recorder",
+                                              "sketches", "breaches",
+                                              "status"}));
   EXPECT_EQ(doc.at("breaches").size(), 1u);
   EXPECT_EQ(doc.at("status").as_number(), 1.0);
 
   const telemetry::JsonValue line = telemetry::epoch_health_json(0);
   EXPECT_EQ(line.at("epoch").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(
-      line.at("gauges").at("jsontest/gauge").as_number(), 1.25);
-  EXPECT_DOUBLE_EQ(line.at("rates").at("jsontest/rate").as_number(), 4.0);
+  EXPECT_EQ(
+      line.at("sketches").at("jsontest/lat").at("count").as_number(), 1.0);
+  EXPECT_EQ(keys(line), (std::set<std::string>{"epoch", "sketches"}));
   reset_health();
 }
 
@@ -614,7 +574,7 @@ TEST(Exporters, PrometheusEscapesLabelValuesAndHelpStrings) {
   reset_health();
   const ScopedEnable enable;
   // A hostile metric key: sanitized in the metric name, escaped in HELP.
-  SOR_COUNTER("promesc/ev\"il\\name").add(1);
+  telemetry::Registry::global().counter("promesc/ev\"il\\name").add(1);
   // A hostile subsystem name flows into a label VALUE, not a name.
   telemetry::MemoryAccountant::global()
       .channel("promesc\"sub\\sys\nline")
@@ -807,8 +767,8 @@ struct LoopRun {
 };
 
 /// Guards the gated benchmark's peak_rss_mb: with telemetry off, a loop
-/// records nothing at all — no counter moves, no span node (so no
-/// <span>_seconds sketch) is created, and no window is rolled.
+/// records nothing at all — no counter or gauge moves, and no span node
+/// (so no <span>_seconds sketch) is created.
 TEST(OneTelemetryLayer, DisabledControlLoopRecordsNothing) {
   reset_health();
   telemetry::reset_spans();
@@ -826,12 +786,8 @@ TEST(OneTelemetryLayer, DisabledControlLoopRecordsNothing) {
     EXPECT_EQ(value, 0u) << name;
   }
   EXPECT_TRUE(telemetry::snapshot_spans().empty());
-  EXPECT_EQ(registry.epochs_rolled(), 0u);
-  for (const auto& [name, window] : registry.counter_windows()) {
-    EXPECT_TRUE(window.empty()) << name;
-  }
-  for (const auto& [name, window] : registry.gauge_windows()) {
-    EXPECT_TRUE(window.empty()) << name;
+  for (const auto& [name, value] : registry.gauges()) {
+    EXPECT_EQ(value, 0.0) << name;
   }
   for (const auto& [name, snap] : registry.sketches()) {
     EXPECT_EQ(snap.count, 0u) << name;
@@ -875,20 +831,11 @@ TEST(OneTelemetryLayer, EverySpanFeedsItsSecondsSketch) {
   reset_health();
 }
 
-// engine/epochs counts each epoch exactly once.
-TEST(OneTelemetryLayer, ControlLoopCountsEachEpochOnce) {
-  reset_health();
-  const ScopedEnable enable;
-  auto& epochs = SOR_COUNTER("engine/epochs");
-  const std::uint64_t before = epochs.value();
-  LoopRun loop;
-  loop.run();
-  EXPECT_EQ(epochs.value() - before, 4u);
-  reset_health();
-}
-
 // One name is one metric: the exposition format allows one # TYPE line
-// per metric name, so no name may be both a gauge and a sketch.
+// per metric name, so no name may be both a gauge and a sketch. And every
+// signal has a reader: of the served loop's subsystems, only
+// engine/last_congestion (which `sor_cli diff` compares) is a counter or
+// gauge; the rest of what they record is sketches.
 TEST(OneTelemetryLayer, PrometheusDeclaresEachMetricOnce) {
   reset_health();
   const ScopedEnable enable;
@@ -903,13 +850,23 @@ TEST(OneTelemetryLayer, PrometheusDeclaresEachMetricOnce) {
   while (std::getline(lines, line)) {
     if (line.rfind("# TYPE ", 0) != 0) continue;
     ++type_lines;
-    const std::string name = line.substr(7, line.find(' ', 7) - 7);
+    const std::size_t name_end = line.find(' ', 7);
+    const std::string name = line.substr(7, name_end - 7);
+    const std::string type = line.substr(name_end + 1);
     EXPECT_TRUE(declared.insert(name).second) << "repeated # TYPE " << name;
+    if (type != "counter" && type != "gauge") continue;
+    for (const char* subsystem :
+         {"engine", "quality", "serve", "lp", "mwu", "cache", "sampler",
+          "tree", "recorder", "slo"}) {
+      if (name.rfind("sor_" + std::string(subsystem) + "_", 0) == 0) {
+        EXPECT_EQ(name, "sor_engine_last_congestion") << line;
+      }
+    }
   }
   EXPECT_GT(type_lines, 0u);
   EXPECT_TRUE(declared.count("sor_engine_congestion"));
   EXPECT_TRUE(declared.count("sor_quality_regret"));
-  EXPECT_TRUE(declared.count("sor_quality_last_regret"));
+  EXPECT_TRUE(declared.count("sor_engine_last_congestion"));
   reset_health();
 }
 

@@ -51,7 +51,8 @@ const telemetry::SpanSnapshot* find_span(
 
 TEST(TelemetryCounter, ConcurrentIncrementsLandExactly) {
   const ScopedEnable enable;
-  auto& counter = SOR_COUNTER("test/concurrent_counter");
+  auto& counter =
+      telemetry::Registry::global().counter("test/concurrent_counter");
   counter.reset();
   const std::size_t n = 20000;
   parallel_for(n, [&](std::size_t) { counter.add(); });
@@ -66,7 +67,7 @@ TEST(TelemetryCounter, ConcurrentIncrementsLandExactly) {
 
 TEST(TelemetryGauge, LastWriteWins) {
   const ScopedEnable enable;
-  auto& gauge = SOR_GAUGE("test/gauge");
+  auto& gauge = telemetry::Registry::global().gauge("test/gauge");
   gauge.set(2.5);
   EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
   gauge.set(-1.25);
@@ -230,8 +231,9 @@ TEST(TelemetryJson, ParserDecodesEscapes) {
 
 TEST(TelemetryExport, RegistrySnapshotHasExpectedShape) {
   const ScopedEnable enable;
-  SOR_COUNTER("test/export_counter").add(7);
-  SOR_GAUGE("test/export_gauge").set(1.5);
+  auto& registry = telemetry::Registry::global();
+  registry.counter("test/export_counter").add(7);
+  registry.gauge("test/export_gauge").set(1.5);
   SOR_SKETCH("test/export_sketch").observe(3.0);
 
   const JsonValue doc = telemetry::registry_to_json();
@@ -247,8 +249,9 @@ TEST(TelemetryExport, RegistrySnapshotHasExpectedShape) {
 
 TEST(TelemetryKillSwitch, DisabledRecordsNothing) {
   const ScopedEnable enable;
-  auto& counter = SOR_COUNTER("test/killswitch_counter");
-  auto& gauge = SOR_GAUGE("test/killswitch_gauge");
+  auto& counter =
+      telemetry::Registry::global().counter("test/killswitch_counter");
+  auto& gauge = telemetry::Registry::global().gauge("test/killswitch_gauge");
   auto& sketch = SOR_SKETCH("test/killswitch_sketch");
   counter.reset();
   gauge.set(3.0);
