@@ -7,9 +7,9 @@
 //   * an aligned table (the "figure/table" reproduction),
 //   * a trailing CSV block for plotting,
 // and writes a machine-readable artifact BENCH_<id>.json next to the
-// binary's working directory, containing the table, the full telemetry
-// registry snapshot, and the hierarchical span tree (per-stage wall-clock
-// timings). See EXPERIMENTS.md for the artifact schema.
+// binary's working directory, containing the table, the health sketches,
+// and the hierarchical span tree (per-stage wall-clock timings). See
+// EXPERIMENTS.md for the artifact schema.
 // Set SOR_BENCH_QUICK=1 to shrink trial counts (CI smoke mode).
 
 #include <cctype>
@@ -57,7 +57,7 @@ namespace sor::bench {
 // v6: added the "provenance" block (compiler id/version, build type,
 // flags, sanitize mode, build fingerprint, git describe — see
 // src/telemetry/buildinfo.hpp) and the "memory" block (current/peak RSS
-// plus per-subsystem live-bytes high-water marks, see
+// plus per-subsystem live-bytes high-water marks (dropped in v11), see
 // src/telemetry/memory.hpp). Both key the run ledger (`sor_cli ledger
 // append` / `trend`).
 // v7: added the "quality" block (routing-quality observatory: sampled
@@ -79,7 +79,12 @@ namespace sor::bench {
 // windows (its "rates" and "gauges" series and their epoch count are
 // gone), and "telemetry" keeps only the counters and gauges something
 // reads (lp/simplex_bytes; engine/ and router/last_congestion).
-inline constexpr int kArtifactSchemaVersion = 10;
+// v11: one metric kind. The top-level "telemetry" block is gone: every
+// registry signal is a health sketch ("lp/simplex_bytes",
+// "sampler/sample_path_system_bytes", "router/congestion"; the
+// last-congestion gauges are covered by the engine/ and router/congestion
+// sketches). "memory" is exactly {current_rss_bytes, peak_rss_bytes}.
+inline constexpr int kArtifactSchemaVersion = 11;
 
 namespace detail {
 // Captured at static initialization — close enough to process start for
@@ -176,7 +181,6 @@ inline telemetry::JsonValue artifact_json(const std::string& id,
   tbl.set("rows", std::move(rows));
   doc.set("table", std::move(tbl));
 
-  doc.set("telemetry", telemetry::registry_to_json());
   doc.set("spans", telemetry::spans_to_json());
   doc.set("events", telemetry::recorder_to_json());
   doc.set("convergence", telemetry::convergence_to_json());
@@ -202,9 +206,8 @@ inline telemetry::JsonValue artifact_json(const std::string& id,
   doc.set("health", telemetry::health_to_json());
 
   // v6: build provenance (configure-time compiler identity plus the
-  // git describe baked into this binary) and the memory figures (RSS is
-  // kernel state, so the block is meaningful under SOR_TELEMETRY=off
-  // too; the subsystem map is whatever the run charged).
+  // git describe baked into this binary) and the RSS figures (kernel
+  // state, so the block is meaningful under SOR_TELEMETRY=off too).
   doc.set("provenance", telemetry::build_info_json(git_describe()));
   doc.set("memory", telemetry::memory_to_json());
   return doc;

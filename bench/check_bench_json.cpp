@@ -1,10 +1,11 @@
 // Validates a BENCH_<id>.json artifact against the schema documented in
 // EXPERIMENTS.md. Exits 0 if the document parses and every required key
-// has the right shape; prints the first violation and exits 1 otherwise.
-// One schema is accepted, v10: an older artifact exits 1 ("written by an
-// old bench build"), and one stamped NEWER than this checker knows exits
-// with the dedicated code 3: "rebuild the checker", not "the artifact is
-// broken". Usage errors exit 2.
+// has the right shape; prints the first violation and exits 1 otherwise
+// (a value of the wrong kind deep inside a block included). One schema is
+// accepted, v11: an older artifact exits 1 ("written by an old bench
+// build"), and one stamped NEWER than this checker knows exits with the
+// dedicated code 3: "rebuild the checker", not "the artifact is broken".
+// Usage errors exit 2.
 //
 // Usage: check_bench_json <path/to/BENCH_E1.json>
 //        check_bench_json --chrome-trace <path/to/trace.json>
@@ -40,7 +41,7 @@ using sor::telemetry::JsonValue;
 
 /// The schema_version this checker understands; keep in lockstep with
 /// bench_common.hpp's kArtifactSchemaVersion.
-constexpr int kSchemaVersion = 10;
+constexpr int kSchemaVersion = 11;
 /// Exit code for artifacts from a NEWER schema than this build knows.
 /// Distinct from 1 (schema violation) and 2 (usage) so fixtures and CI
 /// can tell "stale checker" apart from "broken artifact".
@@ -61,13 +62,13 @@ void check_member(const JsonValue& doc, const char* key, JsonValue::Kind kind,
 }
 
 /// A block may change shape only with a schema bump, so a key outside
-/// the ones v10 defines for `block` (a re-added "watermarks", say) means
+/// the ones v11 defines for `block` (a re-added "watermarks", say) means
 /// the artifact drifted from its version stamp.
 void check_keys(const JsonValue& block, const std::string& where,
                 const std::set<std::string>& keys) {
   for (const auto& [key, value] : block.members()) {
     require(keys.count(key) == 1, where + " carries \"" + key +
-                                      "\", which schema v10 does not define");
+                                      "\", which schema v11 does not define");
   }
 }
 
@@ -349,13 +350,12 @@ void check_provenance(const JsonValue& doc) {
           "provenance/build_fingerprint is not a 16-hex-digit fingerprint");
 }
 
-/// The memory block (src/telemetry/memory.hpp): RSS figures
-/// with peak >= current (both sides of one sample), and per-subsystem
-/// live/high-water byte accounts with high_water >= live (the high-water
-/// mark is monotone over live).
+/// The memory block (src/telemetry/memory.hpp): the two RSS figures and
+/// nothing else, with peak >= current (both sides of one sample).
 void check_memory(const JsonValue& doc) {
   check_member(doc, "memory", JsonValue::Kind::kObject, "object");
   const JsonValue& memory = doc.at("memory");
+  check_keys(memory, "memory", {"current_rss_bytes", "peak_rss_bytes"});
   for (const char* key : {"current_rss_bytes", "peak_rss_bytes"}) {
     check_member(memory, key, JsonValue::Kind::kNumber, "number");
     require(memory.at(key).as_number() >= 0,
@@ -364,19 +364,6 @@ void check_memory(const JsonValue& doc) {
   require(memory.at("peak_rss_bytes").as_number() >=
               memory.at("current_rss_bytes").as_number(),
           "memory/peak_rss_bytes is below current_rss_bytes");
-  check_member(memory, "subsystems", JsonValue::Kind::kObject, "object");
-  for (const auto& [name, entry] : memory.at("subsystems").members()) {
-    const std::string where = "memory/subsystems/" + name;
-    require(entry.is_object(), where + " is not an object");
-    for (const char* key : {"live_bytes", "high_water_bytes"}) {
-      check_member(entry, key, JsonValue::Kind::kNumber, "number");
-      require(entry.at(key).as_number() >= 0,
-              where + "/" + key + " is negative");
-    }
-    require(entry.at("high_water_bytes").as_number() >=
-                entry.at("live_bytes").as_number(),
-            where + " high-water mark is below live bytes");
-  }
 }
 
 /// The routing-quality block (src/engine/quality.hpp): sampled regret
@@ -684,9 +671,7 @@ JsonValue load_json_or_exit(const char* path) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const std::string mode = argc >= 2 ? argv[1] : "";
   const bool chrome_trace = argc == 3 && mode == "--chrome-trace";
   const bool require_cache_hits = argc == 3 && mode == "--require-cache-hits";
@@ -749,17 +734,10 @@ int main(int argc, char** argv) {
                 std::to_string(num_cols));
   }
 
-  check_member(doc, "telemetry", JsonValue::Kind::kObject, "object");
-  const JsonValue& telemetry = doc.at("telemetry");
-  check_member(telemetry, "counters", JsonValue::Kind::kObject, "object");
-  check_member(telemetry, "gauges", JsonValue::Kind::kObject, "object");
-  // Distributions are health sketches: no "histograms" map.
-  check_keys(telemetry, "telemetry", {"counters", "gauges"});
-  for (const auto& [name, value] : telemetry.at("counters").members()) {
-    require(name.rfind("cost/", 0) != 0,
-            "telemetry counter \"" + name +
-                "\" is a cost/ counter (solver cost lives in the spans)");
-  }
+  // Every registry signal is a health sketch: no counters or gauges.
+  require(!doc.has("telemetry"),
+          "artifact carries a \"telemetry\" block, which schema v11 does "
+          "not define (registry signals are health sketches)");
 
   check_member(doc, "spans", JsonValue::Kind::kArray, "array");
   const JsonValue& spans = doc.at("spans");
@@ -808,6 +786,12 @@ int main(int argc, char** argv) {
             "cross-check missing or SOR_TELEMETRY off)");
     require(solvers.count("mwu") == 1,
             "E12 artifact has no mwu convergence trace");
+    // ... and the simplex charged its tableau bytes, the figure the
+    // bytes column of `sor_cli profile` prints for lp/simplex.
+    const JsonValue& sketches = doc.at("health").at("sketches");
+    require(sketches.has("lp/simplex_bytes") &&
+                sketches.at("lp/simplex_bytes").at("count").as_number() > 0,
+            "E12 health block has no lp/simplex_bytes observation");
   }
   if (doc.at("experiment").as_string() == "E16") {
     check_e16(doc);
@@ -844,9 +828,23 @@ int main(int argc, char** argv) {
             "or SOR_TELEMETRY off)");
   }
 
-  std::printf("%s: ok (%zu spans, %zu counters, %zu recorder events)\n",
+  std::printf("%s: ok (%zu spans, %zu sketches, %zu recorder events)\n",
               path, spans.size(),
-              doc.at("telemetry").at("counters").size(),
+              doc.at("health").at("sketches").members().size(),
               doc.at("events").at("events").size());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A value of the wrong kind inside a block (a string where a bucket
+  // index belongs, say) throws from JsonValue's accessors: it is a schema
+  // violation like any other, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const sor::CheckError& e) {
+    std::fprintf(stderr, "schema violation: %s\n", e.what());
+    return 1;
+  }
 }

@@ -317,26 +317,8 @@ int diff_main(int argc, char** argv) {
   const auto before = load_json(paths[0]);
   const auto after = load_json(paths[1]);
   if (!before || !after) return 2;
-  // Build provenance header: a congestion "regression" between artifacts
-  // built with different compilers or sanitizers is usually the build.
-  const auto build_line = [](const char* label,
-                             const sor::telemetry::JsonValue& doc) {
-    if (!doc.has("provenance") || !doc.at("provenance").is_object()) return;
-    const sor::telemetry::JsonValue& prov = doc.at("provenance");
-    std::cout << label << " build:";
-    for (const char* key : {"compiler_id", "compiler_version", "build_type"}) {
-      if (prov.has(key) && prov.at(key).is_string()) {
-        std::cout << " " << prov.at(key).as_string();
-      }
-    }
-    if (prov.has("build_fingerprint") &&
-        prov.at("build_fingerprint").is_string()) {
-      std::cout << "  [" << prov.at("build_fingerprint").as_string() << "]";
-    }
-    std::cout << "\n";
-  };
-  build_line("old", *before);
-  build_line("new", *after);
+  sor::telemetry::render_build_line(*before, "old ", std::cout);
+  sor::telemetry::render_build_line(*after, "new ", std::cout);
   const sor::telemetry::ArtifactDiffResult result =
       sor::telemetry::diff_artifacts(*before, *after, options);
   sor::telemetry::render_artifact_diff(result, std::cout);

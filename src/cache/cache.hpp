@@ -35,6 +35,7 @@
 #include <unordered_map>
 
 #include "graph/fingerprint.hpp"
+#include "util/stats.hpp"
 
 namespace sor::cache {
 
@@ -64,13 +65,10 @@ struct CacheStats {
   std::uint64_t entries = 0;      // memory tier entry count
 
   /// Lookups served by either tier over all lookups; -1 when there was no
-  /// lookup (so an SLO floor does not breach an idle cache).
+  /// lookup (sor::hit_rate).
   double hit_rate() const {
-    const std::uint64_t served = hits + disk_hits;
-    const std::uint64_t lookups = served + misses;
-    return lookups == 0 ? -1.0
-                        : static_cast<double>(served) /
-                              static_cast<double>(lookups);
+    return sor::hit_rate(static_cast<double>(hits + disk_hits),
+                         static_cast<double>(misses));
   }
 };
 

@@ -90,7 +90,7 @@ FractionalRoute SemiObliviousRouter::route_fractional(
     mwu.epsilon = options_.epsilon;
     solution = solve_restricted_mwu(route.problem, mwu);
   }
-  SOR_GAUGE("router/last_congestion").set(solution.congestion);
+  SOR_SKETCH("router/congestion").observe(solution.congestion);
 
   route.congestion = solution.congestion;
   route.lower_bound = solution.lower_bound;

@@ -12,7 +12,6 @@
 #include "demand/generators.hpp"
 #include "flow/maxflow.hpp"
 #include "graph/fingerprint.hpp"
-#include "telemetry/memory.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
@@ -116,27 +115,23 @@ PathSystem sample_path_system_uncached(const ObliviousRouting& routing,
   });
 
   // Per-pair sampled counts, aggregated single-threaded after the
-  // parallel loop (pairs in the input may repeat under canonicalization).
+  // parallel loop (pairs in the input may repeat under canonicalization),
+  // and the sampled scratch's bytes (edge lists plus the Path headers):
+  // the sampler's working set until it moves into the returned system.
+  // One bytes observation per call, named after the span, so the
+  // sketch's max is the largest sampling footprint.
   std::map<std::pair<Vertex, Vertex>, std::size_t> sampled_by_pair;
   if (telemetry::enabled()) {
+    std::size_t sampled_bytes = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       sampled_by_pair[{pairs[i].a, pairs[i].b}] += sampled[i].size();
-    }
-  }
-
-  // Memory attribution: the sampled scratch (edge lists plus the Path
-  // headers) is the sampler's working set until it is moved into the
-  // returned system. Charged for the assembly scope so the accountant's
-  // high-water mark captures the largest concurrent sampling footprint.
-  std::uint64_t sampled_bytes = 0;
-  if (telemetry::enabled()) {
-    for (const auto& list : sampled) {
-      for (const Path& p : list) {
+      for (const Path& p : sampled[i]) {
         sampled_bytes += sizeof(Path) + p.edges.size() * sizeof(EdgeId);
       }
     }
+    SOR_SKETCH("sampler/sample_path_system_bytes")
+        .observe(static_cast<double>(sampled_bytes));
   }
-  SOR_SCOPED_BYTES("sampler", sampled_bytes);
 
   PathSystem system;
   for (auto& list : sampled) {

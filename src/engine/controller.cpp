@@ -329,7 +329,6 @@ EpochReport EpochController::step(std::span<const Event> events,
     SOR_SKETCH("quality/predictor_mape").observe(report.quality.predictor_mape);
   }
 
-  SOR_GAUGE("engine/last_congestion").set(report.congestion);
   telemetry::Recorder::global().record(
       "engine/epoch",
       {{"epoch", static_cast<std::uint64_t>(report.epoch)},

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "telemetry/memory.hpp"
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
@@ -222,14 +221,12 @@ LpSolution solve_lp(const LpProblem& problem, std::size_t max_iterations) {
   const std::size_t cols = first_artificial + m;
 
   Tableau t(m, cols);
-  // Approximate working-set footprint: the dense tableau dominates. The
-  // counter accumulates over the run; the scoped charge tracks LIVE
-  // tableau bytes so the memory accountant's high-water mark reflects
-  // the largest concurrent working set, not the total churned.
-  SOR_COUNTER("lp/simplex_bytes")
-      .add(static_cast<std::uint64_t>(m) * cols * sizeof(double));
-  SOR_SCOPED_BYTES("simplex",
-                   static_cast<std::uint64_t>(m) * cols * sizeof(double));
+  // Approximate working-set footprint: the dense tableau dominates. One
+  // observation per solve: the sketch's sum is the bytes churned over the
+  // run, and its max the largest working set (no caller runs two simplex
+  // solves at once).
+  SOR_SKETCH("lp/simplex_bytes")
+      .observe(static_cast<double>(m * cols * sizeof(double)));
   LpSolution solution;
   std::size_t slack_cursor = first_slack;
   for (std::size_t r = 0; r < m; ++r) {

@@ -65,6 +65,16 @@ std::string format_quantity(double value) {
 
 namespace {
 
+/// The header every artifact view opens with; rejects documents that are
+/// not artifact-shaped at all.
+void render_experiment_line(const JsonValue& doc, std::ostream& os) {
+  SOR_CHECK_MSG(doc.is_object() && doc.has("experiment"),
+                "document is not a BENCH artifact (no \"experiment\" key)");
+  os << "experiment: " << doc.at("experiment").as_string();
+  if (doc.has("title")) os << "  —  " << doc.at("title").as_string();
+  os << "\n";
+}
+
 std::string number_text(const JsonValue& v) {
   if (v.is_number()) {
     std::ostringstream os;
@@ -74,6 +84,13 @@ std::string number_text(const JsonValue& v) {
   if (v.is_string()) return v.as_string();
   if (v.is_bool()) return v.as_bool() ? "true" : "false";
   return v.dump(0);
+}
+
+double number_or(const JsonValue& obj, const char* key, double fallback) {
+  if (obj.is_object() && obj.has(key) && obj.at(key).is_number()) {
+    return obj.at(key).as_number();
+  }
+  return fallback;
 }
 
 /// Flattens the span forest into "root/child/..." path → seconds. Span
@@ -160,19 +177,6 @@ std::map<std::string, double> health_sketch_stats(const JsonValue& doc) {
   return out;
 }
 
-std::map<std::string, double> congestion_gauges(const JsonValue& doc) {
-  std::map<std::string, double> out;
-  if (!doc.has("telemetry")) return out;
-  const JsonValue& telemetry = doc.at("telemetry");
-  if (!telemetry.is_object() || !telemetry.has("gauges")) return out;
-  for (const auto& [name, value] : telemetry.at("gauges").members()) {
-    if (name.find("congestion") != std::string::npos && value.is_number()) {
-      out[name] = value.as_number();
-    }
-  }
-  return out;
-}
-
 double series_max(const JsonValue& series) {
   double best = 0;
   for (std::size_t i = 0; i < series.size(); ++i) {
@@ -190,16 +194,6 @@ struct Comparison {
 
 void collect(const JsonValue& before, const JsonValue& after,
              std::vector<Comparison>& out) {
-  // Congestion gauges present in both.
-  const auto gauges_a = congestion_gauges(before);
-  const auto gauges_b = congestion_gauges(after);
-  for (const auto& [name, value] : gauges_a) {
-    const auto it = gauges_b.find(name);
-    if (it != gauges_b.end()) {
-      out.push_back({"gauge:" + name, value, it->second, false});
-    }
-  }
-
   // Top-link utilization of the attribution block.
   const auto top_utilization = [](const JsonValue& doc) -> double {
     if (!doc.has("attribution")) return -1;
@@ -557,34 +551,37 @@ void render_memory(const JsonValue& doc, std::ostream& os) {
     os << "  (current "
        << format_quantity(block.at("current_rss_bytes").as_number()) << "B)";
   }
-  os << "\n";
-  if (block.has("subsystems") && block.at("subsystems").is_object() &&
-      block.at("subsystems").size() > 0) {
-    os << "  " << std::left << std::setw(16) << "subsystem" << std::right
-       << std::setw(12) << "high-water" << std::setw(12) << "live" << "\n";
-    for (const auto& [name, fig] : block.at("subsystems").members()) {
-      if (!fig.is_object()) continue;
-      const double hwm = fig.has("high_water_bytes")
-                             ? fig.at("high_water_bytes").as_number()
-                             : 0;
-      const double live =
-          fig.has("live_bytes") ? fig.at("live_bytes").as_number() : 0;
-      os << "  " << std::left << std::setw(16) << name << std::right
-         << std::setw(12) << (format_quantity(hwm) + "B") << std::setw(12)
-         << (format_quantity(live) + "B") << "\n";
-    }
-  }
-  os << "\n";
+  os << "\n\n";
 }
 
 }  // namespace
 
-void render_artifact_report(const JsonValue& doc, std::ostream& os) {
-  SOR_CHECK_MSG(doc.is_object() && doc.has("experiment"),
-                "document is not a BENCH artifact (no \"experiment\" key)");
-  os << "experiment: " << doc.at("experiment").as_string();
-  if (doc.has("title")) os << "  —  " << doc.at("title").as_string();
+void render_build_line(const JsonValue& doc, std::string_view label,
+                       std::ostream& os) {
+  if (!doc.is_object() || !doc.has("provenance") ||
+      !doc.at("provenance").is_object()) {
+    return;
+  }
+  const JsonValue& prov = doc.at("provenance");
+  os << label << "build:";
+  for (const char* key : {"compiler_id", "compiler_version", "build_type"}) {
+    if (prov.has(key) && prov.at(key).is_string()) {
+      os << " " << prov.at(key).as_string();
+    }
+  }
+  if (prov.has("sanitize") && prov.at("sanitize").is_string() &&
+      prov.at("sanitize").as_string() != "off") {
+    os << " sanitize=" << prov.at("sanitize").as_string();
+  }
+  if (prov.has("build_fingerprint") &&
+      prov.at("build_fingerprint").is_string()) {
+    os << "  [" << prov.at("build_fingerprint").as_string() << "]";
+  }
   os << "\n";
+}
+
+void render_artifact_report(const JsonValue& doc, std::ostream& os) {
+  render_experiment_line(doc, os);
   if (doc.has("claim")) os << "claim: " << doc.at("claim").as_string() << "\n";
   if (doc.has("git_describe")) {
     os << "tree: " << doc.at("git_describe").as_string();
@@ -594,24 +591,7 @@ void render_artifact_report(const JsonValue& doc, std::ostream& os) {
     }
     os << "\n";
   }
-  if (doc.has("provenance") && doc.at("provenance").is_object()) {
-    const JsonValue& prov = doc.at("provenance");
-    os << "build:";
-    for (const char* key : {"compiler_id", "compiler_version", "build_type"}) {
-      if (prov.has(key) && prov.at(key).is_string()) {
-        os << " " << prov.at(key).as_string();
-      }
-    }
-    if (prov.has("sanitize") && prov.at("sanitize").is_string() &&
-        prov.at("sanitize").as_string() != "off") {
-      os << " sanitize=" << prov.at("sanitize").as_string();
-    }
-    if (prov.has("build_fingerprint") &&
-        prov.at("build_fingerprint").is_string()) {
-      os << "  [" << prov.at("build_fingerprint").as_string() << "]";
-    }
-    os << "\n";
-  }
+  render_build_line(doc, "", os);
   if (doc.has("schema_version")) {
     os << "schema: v" << number_text(doc.at("schema_version")) << "\n";
   }
@@ -636,10 +616,11 @@ namespace {
 void render_cost_accounting(const JsonValue& doc, std::ostream& os) {
   const auto totals = span_totals(doc);
   if (totals.empty()) return;
-  const JsonValue* counters = nullptr;
-  if (doc.has("telemetry") && doc.at("telemetry").is_object() &&
-      doc.at("telemetry").has("counters")) {
-    counters = &doc.at("telemetry").at("counters");
+  const JsonValue* sketches = nullptr;
+  if (doc.has("health") && doc.at("health").is_object() &&
+      doc.at("health").has("sketches") &&
+      doc.at("health").at("sketches").is_object()) {
+    sketches = &doc.at("health").at("sketches");
   }
   // Most expensive first.
   std::vector<std::pair<std::string, SpanTotal>> sorted(totals.begin(),
@@ -654,10 +635,10 @@ void render_cost_accounting(const JsonValue& doc, std::ostream& os) {
      << "per-call" << std::setw(10) << "bytes" << "\n";
   for (const auto& [name, total] : sorted) {
     const std::string bytes_key = name + "_bytes";
-    const double bytes = counters != nullptr && counters->has(bytes_key) &&
-                                 counters->at(bytes_key).is_number()
-                             ? counters->at(bytes_key).as_number()
-                             : 0;
+    const double bytes =
+        sketches != nullptr && sketches->has(bytes_key)
+            ? number_or(sketches->at(bytes_key), "sum", 0)
+            : 0;
     os << "  " << std::left << std::setw(28) << name << std::right
        << std::setw(10) << format_quantity(total.calls) << std::setw(12)
        << format_seconds(total.seconds) << std::setw(12)
@@ -715,11 +696,7 @@ void render_convergence(const JsonValue& doc, std::ostream& os) {
 }  // namespace
 
 void render_artifact_profile(const JsonValue& doc, std::ostream& os) {
-  SOR_CHECK_MSG(doc.is_object() && doc.has("experiment"),
-                "document is not a BENCH artifact (no \"experiment\" key)");
-  os << "experiment: " << doc.at("experiment").as_string();
-  if (doc.has("title")) os << "  —  " << doc.at("title").as_string();
-  os << "\n";
+  render_experiment_line(doc, os);
   if (doc.has("wall_seconds") && doc.at("wall_seconds").is_number()) {
     os << "wall: " << format_seconds(doc.at("wall_seconds").as_number())
        << "\n";
@@ -740,13 +717,6 @@ std::string quality_cell(double v, int precision) {
   return os.str();
 }
 
-double number_or(const JsonValue& obj, const char* key, double fallback) {
-  if (obj.is_object() && obj.has(key) && obj.at(key).is_number()) {
-    return obj.at(key).as_number();
-  }
-  return fallback;
-}
-
 double element_or(const JsonValue& block, const char* key, std::size_t i,
                   double fallback) {
   if (!block.is_object() || !block.has(key)) return fallback;
@@ -760,11 +730,7 @@ double element_or(const JsonValue& block, const char* key, std::size_t i,
 }  // namespace
 
 void render_artifact_quality(const JsonValue& doc, std::ostream& os) {
-  SOR_CHECK_MSG(doc.is_object() && doc.has("experiment"),
-                "document is not a BENCH artifact (no \"experiment\" key)");
-  os << "experiment: " << doc.at("experiment").as_string();
-  if (doc.has("title")) os << "  —  " << doc.at("title").as_string();
-  os << "\n";
+  render_experiment_line(doc, os);
   if (!doc.has("quality") || !doc.at("quality").is_object()) {
     os << "no quality block (schema < v7 or observatory disabled)\n";
     return;

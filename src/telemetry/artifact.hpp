@@ -10,6 +10,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/json.hpp"
@@ -38,6 +39,14 @@ struct SpanTotal {
 /// and the run ledger read.
 std::map<std::string, SpanTotal> span_totals(const JsonValue& doc);
 
+/// Prints "<label>build: <compiler id> <version> <build type>
+/// [sanitize=<mode>]  [<fingerprint>]" from the artifact's provenance
+/// block; prints nothing when the artifact has none. `report` prints it
+/// unlabelled, `diff` once per side ("old ", "new "): a congestion
+/// regression between artifacts of different builds is usually the build.
+void render_build_line(const JsonValue& doc, std::string_view label,
+                       std::ostream& os);
+
 /// Renders a multi-section summary: header (experiment/claim/provenance),
 /// the reproduction table, the slowest spans, the bottleneck links (when
 /// the artifact carries an "attribution" block), and flight-recorder
@@ -59,7 +68,7 @@ struct ArtifactDiffOptions {
 };
 
 struct ArtifactDiffEntry {
-  std::string metric;  // e.g. "gauge:engine/last_congestion", "span:cli/online"
+  std::string metric;  // e.g. "health:engine/congestion:max", "span:cli/online"
   double before = 0;
   double after = 0;
   /// (after - before) / before; +inf when before == 0 and after > 0.
@@ -82,8 +91,11 @@ struct ArtifactDiffResult {
 };
 
 /// Compares two artifacts of the same experiment. Metrics compared:
-///  * every gauge whose name contains "congestion" present in both, and
-///    the top-link utilization of the "attribution" block (congestion
+///  * the p50, p99 and max of every health sketch present in both:
+///    "<name>_seconds" sketches as time (span threshold + noise floor),
+///    the rest (engine/ and router/congestion among them) as quantities
+///    (congestion threshold);
+///  * the top-link utilization of the "attribution" block (congestion
 ///    threshold);
 ///  * every span (flattened root/child path) present in both, plus
 ///    wall_seconds and the E16 modes' total_solve_ms (span threshold,
@@ -105,10 +117,10 @@ void render_artifact_diff(const ArtifactDiffResult& result, std::ostream& os);
 
 /// Renders the solver-introspection view of one artifact (`sor_cli
 /// profile`): a cost table with one row per span name (calls and time
-/// from span_totals(), bytes from the "<span name>_bytes" counter when
-/// one exists) and the schema-v3 "convergence" block (one line per
-/// trace: iterations, retained points, final objective/bound/gap,
-/// truncation, per-solve counters). Tolerates
+/// from span_totals(), bytes from the sum of the health sketch
+/// "<span name>_bytes" when one exists) and the schema-v3 "convergence"
+/// block (one line per trace: iterations, retained points, final
+/// objective/bound/gap, truncation, per-solve counters). Tolerates
 /// artifacts without either block; throws CheckError on documents that
 /// are not artifact-shaped at all.
 void render_artifact_profile(const JsonValue& doc, std::ostream& os);

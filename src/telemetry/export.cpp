@@ -21,21 +21,6 @@ JsonValue span_to_json(const SpanSnapshot& span) {
 
 }  // namespace
 
-JsonValue registry_to_json(const Registry& registry) {
-  JsonValue root = JsonValue::object();
-  JsonValue counters = JsonValue::object();
-  for (const auto& [name, value] : registry.counters()) {
-    counters.set(name, value);
-  }
-  root.set("counters", std::move(counters));
-  JsonValue gauges = JsonValue::object();
-  for (const auto& [name, value] : registry.gauges()) {
-    gauges.set(name, value);
-  }
-  root.set("gauges", std::move(gauges));
-  return root;
-}
-
 JsonValue spans_to_json(const std::vector<SpanSnapshot>& spans) {
   JsonValue arr = JsonValue::array();
   for (const SpanSnapshot& span : spans) arr.push(span_to_json(span));

@@ -1,14 +1,10 @@
 #pragma once
 
-// Serialization of the metric registry and the span forest.
+// Serialization of the span forest, the convergence traces and the
+// flight recorder. The registry's sketches export in the `health` block
+// (telemetry/metrics.hpp).
 //
 // JSON shapes (consumed by BENCH_*.json tooling — see EXPERIMENTS.md):
-//
-//   registry_to_json() ->
-//     {"counters": {name: integer, ...},
-//      "gauges":   {name: number, ...}}
-//   (the registry's sketches export in the `health` block, see
-//   telemetry/metrics.hpp)
 //
 //   spans_to_json() ->
 //     [{"name": str, "count": n, "seconds": s, "children": [...]}, ...]
@@ -19,11 +15,8 @@
 #include "telemetry/observer.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sor::telemetry {
-
-JsonValue registry_to_json(const Registry& registry = Registry::global());
 
 /// Convergence-trace snapshot (artifact schema v3 "convergence" block):
 ///   {"capacity": n, "dropped": d,

@@ -12,6 +12,7 @@
 #include "telemetry/artifact.hpp"
 #include "telemetry/buildinfo.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 
 namespace sor::telemetry {
 
@@ -134,11 +135,9 @@ LedgerRecord summarize_artifact(const JsonValue& artifact,
   // Cache hit rate over the artifact's own cache block (survives
   // SOR_TELEMETRY=off); -1 marks "no traffic", skipped by the trend.
   if (const JsonValue* cache = find_path(artifact, {"cache"})) {
-    const double hits =
-        number_at(cache, "hits", 0) + number_at(cache, "disk_hits", 0);
-    const double misses = number_at(cache, "misses", 0);
-    record.metrics[kCacheHitRate] =
-        hits + misses > 0 ? hits / (hits + misses) : -1.0;
+    record.metrics[kCacheHitRate] = hit_rate(
+        number_at(cache, "hits", 0) + number_at(cache, "disk_hits", 0),
+        number_at(cache, "misses", 0));
   }
   // Routing-quality figures (schema v7 quality block): the sampled-regret
   // p95 and the mean predictor MAPE. Both higher-is-worse, so they enter

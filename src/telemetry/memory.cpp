@@ -64,62 +64,11 @@ MemoryUsage sample_memory_usage() {
   return usage;
 }
 
-MemoryAccountant& MemoryAccountant::global() {
-  static MemoryAccountant* accountant =
-      new MemoryAccountant();  // never destroyed,
-  return *accountant;  // same lifetime policy as telemetry::Registry
-}
-
-MemoryChannel& MemoryAccountant::channel(std::string_view subsystem) {
-  std::lock_guard lock(mu_);
-  auto it = channels_.find(subsystem);
-  if (it == channels_.end()) {
-    it = channels_
-             .emplace(std::string(subsystem),
-                      std::make_unique<MemoryChannel>())
-             .first;
-  }
-  return *it->second;
-}
-
-std::vector<std::pair<std::string, MemoryAccountant::Figures>>
-MemoryAccountant::figures() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, Figures>> out;
-  out.reserve(channels_.size());
-  for (const auto& [name, channel] : channels_) {
-    // Read the high-water mark first: a concurrent charge between the
-    // two loads can only RAISE live past the stale hwm, and the checker
-    // requires hwm >= live.
-    Figures f;
-    f.high_water_bytes = channel->high_water_bytes();
-    f.live_bytes = channel->live_bytes();
-    if (f.live_bytes > f.high_water_bytes) {
-      f.high_water_bytes = f.live_bytes;
-    }
-    out.emplace_back(name, f);
-  }
-  return out;
-}
-
-void MemoryAccountant::reset() {
-  std::lock_guard lock(mu_);
-  for (auto& [name, channel] : channels_) channel->reset();
-}
-
 JsonValue memory_to_json() {
   const MemoryUsage usage = sample_memory_usage();
   JsonValue doc = JsonValue::object();
   doc.set("current_rss_bytes", usage.current_rss_bytes);
   doc.set("peak_rss_bytes", usage.peak_rss_bytes);
-  JsonValue subsystems = JsonValue::object();
-  for (const auto& [name, figures] : MemoryAccountant::global().figures()) {
-    JsonValue entry = JsonValue::object();
-    entry.set("live_bytes", figures.live_bytes);
-    entry.set("high_water_bytes", figures.high_water_bytes);
-    subsystems.set(name, std::move(entry));
-  }
-  doc.set("subsystems", std::move(subsystems));
   return doc;
 }
 

@@ -1,37 +1,20 @@
 #pragma once
 
-// Memory attribution: process-level RSS figures plus per-subsystem
-// live-bytes accounting with high-water marks.
+// Process memory figures: sample_memory_usage() reads the kernel's view
+// of the process (VmRSS/VmHWM from /proc/self/status, getrusage
+// fallback). It is cheap enough to sample at every epoch boundary, and
+// meaningful even with telemetry disabled (it reads the kernel, not the
+// registry).
 //
-// Two complementary views:
-//   * sample_memory_usage() reads the kernel's view of the process
-//     (VmRSS/VmHWM from /proc/self/status, getrusage fallback) — cheap
-//     enough to sample at every epoch boundary, and meaningful even with
-//     telemetry disabled (it reads the kernel, not the registry);
-//   * MemoryAccountant tracks bytes the code CHARGES to a named
-//     subsystem ("simplex", "sampler", ...) — live bytes plus the
-//     high-water mark, the "where does construction break first" signal
-//     the large-n sweep needs. Charging follows the hot-path contract of
-//     telemetry.hpp: intern once via SOR_MEMORY_CHANNEL, then each
-//     charge/release is a couple of relaxed atomic ops; when
-//     SOR_TELEMETRY=off a ScopedBytes never touches the channel.
-//
-// Both surface in the artifact's schema-v6 "memory" block
-// (memory_to_json), the Prometheus exporter (sor_memory_* with a
-// subsystem label), and the run ledger's summary metrics.
+// The figures surface in the artifact's "memory" block (memory_to_json),
+// the Prometheus exporter (sor_memory_rss_bytes), and the run ledger's
+// summary metrics. Bytes a span charges to its own working set are a
+// sketch, "<span name>_bytes" (telemetry/telemetry.hpp), not a figure
+// here: its sum is the run total and its max the largest single charge.
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 #include "telemetry/json.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sor::telemetry {
 
@@ -45,104 +28,9 @@ struct MemoryUsage {
 
 MemoryUsage sample_memory_usage();
 
-/// One subsystem's byte account: live bytes (charged minus released) and
-/// the high-water mark of live bytes over the run.
-class MemoryChannel {
- public:
-  void charge(std::uint64_t bytes) {
-    const std::uint64_t live =
-        live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    std::uint64_t hwm = high_water_.load(std::memory_order_relaxed);
-    while (live > hwm && !high_water_.compare_exchange_weak(
-                             hwm, live, std::memory_order_relaxed)) {
-    }
-  }
-  void release(std::uint64_t bytes) {
-    live_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-  std::uint64_t live_bytes() const {
-    return live_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t high_water_bytes() const {
-    return high_water_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    live_.store(0, std::memory_order_relaxed);
-    high_water_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> live_{0};
-  std::atomic<std::uint64_t> high_water_{0};
-};
-
-/// Name -> channel map, process-wide like telemetry::Registry. Channels
-/// live at stable addresses until process exit.
-class MemoryAccountant {
- public:
-  static MemoryAccountant& global();
-
-  MemoryChannel& channel(std::string_view subsystem);
-
-  struct Figures {
-    std::uint64_t live_bytes = 0;
-    std::uint64_t high_water_bytes = 0;
-  };
-  std::vector<std::pair<std::string, Figures>> figures() const;
-
-  /// Zeroes every channel (registrations kept, interned references stay
-  /// valid). For bench/test isolation.
-  void reset();
-
- private:
-  MemoryAccountant() = default;
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<MemoryChannel>, std::less<>>
-      channels_;
-};
-
-/// RAII byte charge: charges on construction, releases on destruction.
-/// Latches the kill switch at entry so a mid-scope toggle cannot leak a
-/// charge or release bytes that were never charged.
-class ScopedBytes {
- public:
-  ScopedBytes(MemoryChannel& channel, std::uint64_t bytes)
-      : channel_(&channel), bytes_(enabled() ? bytes : 0) {
-    if (bytes_ > 0) channel_->charge(bytes_);
-  }
-  ~ScopedBytes() {
-    if (bytes_ > 0) channel_->release(bytes_);
-  }
-  ScopedBytes(const ScopedBytes&) = delete;
-  ScopedBytes& operator=(const ScopedBytes&) = delete;
-
- private:
-  MemoryChannel* channel_;
-  std::uint64_t bytes_;
-};
-
-/// The artifact "memory" block (schema v6): RSS sample plus per-channel
-/// live/high-water figures. The RSS fields are filled even when
-/// telemetry is disabled (kernel state, not registry state); the
-/// subsystems map is whatever was charged.
+/// The artifact "memory" block (schema v11): exactly
+/// {"current_rss_bytes", "peak_rss_bytes"}, from one sample. Filled even
+/// when telemetry is disabled (kernel state, not registry state).
 JsonValue memory_to_json();
 
 }  // namespace sor::telemetry
-
-/// Interns the channel once, then each use is a couple of relaxed
-/// atomics. `name` must be a string literal ("simplex", "sampler", ...).
-#define SOR_MEMORY_CHANNEL(name)                                       \
-  ([]() -> ::sor::telemetry::MemoryChannel& {                          \
-    static ::sor::telemetry::MemoryChannel& c =                        \
-        ::sor::telemetry::MemoryAccountant::global().channel(name);    \
-    return c;                                                          \
-  }())
-
-#define SOR_MEMORY_CONCAT_INNER(a, b) a##b
-#define SOR_MEMORY_CONCAT(a, b) SOR_MEMORY_CONCAT_INNER(a, b)
-
-/// Charges `bytes` to the subsystem for the enclosing scope's lifetime.
-#define SOR_SCOPED_BYTES(name, bytes)                                    \
-  ::sor::telemetry::ScopedBytes SOR_MEMORY_CONCAT(sor_bytes_, __LINE__)( \
-      SOR_MEMORY_CHANNEL(name), (bytes))

@@ -107,27 +107,7 @@ void prometheus_value(std::ostream& os, double v) {
   os << text.str();
 }
 
-void prometheus_help(std::ostream& os, const std::string& prom,
-                     std::string_view raw_name, const char* what) {
-  os << "# HELP " << prom << " " << what << " for telemetry key "
-     << prometheus_escape_help(raw_name) << "\n";
-}
-
 }  // namespace
-
-std::string prometheus_escape_label(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::string prometheus_escape_help(std::string_view text) {
   std::string out;
@@ -143,24 +123,12 @@ std::string prometheus_escape_help(std::string_view text) {
 }
 
 void write_prometheus(std::ostream& os) {
-  const Registry& registry = Registry::global();
-  for (const auto& [name, value] : registry.counters()) {
-    const std::string prom = prometheus_name(name);
-    prometheus_help(os, prom, name, "run counter");
-    os << "# TYPE " << prom << " counter\n" << prom << " " << value << "\n";
-  }
-  for (const auto& [name, value] : registry.gauges()) {
-    const std::string prom = prometheus_name(name);
-    prometheus_help(os, prom, name, "gauge");
-    os << "# TYPE " << prom << " gauge\n" << prom << " ";
-    prometheus_value(os, value);
-    os << "\n";
-  }
-  for (const auto& [name, snap] : registry.sketches()) {
+  for (const auto& [name, snap] : Registry::global().sketches()) {
     const std::string prom = prometheus_name(name);
     const StatsSummary s = Sketch::summarize_snapshot(snap);
-    prometheus_help(os, prom, name, "quantile sketch");
-    os << "# TYPE " << prom << " summary\n";
+    os << "# HELP " << prom << " quantile sketch for telemetry key "
+       << prometheus_escape_help(name) << "\n"
+       << "# TYPE " << prom << " summary\n";
     const std::pair<const char*, double> quantiles[] = {
         {"0.5", s.p50}, {"0.95", s.p95}, {"0.99", s.p99}};
     for (const auto& [q, value] : quantiles) {
@@ -178,24 +146,6 @@ void write_prometheus(std::ostream& os) {
      << "sor_memory_rss_bytes{kind=\"current\"} " << usage.current_rss_bytes
      << "\n"
      << "sor_memory_rss_bytes{kind=\"peak\"} " << usage.peak_rss_bytes << "\n";
-  const auto figures = MemoryAccountant::global().figures();
-  if (!figures.empty()) {
-    os << "# HELP sor_memory_live_bytes attributed live bytes by subsystem\n"
-       << "# TYPE sor_memory_live_bytes gauge\n";
-    for (const auto& [subsystem, fig] : figures) {
-      os << "sor_memory_live_bytes{subsystem=\""
-         << prometheus_escape_label(subsystem) << "\"} " << fig.live_bytes
-         << "\n";
-    }
-    os << "# HELP sor_memory_high_water_bytes attributed high-water bytes by "
-          "subsystem\n"
-       << "# TYPE sor_memory_high_water_bytes gauge\n";
-    for (const auto& [subsystem, fig] : figures) {
-      os << "sor_memory_high_water_bytes{subsystem=\""
-         << prometheus_escape_label(subsystem) << "\"} "
-         << fig.high_water_bytes << "\n";
-    }
-  }
 }
 
 std::string prometheus_text() {

@@ -10,13 +10,15 @@ namespace sor::telemetry {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 }  // namespace
 
 Sketch::Sketch()
     : buckets_(kNumBuckets),
-      sum_bits_(detail::to_bits(0.0)),
-      min_bits_(detail::to_bits(kInf)),
-      max_bits_(detail::to_bits(-kInf)) {}
+      sum_bits_(to_bits(0.0)),
+      min_bits_(to_bits(kInf)),
+      max_bits_(to_bits(-kInf)) {}
 
 std::size_t Sketch::bucket_index(double v) {
   if (!(v > 0)) return 0;  // zero, negative, NaN
@@ -48,8 +50,8 @@ template <typename Combine>
 void atomic_combine(std::atomic<std::uint64_t>& bits, double x, Combine&& f) {
   std::uint64_t cur = bits.load(std::memory_order_relaxed);
   while (true) {
-    const double combined = f(detail::from_bits(cur), x);
-    if (bits.compare_exchange_weak(cur, detail::to_bits(combined),
+    const double combined = f(from_bits(cur), x);
+    if (bits.compare_exchange_weak(cur, to_bits(combined),
                                    std::memory_order_relaxed)) {
       return;
     }
@@ -76,10 +78,10 @@ SketchSnapshot Sketch::snapshot() const {
     if (c > 0) s.buckets.emplace_back(static_cast<std::uint32_t>(i), c);
   }
   s.count = count_.load(std::memory_order_relaxed);
-  s.sum = detail::from_bits(sum_bits_.load(std::memory_order_relaxed));
+  s.sum = from_bits(sum_bits_.load(std::memory_order_relaxed));
   if (s.count > 0) {
-    s.min = detail::from_bits(min_bits_.load(std::memory_order_relaxed));
-    s.max = detail::from_bits(max_bits_.load(std::memory_order_relaxed));
+    s.min = from_bits(min_bits_.load(std::memory_order_relaxed));
+    s.max = from_bits(max_bits_.load(std::memory_order_relaxed));
   }
   return s;
 }
@@ -87,9 +89,9 @@ SketchSnapshot Sketch::snapshot() const {
 void Sketch::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(detail::to_bits(0.0), std::memory_order_relaxed);
-  min_bits_.store(detail::to_bits(kInf), std::memory_order_relaxed);
-  max_bits_.store(detail::to_bits(-kInf), std::memory_order_relaxed);
+  sum_bits_.store(to_bits(0.0), std::memory_order_relaxed);
+  min_bits_.store(to_bits(kInf), std::memory_order_relaxed);
+  max_bits_.store(to_bits(-kInf), std::memory_order_relaxed);
 }
 
 double sketch_quantile(const SketchSnapshot& snap, double q) {

@@ -24,7 +24,10 @@
 // count, quantiles, min, and max are).
 //
 // The octave range [2^-30, 2^21) covers sub-nanosecond latencies up to
-// ~2e6 in whatever unit the caller observes (seconds for timers).
+// ~2e6 in whatever unit the caller observes (seconds for timers). Byte
+// sketches ("<span name>_bytes") outgrow it: an observation of 2 MiB or
+// more reads, at every quantile, as the top bucket's lower bound
+// (2 031 616), while its sum and max stay exact.
 //
 // Supported input domain (every double is accepted; what it MEANS):
 //   - zero, negatives, and NaN land in bucket 0, the "non-positive"

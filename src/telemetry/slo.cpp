@@ -5,6 +5,7 @@
 
 #include "telemetry/recorder.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 
 namespace sor::telemetry {
 
@@ -155,15 +156,12 @@ ArtifactSloReport evaluate_artifact_slo(const JsonValue& artifact,
   }
   if (config.min_cache_hit_rate > 0 && artifact.has("cache")) {
     const JsonValue& cache = artifact.at("cache");
-    const double hits = cache.at("hits").as_number() +
-                        cache.at("disk_hits").as_number();
-    const double total = hits + cache.at("misses").as_number();
-    if (total > 0) {
-      const double rate = hits / total;
-      if (rate < config.min_cache_hit_rate) {
-        report.evaluated.push_back(
-            {"cache_hit_rate", 0, rate, config.min_cache_hit_rate});
-      }
+    const double rate = hit_rate(
+        cache.at("hits").as_number() + cache.at("disk_hits").as_number(),
+        cache.at("misses").as_number());
+    if (rate >= 0 && rate < config.min_cache_hit_rate) {
+      report.evaluated.push_back(
+          {"cache_hit_rate", 0, rate, config.min_cache_hit_rate});
     }
   }
   report.status =

@@ -1,6 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
-#include <bit>
+#include <atomic>
 #include <cstdlib>
 
 namespace sor::telemetry {
@@ -27,64 +27,18 @@ void set_enabled(bool on) {
   enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-namespace detail {
-std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
-}  // namespace detail
-
 Registry& Registry::global() {
   static Registry* registry = new Registry();  // never destroyed: metrics
   return *registry;  // outlive static-destruction-order hazards
 }
 
-namespace {
-
-/// Interns `name` in `map`, creating the metric on first access.
-template <typename Metric>
-Metric& intern(std::map<std::string, std::unique_ptr<Metric>, std::less<>>& map,
-               std::string_view name) {
-  auto it = map.find(name);
-  if (it == map.end()) {
-    it = map.emplace(std::string(name), std::make_unique<Metric>()).first;
-  }
-  return *it->second;
-}
-
-}  // namespace
-
-Counter& Registry::counter(std::string_view name) {
-  std::lock_guard lock(mu_);
-  return intern(counters_, name);
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  std::lock_guard lock(mu_);
-  return intern(gauges_, name);
-}
-
 Sketch& Registry::sketch(std::string_view name) {
   std::lock_guard lock(mu_);
-  return intern(sketches_, name);
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    out.emplace_back(name, c->value());
+  auto it = sketches_.find(name);
+  if (it == sketches_.end()) {
+    it = sketches_.emplace(std::string(name), std::make_unique<Sketch>()).first;
   }
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> Registry::gauges() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    out.emplace_back(name, g->value());
-  }
-  return out;
+  return *it->second;
 }
 
 std::vector<std::pair<std::string, SketchSnapshot>> Registry::sketches()
@@ -116,8 +70,6 @@ int Registry::health_status() const {
 
 void Registry::reset() {
   std::lock_guard lock(mu_);
-  for (auto& [name, counter] : counters_) counter->reset();
-  for (auto& [name, gauge] : gauges_) gauge->reset();
   for (auto& [name, sketch] : sketches_) sketch->reset();
   breaches_.clear();
 }

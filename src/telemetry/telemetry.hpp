@@ -1,14 +1,14 @@
 #pragma once
 
-// Thread-safe metric registry: named counters, gauges, and log-bucketed
-// sketches, plus the SLO breach list of the runtime health layer.
+// Thread-safe metric registry: named log-bucketed sketches, the one
+// metric kind, plus the SLO breach list of the runtime health layer.
 //
 // Design goals, in order:
-//  1. Negligible hot-path overhead. Metric objects live at stable
-//     addresses for the process lifetime, so call sites intern them once
-//     into a function-local static and afterwards pay one relaxed atomic
-//     op per event (a few for a sketch). The registry lock is only taken
-//     at interning time and by exporters.
+//  1. Negligible hot-path overhead. Sketches live at stable addresses for
+//     the process lifetime, so call sites intern them once into a
+//     function-local static and afterwards pay a few relaxed atomic ops
+//     per observation. The registry lock is only taken at interning time
+//     and by exporters.
 //  2. A process-wide kill switch: SOR_TELEMETRY=off (or 0) disables all
 //     recording; disabled metrics are a single relaxed atomic-bool load.
 //     Tests can override with set_enabled().
@@ -18,15 +18,17 @@
 // Each signal is recorded once, in one place, and only when something
 // reads it: a figure the code already keeps (a solver result, an epoch
 // report, CacheStats, a flight-recorder event) is not mirrored here.
-// Counters accumulate over the whole run. Sketches hold distributions
-// (latency, congestion, per-pair counts); every span also feeds the
-// sketch "<span name>_seconds" (telemetry/span.hpp).
+// A sketch holds a distribution (latency, congestion, bytes, per-pair
+// counts) with an exact count, sum, min and max, so a run total is its
+// sum and a last-value or high-water figure is covered by its range.
+// Every span also feeds the sketch "<span name>_seconds"
+// (telemetry/span.hpp); a span's working-set bytes go to
+// "<span name>_bytes".
 //
 // Metric naming scheme (see DESIGN.md "Observability"): lower-case
 // "<subsystem>/<event>" paths, e.g. "lp/simplex_bytes",
-// "engine/last_congestion".
+// "engine/congestion".
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -46,39 +48,6 @@ bool enabled();
 /// Test/CLI override of the kill switch.
 void set_enabled(bool on);
 
-/// Monotonically increasing event count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) {
-    if (enabled()) value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-namespace detail {
-std::uint64_t to_bits(double v);
-double from_bits(std::uint64_t b);
-}  // namespace detail
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) {
-    if (enabled()) bits_.store(detail::to_bits(v), std::memory_order_relaxed);
-  }
-  double value() const {
-    return detail::from_bits(bits_.load(std::memory_order_relaxed));
-  }
-  void reset() { bits_.store(detail::to_bits(0.0), std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> bits_{0};
-};
-
 /// One SLO violation, produced by the tracker in telemetry/slo.hpp and
 /// stored in the registry so exporters see every breach of the run.
 struct SloBreach {
@@ -88,18 +57,14 @@ struct SloBreach {
   double budget = 0;  // configured bound it violated
 };
 
-/// Name → metric map. Metrics are created on first access and live (at a
+/// Name → sketch map. Sketches are created on first access and live (at a
 /// stable address) until process exit; lookups after interning are free.
 class Registry {
  public:
   static Registry& global();
 
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Sketch& sketch(std::string_view name);
 
-  std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  std::vector<std::pair<std::string, double>> gauges() const;
   std::vector<std::pair<std::string, SketchSnapshot>> sketches() const;
 
   /// Appends to the run's breach list (no-op when telemetry is disabled;
@@ -109,7 +74,7 @@ class Registry {
   /// 0 when no breach has been recorded, 1 otherwise.
   int health_status() const;
 
-  /// Zeroes every registered metric and clears the breaches
+  /// Zeroes every registered sketch and clears the breaches
   /// (registrations are kept, so interned references stay valid). For
   /// bench/test isolation, not hot paths.
   void reset();
@@ -118,29 +83,14 @@ class Registry {
   Registry() = default;
 
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Sketch>, std::less<>> sketches_;
   std::vector<SloBreach> breaches_;
 };
 
 }  // namespace sor::telemetry
 
-/// Call-site helpers: intern once, then one relaxed atomic per event.
-#define SOR_COUNTER(name)                                             \
-  ([]() -> ::sor::telemetry::Counter& {                               \
-    static ::sor::telemetry::Counter& c =                             \
-        ::sor::telemetry::Registry::global().counter(name);           \
-    return c;                                                         \
-  }())
-
-#define SOR_GAUGE(name)                                               \
-  ([]() -> ::sor::telemetry::Gauge& {                                 \
-    static ::sor::telemetry::Gauge& g =                               \
-        ::sor::telemetry::Registry::global().gauge(name);             \
-    return g;                                                         \
-  }())
-
+/// Call-site helper: intern once, then a few relaxed atomics per
+/// observation.
 #define SOR_SKETCH(name)                                              \
   ([]() -> ::sor::telemetry::Sketch& {                                \
     static ::sor::telemetry::Sketch& s =                              \

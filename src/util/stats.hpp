@@ -44,6 +44,15 @@ inline StatsSummary summarize(std::span<const double> data) {
   return s;
 }
 
+/// Share of lookups a cache served: served / (served + misses), or -1
+/// when there was no lookup (so an SLO floor does not breach an idle
+/// cache). The one hit-rate formula of the cache, the ledger and the SLO
+/// check; inline for the same reason as summarize.
+inline double hit_rate(double served, double misses) {
+  const double lookups = served + misses;
+  return lookups > 0 ? served / lookups : -1.0;
+}
+
 /// Streaming mean / variance (Welford) with min/max tracking.
 class RunningStats {
  public:

@@ -6,9 +6,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "telemetry/artifact.hpp"
 #include "telemetry/json.hpp"
+#include "telemetry/sketch.hpp"
 #include "util/check.hpp"
 
 namespace sor {
@@ -18,8 +20,35 @@ using telemetry::ArtifactDiffOptions;
 using telemetry::ArtifactDiffResult;
 using telemetry::JsonValue;
 
-/// Minimal but schema-shaped artifact with one congestion gauge, one span,
-/// and an attribution header.
+/// A health sketch, shaped as health_to_json writes it, that observed
+/// `value` once: its quantiles read the value's bucket representative,
+/// its sum and max the exact value.
+JsonValue one_value_sketch(double value) {
+  const double bucket = telemetry::Sketch::bucket_lower_bound(
+      telemetry::Sketch::bucket_index(value));
+  JsonValue sketch = JsonValue::object();
+  sketch.set("count", 1);
+  sketch.set("sum", value);
+  sketch.set("min", value);
+  sketch.set("max", value);
+  sketch.set("p50", bucket);
+  sketch.set("p95", bucket);
+  sketch.set("p99", bucket);
+  return sketch;
+}
+
+/// Adds the health sketch `name` holding one `value` to the artifact.
+void add_sketch(JsonValue& doc, const std::string& name, double value) {
+  JsonValue health = doc.has("health") ? doc.at("health") : JsonValue::object();
+  JsonValue sketches =
+      health.has("sketches") ? health.at("sketches") : JsonValue::object();
+  sketches.set(name, one_value_sketch(value));
+  health.set("sketches", std::move(sketches));
+  doc.set("health", std::move(health));
+}
+
+/// Minimal but schema-shaped artifact with one congestion sketch, one
+/// span, and an attribution header.
 JsonValue make_artifact(double congestion, double span_seconds,
                         double max_utilization) {
   JsonValue doc = JsonValue::object();
@@ -30,14 +59,7 @@ JsonValue make_artifact(double congestion, double span_seconds,
   doc.set("quick_mode", true);
   doc.set("wall_seconds", span_seconds * 2);
 
-  JsonValue gauges = JsonValue::object();
-  gauges.set("engine/last_congestion", congestion);
-  gauges.set("engine/unrelated", 42.0);
-  JsonValue telemetry_block = JsonValue::object();
-  telemetry_block.set("counters", JsonValue::object());
-  telemetry_block.set("gauges", std::move(gauges));
-  telemetry_block.set("histograms", JsonValue::object());
-  doc.set("telemetry", std::move(telemetry_block));
+  add_sketch(doc, "engine/congestion", congestion);
 
   JsonValue span = JsonValue::object();
   span.set("name", "test/solve");
@@ -85,8 +107,12 @@ TEST(ArtifactDiff, FlagsCongestionRegressionAboveThreshold) {
   const ArtifactDiffResult result = telemetry::diff_artifacts(before, after);
   ASSERT_TRUE(result.comparable());
   ASSERT_TRUE(result.regressed());
-  EXPECT_EQ(result.regressions[0].metric, "gauge:engine/last_congestion");
+  // The exact max moves by the full 10%; the quantiles move from bucket
+  // to bucket (1 -> 1.0625), still past the 2% threshold.
+  EXPECT_EQ(result.regressions[0].metric, "health:engine/congestion:max");
   EXPECT_NEAR(result.regressions[0].relative, 0.10, 1e-9);
+  EXPECT_FALSE(result.regressions[0].time_like);
+  EXPECT_EQ(result.regressions.size(), 3u);
 }
 
 TEST(ArtifactDiff, CongestionThresholdIsConfigurable) {
@@ -169,13 +195,7 @@ TEST(ArtifactDiff, NonArtifactDocumentsAreNotComparable) {
 TEST(ArtifactDiff, MetricsPresentOnOneSideOnlyAreSkipped) {
   const JsonValue before = make_artifact(1.0, 2.0, 1.0);
   JsonValue after = make_artifact(1.0, 2.0, 1.0);
-  JsonValue extra_gauges = JsonValue::object();
-  extra_gauges.set("new/congestion_metric", 99.0);
-  JsonValue telemetry_block = JsonValue::object();
-  telemetry_block.set("counters", JsonValue::object());
-  telemetry_block.set("gauges", std::move(extra_gauges));
-  telemetry_block.set("histograms", JsonValue::object());
-  after.set("telemetry", std::move(telemetry_block));
+  add_sketch(after, "new/congestion_metric", 99.0);
   const ArtifactDiffResult result = telemetry::diff_artifacts(before, after);
   ASSERT_TRUE(result.comparable());
   EXPECT_FALSE(result.regressed());  // schema growth is not a regression
@@ -281,12 +301,7 @@ JsonValue make_profile_artifact() {
   JsonValue doc = make_artifact(1.0, 2.0, 1.0);
   doc.set("schema_version", 3);
   add_span(doc, "lp/exact", "lp/simplex", 3.2, 4);
-  JsonValue counters = JsonValue::object();
-  counters.set("lp/simplex_bytes", 38200);
-  JsonValue telemetry_block = JsonValue::object();
-  telemetry_block.set("counters", std::move(counters));
-  telemetry_block.set("gauges", JsonValue::object());
-  doc.set("telemetry", std::move(telemetry_block));
+  add_sketch(doc, "lp/simplex_bytes", 38200);
 
   JsonValue point = JsonValue::object();
   point.set("iteration", 5);
@@ -324,7 +339,7 @@ TEST(ArtifactRender, ProfileRendersCostAndConvergence) {
   EXPECT_NE(text.find("experiment: T1"), std::string::npos);
   EXPECT_NE(text.find("per-span cost"), std::string::npos);
   // One row per span name: calls and time from the spans block, bytes
-  // from the lp/simplex_bytes counter.
+  // from the sum of the lp/simplex_bytes health sketch.
   const std::size_t row = text.find("\n  lp/simplex ");
   ASSERT_NE(row, std::string::npos) << text;
   const std::string line =

@@ -126,21 +126,21 @@ TEST(Sketch, KillSwitchMakesObserveANoop) {
   EXPECT_EQ(sketch.snapshot().buckets.size(), 0u);
 }
 
-// Under SOR_TELEMETRY=off nothing in the registry records — counters,
-// gauges, sketches, and breach recording are all no-ops (and the hot path
+// Under SOR_TELEMETRY=off nothing in the registry records — sketch
+// observations and breach recording are both no-ops (and the hot path
 // takes no locks: the guard is one relaxed atomic-bool load).
 TEST(RegistryWindows, KillSwitchDisablesAllRecording) {
   reset_health();
   const ScopedEnable disable(false);
   auto& registry = telemetry::Registry::global();
-  registry.counter("test/off_counter").add(7);
-  registry.gauge("test/off_gauge").set(3.5);
   registry.sketch("test/off_sketch").observe(1.0);
+  registry.sketch("test/off_bytes").observe(4096.0);
   registry.record_breach({"max_congestion", 0, 2.0, 1.0});
 
-  EXPECT_EQ(registry.counter("test/off_counter").value(), 0u);
-  EXPECT_DOUBLE_EQ(registry.gauge("test/off_gauge").value(), 0.0);
-  EXPECT_EQ(registry.sketch("test/off_sketch").count(), 0u);
+  for (const auto& [name, snap] : registry.sketches()) {
+    EXPECT_EQ(snap.count, 0u) << name;
+    EXPECT_DOUBLE_EQ(snap.sum, 0.0) << name;
+  }
   EXPECT_TRUE(registry.breaches().empty());
   EXPECT_EQ(registry.health_status(), 0);
 }
@@ -231,19 +231,26 @@ TEST(RegistryWindows, ConcurrentInterningAndRecordingIsSafe) {
   constexpr std::size_t kN = 4000;
   parallel_for(kN, [&](std::size_t i) {
     auto& registry = telemetry::Registry::global();
-    // A handful of names, interned repeatedly from every thread (one
-    // name per metric: a name is never two kinds of metric at once).
+    // A handful of names, interned repeatedly from every thread.
     const std::string id = std::to_string(i % 7);
-    registry.counter("stress/counter" + id).add();
-    registry.gauge("stress/gauge" + id).set(static_cast<double>(i));
     registry.sketch("stress/sketch" + id)
         .observe(static_cast<double>(i % 100 + 1));
   });
   std::uint64_t total = 0;
-  for (const auto& [name, value] : telemetry::Registry::global().counters()) {
-    if (name.rfind("stress/", 0) == 0) total += value;
+  double sum = 0;
+  for (const auto& [name, snap] : telemetry::Registry::global().sketches()) {
+    if (name.rfind("stress/", 0) != 0) continue;
+    total += snap.count;
+    sum += snap.sum;
   }
+  // Every observation lands exactly once: integer-valued sums are exact
+  // in any order.
   EXPECT_EQ(total, kN);
+  double expected = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    expected += static_cast<double>(i % 100 + 1);
+  }
+  EXPECT_EQ(sum, expected);
   reset_health();
 }
 
@@ -488,20 +495,19 @@ TEST(Slo, EvaluateArtifactReportsRecordedAndReEvaluatedBreaches) {
 TEST(Exporters, PrometheusTextExposesCountersAndSketchSummaries) {
   reset_health();
   const ScopedEnable enable;
-  telemetry::Registry::global().counter("promtest/events").add(3);
   auto& sketch = telemetry::Registry::global().sketch("promtest/lat");
   for (int i = 1; i <= 100; ++i) sketch.observe(static_cast<double>(i));
 
   const std::string text = telemetry::prometheus_text();
-  EXPECT_NE(text.find("# TYPE sor_promtest_events counter\n"
-                      "sor_promtest_events 3"),
-            std::string::npos);
   EXPECT_NE(text.find("# TYPE sor_promtest_lat summary"), std::string::npos);
   EXPECT_NE(text.find("sor_promtest_lat{quantile=\"0.99\"}"),
             std::string::npos);
+  // A run total is the summary's exact _sum, and its event count the
+  // _count: no separate counter family, and no _total copy.
+  EXPECT_NE(text.find("sor_promtest_lat_sum 5050\n"), std::string::npos);
   EXPECT_NE(text.find("sor_promtest_lat_count 100"), std::string::npos);
-  // A counter exports once, under its own name: no _total copy.
-  EXPECT_EQ(text.find("sor_promtest_events_total"), std::string::npos);
+  EXPECT_EQ(text.find(" counter\n"), std::string::npos);
+  EXPECT_EQ(text.find("_total"), std::string::npos);
   reset_health();
 }
 
@@ -529,8 +535,6 @@ TEST(Exporters, HealthJsonCarriesSketchesWatermarksAndStatus) {
   const ScopedEnable enable;
   auto& registry = telemetry::Registry::global();
   registry.sketch("jsontest/lat").observe(0.25);
-  registry.gauge("jsontest/gauge").set(1.25);
-  registry.counter("jsontest/rate").add(4);
   registry.record_breach({"max_congestion", 0, 2.0, 1.0});
 
   const telemetry::JsonValue doc = telemetry::health_to_json();
@@ -540,8 +544,7 @@ TEST(Exporters, HealthJsonCarriesSketchesWatermarksAndStatus) {
   EXPECT_EQ(sketch.at("count").as_number(), 1.0);
   // The sketch's exact max is the watermark; no second copy is exported.
   EXPECT_DOUBLE_EQ(sketch.at("max").as_number(), 0.25);
-  // Nothing else: no watermarks and no per-epoch windows (counters and
-  // gauges export in the artifact's telemetry block only).
+  // Nothing else: no watermarks and no per-epoch windows.
   const auto keys = [](const telemetry::JsonValue& object) {
     std::set<std::string> out;
     for (const auto& [key, value] : object.members()) out.insert(key);
@@ -561,56 +564,35 @@ TEST(Exporters, HealthJsonCarriesSketchesWatermarksAndStatus) {
   reset_health();
 }
 
-// Satellite: the exposition format reserves backslash, double-quote, and
-// newline inside label values, and backslash/newline inside HELP text.
-// Telemetry keys are free-form, so hostile names must come out escaped.
+// Satellite: the exposition format reserves backslash and newline inside
+// HELP text. Telemetry keys are free-form, so a hostile key must come
+// out sanitized in the metric name and escaped in HELP. (Every label
+// value the exporter writes is a fixed literal.)
 TEST(Exporters, PrometheusEscapesLabelValuesAndHelpStrings) {
-  EXPECT_EQ(telemetry::prometheus_escape_label("a\\b\"c\nd"),
-            "a\\\\b\\\"c\\nd");
-  EXPECT_EQ(telemetry::prometheus_escape_label("plain"), "plain");
   EXPECT_EQ(telemetry::prometheus_escape_help("a\\b\"c\nd"),
             "a\\\\b\"c\\nd");  // quotes are legal in HELP text
 
   reset_health();
   const ScopedEnable enable;
-  // A hostile metric key: sanitized in the metric name, escaped in HELP.
-  telemetry::Registry::global().counter("promesc/ev\"il\\name").add(1);
-  // A hostile subsystem name flows into a label VALUE, not a name.
-  telemetry::MemoryAccountant::global()
-      .channel("promesc\"sub\\sys\nline")
-      .charge(64);
+  telemetry::Registry::global().sketch("promesc/ev\"il\\na\nme").observe(1);
   const std::string text = telemetry::prometheus_text();
-  EXPECT_NE(text.find("# HELP sor_promesc_ev_il_name run counter for "
-                      "telemetry key promesc/ev\"il\\\\name"),
+  EXPECT_NE(text.find("# HELP sor_promesc_ev_il_na_me quantile sketch for "
+                      "telemetry key promesc/ev\"il\\\\na\\nme\n"),
             std::string::npos);
-  EXPECT_NE(
-      text.find(
-          "sor_memory_live_bytes{subsystem=\"promesc\\\"sub\\\\sys\\nline\"} "
-          "64"),
-      std::string::npos);
-  // The raw newline in the subsystem name must NOT survive into the
-  // exposition (it would split the sample line in two).
-  EXPECT_EQ(text.find("promesc\"sub"), std::string::npos);
-  telemetry::MemoryAccountant::global().reset();
+  // The raw newline in the key must NOT survive into the exposition (it
+  // would split the HELP line in two).
+  EXPECT_EQ(text.find("na\nme"), std::string::npos);
   reset_health();
 }
 
 TEST(Exporters, PrometheusExposesMemoryFigures) {
-  reset_health();
-  const ScopedEnable enable;
-  telemetry::MemoryAccountant::global().channel("promem").charge(1024);
   const std::string text = telemetry::prometheus_text();
+  EXPECT_NE(text.find("# TYPE sor_memory_rss_bytes gauge\n"),
+            std::string::npos);
   EXPECT_NE(text.find("sor_memory_rss_bytes{kind=\"current\"}"),
             std::string::npos);
   EXPECT_NE(text.find("sor_memory_rss_bytes{kind=\"peak\"}"),
             std::string::npos);
-  EXPECT_NE(text.find("sor_memory_live_bytes{subsystem=\"promem\"} 1024"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("sor_memory_high_water_bytes{subsystem=\"promem\"} 1024"),
-      std::string::npos);
-  telemetry::MemoryAccountant::global().reset();
-  reset_health();
 }
 
 // Satellite: sketch edge cases — empty merges, non-positive and denormal
@@ -677,49 +659,8 @@ TEST(Sketch, SingleObservationReportsItsBucketAtEveryQuantile) {
   EXPECT_DOUBLE_EQ(snap.min, 3.0);
 }
 
-// Memory attribution: live/high-water bookkeeping, the ScopedBytes kill
-// switch latch, and the JSON block's checker invariants.
-TEST(Memory, ChannelTracksLiveAndHighWater) {
-  const ScopedEnable enable;
-  auto& accountant = telemetry::MemoryAccountant::global();
-  accountant.reset();
-  auto& channel = accountant.channel("memtest");
-  channel.charge(100);
-  channel.charge(50);
-  EXPECT_EQ(channel.live_bytes(), 150u);
-  EXPECT_EQ(channel.high_water_bytes(), 150u);
-  channel.release(120);
-  EXPECT_EQ(channel.live_bytes(), 30u);
-  EXPECT_EQ(channel.high_water_bytes(), 150u);  // the mark stays
-  channel.charge(40);
-  EXPECT_EQ(channel.high_water_bytes(), 150u);  // 70 live < old peak
-  accountant.reset();
-}
-
-TEST(Memory, ScopedBytesChargesForTheScopeOnly) {
-  const ScopedEnable enable;
-  auto& accountant = telemetry::MemoryAccountant::global();
-  accountant.reset();
-  {
-    SOR_SCOPED_BYTES("memtest", 4096);
-    EXPECT_EQ(accountant.channel("memtest").live_bytes(), 4096u);
-  }
-  EXPECT_EQ(accountant.channel("memtest").live_bytes(), 0u);
-  EXPECT_EQ(accountant.channel("memtest").high_water_bytes(), 4096u);
-  accountant.reset();
-}
-
-TEST(Memory, KillSwitchMakesScopedBytesANoop) {
-  const ScopedEnable disable(false);
-  auto& accountant = telemetry::MemoryAccountant::global();
-  accountant.reset();
-  {
-    SOR_SCOPED_BYTES("memtest", 4096);
-    EXPECT_EQ(accountant.channel("memtest").live_bytes(), 0u);
-  }
-  EXPECT_EQ(accountant.channel("memtest").high_water_bytes(), 0u);
-}
-
+// The memory block's checker invariants: peak >= current, and the two
+// RSS figures are all it holds.
 TEST(Memory, UsageAndJsonHoldCheckerInvariants) {
   const telemetry::MemoryUsage usage = telemetry::sample_memory_usage();
   EXPECT_GE(usage.peak_rss_bytes, usage.current_rss_bytes);
@@ -727,18 +668,10 @@ TEST(Memory, UsageAndJsonHoldCheckerInvariants) {
   EXPECT_GT(usage.current_rss_bytes, 0u);  // /proc/self/status exists
 #endif
 
-  const ScopedEnable enable;
-  auto& accountant = telemetry::MemoryAccountant::global();
-  accountant.reset();
-  accountant.channel("memjson").charge(256);
-  accountant.channel("memjson").release(56);
   const telemetry::JsonValue block = telemetry::memory_to_json();
   EXPECT_GE(block.at("peak_rss_bytes").as_number(),
             block.at("current_rss_bytes").as_number());
-  const telemetry::JsonValue& sub = block.at("subsystems").at("memjson");
-  EXPECT_DOUBLE_EQ(sub.at("live_bytes").as_number(), 200.0);
-  EXPECT_DOUBLE_EQ(sub.at("high_water_bytes").as_number(), 256.0);
-  accountant.reset();
+  EXPECT_EQ(block.members().size(), 2u);
 }
 
 // The one-registry contract over a whole control loop. Each test runs a
@@ -767,8 +700,8 @@ struct LoopRun {
 };
 
 /// Guards the gated benchmark's peak_rss_mb: with telemetry off, a loop
-/// records nothing at all — no counter or gauge moves, and no span node
-/// (so no <span>_seconds sketch) is created.
+/// records nothing at all — no sketch moves, and no span node (so no
+/// <span>_seconds sketch) is created.
 TEST(OneTelemetryLayer, DisabledControlLoopRecordsNothing) {
   reset_health();
   telemetry::reset_spans();
@@ -781,15 +714,8 @@ TEST(OneTelemetryLayer, DisabledControlLoopRecordsNothing) {
     LoopRun loop;
     EXPECT_EQ(loop.run().result.epochs.size(), 4u);
   }
-  const auto& registry = telemetry::Registry::global();
-  for (const auto& [name, value] : registry.counters()) {
-    EXPECT_EQ(value, 0u) << name;
-  }
   EXPECT_TRUE(telemetry::snapshot_spans().empty());
-  for (const auto& [name, value] : registry.gauges()) {
-    EXPECT_EQ(value, 0.0) << name;
-  }
-  for (const auto& [name, snap] : registry.sketches()) {
+  for (const auto& [name, snap] : telemetry::Registry::global().sketches()) {
     EXPECT_EQ(snap.count, 0u) << name;
     if (name.ends_with("_seconds")) {
       EXPECT_TRUE(sketches_before.count(name))
@@ -832,10 +758,9 @@ TEST(OneTelemetryLayer, EverySpanFeedsItsSecondsSketch) {
 }
 
 // One name is one metric: the exposition format allows one # TYPE line
-// per metric name, so no name may be both a gauge and a sketch. And every
-// signal has a reader: of the served loop's subsystems, only
-// engine/last_congestion (which `sor_cli diff` compares) is a counter or
-// gauge; the rest of what they record is sketches.
+// per metric name. And the registry has one metric kind: every family the
+// served loop exports is a sketch summary, except the process RSS, the
+// one gauge family; no counter is declared at all.
 TEST(OneTelemetryLayer, PrometheusDeclaresEachMetricOnce) {
   reset_health();
   const ScopedEnable enable;
@@ -854,19 +779,16 @@ TEST(OneTelemetryLayer, PrometheusDeclaresEachMetricOnce) {
     const std::string name = line.substr(7, name_end - 7);
     const std::string type = line.substr(name_end + 1);
     EXPECT_TRUE(declared.insert(name).second) << "repeated # TYPE " << name;
-    if (type != "counter" && type != "gauge") continue;
-    for (const char* subsystem :
-         {"engine", "quality", "serve", "lp", "mwu", "cache", "sampler",
-          "tree", "recorder", "slo"}) {
-      if (name.rfind("sor_" + std::string(subsystem) + "_", 0) == 0) {
-        EXPECT_EQ(name, "sor_engine_last_congestion") << line;
-      }
+    EXPECT_NE(type, "counter") << line;
+    if (type == "gauge") {
+      EXPECT_EQ(name, "sor_memory_rss_bytes") << line;
     }
   }
   EXPECT_GT(type_lines, 0u);
   EXPECT_TRUE(declared.count("sor_engine_congestion"));
   EXPECT_TRUE(declared.count("sor_quality_regret"));
-  EXPECT_TRUE(declared.count("sor_engine_last_congestion"));
+  EXPECT_TRUE(declared.count("sor_memory_rss_bytes"));
+  EXPECT_FALSE(declared.count("sor_engine_last_congestion"));
   reset_health();
 }
 

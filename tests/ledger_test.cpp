@@ -94,7 +94,6 @@ JsonValue make_artifact(double congestion, double wall_seconds) {
   JsonValue memory = JsonValue::object();
   memory.set("current_rss_bytes", static_cast<std::uint64_t>(1'000'000));
   memory.set("peak_rss_bytes", static_cast<std::uint64_t>(2'000'000));
-  memory.set("subsystems", JsonValue::object());
   doc.set("memory", std::move(memory));
   return doc;
 }

@@ -13,6 +13,7 @@
 #include "core/router.hpp"
 #include "demand/demand.hpp"
 #include "graph/generators.hpp"
+#include "lp/simplex.hpp"
 #include "oblivious/shortest_path.hpp"
 #include "telemetry/artifact.hpp"
 #include "telemetry/export.hpp"
@@ -47,31 +48,6 @@ const telemetry::SpanSnapshot* find_span(
     if (s.name == name) return &s;
   }
   return nullptr;
-}
-
-TEST(TelemetryCounter, ConcurrentIncrementsLandExactly) {
-  const ScopedEnable enable;
-  auto& counter =
-      telemetry::Registry::global().counter("test/concurrent_counter");
-  counter.reset();
-  const std::size_t n = 20000;
-  parallel_for(n, [&](std::size_t) { counter.add(); });
-  EXPECT_EQ(counter.value(), n);
-
-  counter.reset();
-  parallel_for(n, [&](std::size_t i) { counter.add(i % 3); });
-  std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < n; ++i) expected += i % 3;
-  EXPECT_EQ(counter.value(), expected);
-}
-
-TEST(TelemetryGauge, LastWriteWins) {
-  const ScopedEnable enable;
-  auto& gauge = telemetry::Registry::global().gauge("test/gauge");
-  gauge.set(2.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
-  gauge.set(-1.25);
-  EXPECT_DOUBLE_EQ(gauge.value(), -1.25);
 }
 
 TEST(TelemetrySpan, NestsAndAggregates) {
@@ -229,45 +205,22 @@ TEST(TelemetryJson, ParserDecodesEscapes) {
   EXPECT_EQ(v.as_string(), "a\tbA\\");
 }
 
-TEST(TelemetryExport, RegistrySnapshotHasExpectedShape) {
-  const ScopedEnable enable;
-  auto& registry = telemetry::Registry::global();
-  registry.counter("test/export_counter").add(7);
-  registry.gauge("test/export_gauge").set(1.5);
-  SOR_SKETCH("test/export_sketch").observe(3.0);
-
-  const JsonValue doc = telemetry::registry_to_json();
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_GE(doc.at("counters").at("test/export_counter").as_number(), 7.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("test/export_gauge").as_number(), 1.5);
-  // Counters and gauges only: sketches export in the health block.
-  EXPECT_EQ(doc.members().size(), 2u);
-  // The exporter's output must itself round-trip.
-  const JsonValue reparsed = JsonValue::parse(doc.dump(2));
-  EXPECT_TRUE(reparsed.at("gauges").has("test/export_gauge"));
-}
-
 TEST(TelemetryKillSwitch, DisabledRecordsNothing) {
   const ScopedEnable enable;
-  auto& counter =
-      telemetry::Registry::global().counter("test/killswitch_counter");
-  auto& gauge = telemetry::Registry::global().gauge("test/killswitch_gauge");
   auto& sketch = SOR_SKETCH("test/killswitch_sketch");
-  counter.reset();
-  gauge.set(3.0);
   sketch.reset();
+  sketch.observe(3.0);
   telemetry::reset_spans();
 
   telemetry::set_enabled(false);
-  counter.add(5);
-  gauge.set(99.0);
-  sketch.observe(0.5);
+  sketch.observe(99.0);
   { SOR_SPAN("test/killswitch_span"); }
   telemetry::set_enabled(true);
 
-  EXPECT_EQ(counter.value(), 0u);
-  EXPECT_DOUBLE_EQ(gauge.value(), 3.0);
-  EXPECT_EQ(sketch.count(), 0u);
+  const telemetry::SketchSnapshot snap = sketch.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_DOUBLE_EQ(snap.sum, 3.0);
+  EXPECT_DOUBLE_EQ(snap.max, 3.0);
   EXPECT_EQ(find_span(telemetry::snapshot_spans(), "test/killswitch_span"),
             nullptr);
 }
@@ -297,19 +250,71 @@ TEST(TelemetryKillSwitch, SolverResultsUnchangedWhenDisabled) {
 
 TEST(TelemetryRegistry, ConcurrentInterningAndUpdates) {
   const ScopedEnable enable;
-  // Threads race both the name→metric interning map and the metric
-  // updates themselves (this is the case SOR_SANITIZE=thread watches).
+  // Threads race both the name→sketch interning map and the observations
+  // themselves (this is the case SOR_SANITIZE=thread watches).
   const std::size_t n = 8000;
   parallel_for(n, [&](std::size_t i) {
-    auto& registry = telemetry::Registry::global();
-    registry.counter("test/registry_race_" + std::to_string(i % 4)).add();
-    registry.gauge("test/registry_race_gauge").set(static_cast<double>(i));
+    telemetry::Registry::global()
+        .sketch("test/registry_race_" + std::to_string(i % 4))
+        .observe(static_cast<double>(i));
   });
   std::uint64_t total = 0;
-  for (const auto& [name, value] : telemetry::Registry::global().counters()) {
-    if (name.rfind("test/registry_race_", 0) == 0) total += value;
+  double sum = 0;
+  for (const auto& [name, snap] : telemetry::Registry::global().sketches()) {
+    if (name.rfind("test/registry_race_", 0) != 0) continue;
+    total += snap.count;
+    sum += snap.sum;
   }
   EXPECT_GE(total, n);  // >= because other suite runs may share names
+  EXPECT_GE(sum, static_cast<double>(n * (n - 1) / 2));
+}
+
+// The simplex charges its dense tableau once per solve: m rows by n + s +
+// m columns (originals, one slack per inequality, one artificial per
+// row) of doubles. The sketch's sum is the run's bytes, its max the
+// largest single tableau.
+TEST(TelemetryBytes, ExactSimplexObservesItsTableauOnce) {
+  const ScopedEnable enable;
+  auto& bytes = SOR_SKETCH("lp/simplex_bytes");
+  bytes.reset();
+  // minimize x + y  s.t.  x + 2y <= 4,  3x + y <= 6,  x + y >= 1.
+  LpProblem problem;
+  problem.objective = {1.0, 1.0};
+  problem.constraints = {{{1.0, 2.0}, ConstraintSense::kLe, 4.0},
+                         {{3.0, 1.0}, ConstraintSense::kLe, 6.0},
+                         {{1.0, 1.0}, ConstraintSense::kGe, 1.0}};
+  ASSERT_EQ(solve_lp(problem).status, LpStatus::kOptimal);
+  const std::size_t rows = 3;
+  const std::size_t columns = 2 + 3 + 3;
+  const telemetry::SketchSnapshot snap = bytes.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_DOUBLE_EQ(snap.sum, static_cast<double>(rows * columns * 8));
+  EXPECT_DOUBLE_EQ(snap.max, static_cast<double>(rows * columns * 8));
+}
+
+// route_fractional observes each solve's congestion into
+// router/congestion, so the sketch's range holds every value the router
+// reported.
+TEST(TelemetryRouter, RouteFractionalObservesItsCongestion) {
+  const ScopedEnable enable;
+  const Graph g = make_grid(3, 3);
+  const ShortestPathRouting routing(g);
+  PathSystem ps;
+  Rng rng(3);
+  ps.add(routing.sample_path(0, 8, rng));
+  ps.add(routing.sample_path(2, 6, rng));
+  Demand d;
+  d.add(0, 8, 2.0);
+  d.add(2, 6, 1.0);
+  auto& congestion = SOR_SKETCH("router/congestion");
+  congestion.reset();
+  const double routed =
+      SemiObliviousRouter(g, ps).route_fractional(d).congestion;
+  const telemetry::SketchSnapshot snap = congestion.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_GT(routed, 0.0);
+  EXPECT_DOUBLE_EQ(snap.max, routed);
+  EXPECT_DOUBLE_EQ(snap.sum, routed);
 }
 
 TEST(Recorder, RecordsEventsInOrderWithFields) {
