@@ -29,12 +29,13 @@ using namespace sor;
 double round_without_search(const Graph& g, const FractionalRoute& frac,
                             Rng& rng) {
   EdgeLoad load = zero_load(g);
-  for (std::size_t j = 0; j < frac.problem.commodities.size(); ++j) {
-    const auto units = static_cast<std::size_t>(
-        std::llround(frac.problem.commodities[j].demand));
+  for (const RestrictedCommodity& c : frac.problem.commodities) {
+    const auto units = static_cast<std::size_t>(std::llround(c.demand));
+    const std::span<const double> weights =
+        std::span(frac.weights).subspan(c.begin, c.size());
     for (std::size_t u = 0; u < units; ++u) {
-      const std::size_t p = rng.next_weighted(frac.weights[j]);
-      add_path_load(frac.problem.candidate(j, p), 1.0, load);
+      const std::size_t p = rng.next_weighted(weights);
+      add_path_load(frac.problem.paths[c.begin + p], 1.0, load);
     }
   }
   return max_congestion(g, load);

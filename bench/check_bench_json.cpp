@@ -21,13 +21,15 @@
 // unless the "cache" block reports at least one artifact-cache hit
 // (memory or disk) — the warm half of the cold/warm fixture chain.
 //
-// --compare-tables asserts the "table" blocks of two artifacts are
-// byte-identical (cached and uncached runs must produce bit-identical
-// routing results; wall-clock blocks are expected to differ).
+// --compare-tables asserts the "table" blocks of two artifacts of one
+// experiment are byte-identical (cached and uncached runs, or two runs of
+// one build, must produce bit-identical routing results), except in the
+// columns kWallClockColumns declares: those time the run.
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -595,25 +597,67 @@ void check_health(const JsonValue& doc) {
           "health/status disagrees with the breach list");
 }
 
-/// --compare-tables: the "table" blocks of two artifacts must serialize
-/// identically. This is the bit-identical-reuse check of the cold/warm
-/// fixture chain: a warm (cache-served) bench run must reproduce the cold
-/// run's numbers exactly, not approximately.
+/// The table columns that measure wall-clock time, by experiment:
+/// --compare-tables skips them, and compares every other cell.
+const std::map<std::string, std::set<std::string>> kWallClockColumns = {
+    {"E16", {"solve_ms"}},
+    {"E17", {"lookups", "lookups/s", "p50_us", "p99_us"}},
+};
+
+/// --compare-tables: the "table" blocks of two artifacts of one experiment
+/// must serialize identically, cell by cell, outside its wall-clock
+/// columns. This is the bit-identical-reuse check of the cold/warm fixture
+/// chain: a warm (cache-served) bench run must reproduce the cold run's
+/// numbers exactly, not approximately.
 int compare_tables(const JsonValue& a, const JsonValue& b, const char* path_a,
                    const char* path_b) {
-  require(a.is_object() && a.has("table"), std::string(path_a) + ": no table");
-  require(b.is_object() && b.has("table"), std::string(path_b) + ": no table");
-  const std::string dump_a = a.at("table").dump();
-  const std::string dump_b = b.at("table").dump();
-  if (dump_a != dump_b) {
+  require(a.is_object() && a.has("table") && a.has("experiment"),
+          std::string(path_a) + ": no table or experiment");
+  require(b.is_object() && b.has("table") && b.has("experiment"),
+          std::string(path_b) + ": no table or experiment");
+  const std::string& experiment = a.at("experiment").as_string();
+  require(experiment == b.at("experiment").as_string(),
+          std::string("experiments differ between ") + path_a + " and " +
+              path_b);
+  const JsonValue& table_a = a.at("table");
+  const JsonValue& table_b = b.at("table");
+  const auto mismatch = [&](const std::string& what) {
     std::fprintf(stderr,
-                 "table mismatch between %s and %s:\n--- %s\n%s\n--- %s\n%s\n",
-                 path_a, path_b, path_a, dump_a.c_str(), path_b,
-                 dump_b.c_str());
+                 "table mismatch between %s and %s (%s):\n--- %s\n%s\n"
+                 "--- %s\n%s\n",
+                 path_a, path_b, what.c_str(), path_a,
+                 table_a.dump().c_str(), path_b, table_b.dump().c_str());
     return 1;
+  };
+  const JsonValue& columns = table_a.at("columns");
+  if (columns.dump() != table_b.at("columns").dump()) {
+    return mismatch("columns");
   }
-  std::printf("tables identical (%zu rows)\n",
-              a.at("table").at("rows").size());
+  const JsonValue& rows_a = table_a.at("rows");
+  const JsonValue& rows_b = table_b.at("rows");
+  if (rows_a.size() != rows_b.size()) return mismatch("row count");
+  const auto skipped = kWallClockColumns.find(experiment);
+  std::size_t skipped_cells = 0;
+  for (std::size_t r = 0; r < rows_a.size(); ++r) {
+    const JsonValue& row_a = rows_a.at(r);
+    const JsonValue& row_b = rows_b.at(r);
+    if (row_a.size() != columns.size() || row_b.size() != columns.size()) {
+      return mismatch("row " + std::to_string(r) + " width");
+    }
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const std::string& column = columns.at(c).as_string();
+      if (skipped != kWallClockColumns.end() &&
+          skipped->second.count(column) > 0) {
+        ++skipped_cells;
+        continue;
+      }
+      if (row_a.at(c).dump() != row_b.at(c).dump()) {
+        return mismatch("row " + std::to_string(r) + ", column " + column);
+      }
+    }
+  }
+  std::printf("tables identical (%zu rows, %zu wall-clock cells skipped)\n",
+              rows_a.size(), skipped_cells);
   return 0;
 }
 

@@ -9,23 +9,21 @@ namespace sor {
 
 CongestionAttribution attribute_congestion(
     const Graph& g, const RestrictedProblem& problem,
-    const std::vector<std::vector<double>>& weights, std::size_t top_k) {
+    std::span<const double> weights, std::size_t top_k) {
   SOR_CHECK_MSG(problem.graph == &g || problem.graph == nullptr,
                 "attribute_congestion: problem built over a different graph");
-  SOR_CHECK_MSG(weights.size() == problem.commodities.size(),
-                "attribute_congestion: weights/commodities size mismatch");
+  SOR_CHECK_MSG(weights.size() == problem.paths.size(),
+                "attribute_congestion: weights/candidates size mismatch");
 
   // Pass 1: per-edge load, recomputed from the weights so that the
   // contributor shares reported below sum to exactly the utilization we
   // report (no dependence on solver-side load bookkeeping).
   std::vector<double> load(g.num_edges(), 0.0);
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    SOR_CHECK_MSG(weights[j].size() == problem.commodities[j].size(),
-                  "attribute_congestion: weight row shape mismatch");
-    for (std::size_t p = 0; p < weights[j].size(); ++p) {
-      const double w = weights[j][p];
+  for (const RestrictedCommodity& c : problem.commodities) {
+    for (PathId id = c.begin; id < c.end; ++id) {
+      const double w = weights[id];
       if (w <= 0) continue;
-      for (EdgeId e : problem.candidate(j, p).edges) load[e] += w;
+      for (EdgeId e : problem.paths.edges(id)) load[e] += w;
     }
   }
 
@@ -66,8 +64,8 @@ CongestionAttribution attribute_congestion(
   // traverses a selected edge twice contributes one term with doubled
   // load (matching add_path_load's multiplicity).
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    for (std::size_t p = 0; p < weights[j].size(); ++p) {
-      const double w = weights[j][p];
+    for (std::size_t p = 0; p < problem.commodities[j].size(); ++p) {
+      const double w = weights[problem.commodities[j].begin + p];
       if (w <= 0) continue;
       const PathView path = problem.candidate(j, p);
       std::unordered_map<std::size_t, std::size_t> multiplicity;

@@ -3,7 +3,7 @@
 // Congestion attribution: who is loading the bottleneck links?
 //
 // Given any fractional routing expressed as a RestrictedProblem plus
-// per-commodity path weights (the (problem, weights) pair every router
+// per-candidate path weights (the (problem, weights) pair every router
 // result carries), decompose each edge's load into its (commodity, path)
 // contributors. The report ranks links by utilization = load/capacity and
 // lists each link's contributors with their absolute load and their
@@ -16,6 +16,7 @@
 // enforces to 1e-6.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -64,13 +65,13 @@ struct CongestionAttribution {
 };
 
 /// Decomposes the routing (problem, weights) into per-link contributor
-/// breakdowns and returns the top_k most utilized links. `weights` must be
-/// commodity-major matching problem.commodities and their candidate lists
-/// (the shape produced by every restricted solver). Zero-weight paths are
-/// omitted from contributor lists.
+/// breakdowns and returns the top_k most utilized links. `weights` has one
+/// entry per candidate id of the problem's path table (the shape every
+/// restricted solver produces). Zero-weight paths are omitted from
+/// contributor lists.
 CongestionAttribution attribute_congestion(
     const Graph& g, const RestrictedProblem& problem,
-    const std::vector<std::vector<double>>& weights, std::size_t top_k = 8);
+    std::span<const double> weights, std::size_t top_k = 8);
 
 /// JSON shape (embedded as the artifact's "attribution" block):
 ///   {"top_k": k, "loaded_links": n, "max_utilization": x,

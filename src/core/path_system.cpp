@@ -262,15 +262,13 @@ SplitTable::SplitTable(std::span<const SplitRow> rows) {
 
 SplitTable SplitTable::from_weights(
     const RestrictedProblem& problem,
-    const std::vector<std::vector<double>>& weights,
-    std::vector<double>* shares) {
-  SOR_CHECK(weights.size() == problem.commodities.size());
+    std::span<const double> weights, std::vector<double>* shares) {
+  SOR_CHECK(weights.size() == problem.paths.size());
   SplitTable table;
   if (shares != nullptr) shares->assign(problem.paths.size(), 0.0);
   std::vector<std::uint32_t> order;
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
     const RestrictedCommodity& c = problem.commodities[j];
-    SOR_CHECK(weights[j].size() == c.size());
     if (c.size() == 0) continue;
     if (j > 0 && problem.commodities[j - 1].size() > 0) {
       const PathView last = problem.candidate(j - 1, 0);
@@ -287,7 +285,7 @@ SplitTable SplitTable::from_weights(
     sort_few_by_path(c.size(), path_of, order);
     merge_equal_paths(
         order, path_of,
-        [&](std::uint32_t p) { return weights[j][p] / c.demand; },
+        [&](std::uint32_t p) { return weights[c.begin + p] / c.demand; },
         [&](std::uint32_t first, double sum) {
           if (shares != nullptr) (*shares)[c.begin + first] = sum;
           if (sum > 0) table.append_row(problem.candidate(j, first), sum);

@@ -196,18 +196,17 @@ class SplitTable {
   /// paths are copied in.
   explicit SplitTable(std::span<const SplitRow> rows);
 
-  /// The split a restricted solve installs: candidate p of commodity j
-  /// carries weights[j][p] / demand_j of its pair. Equal candidates of a
-  /// commodity share one row, their positive shares summed in candidate
-  /// order. Commodities must be canonical with sorted, distinct pairs
+  /// The split a restricted solve installs: each candidate carries its
+  /// weight (one per candidate id of the problem) / demand_j of its pair.
+  /// Equal candidates of a commodity share one row, their positive shares
+  /// summed in candidate order. Commodities must be canonical with sorted, distinct pairs
   /// (checked; those from Demand::commodities() are). With `shares` set,
   /// it receives each candidate's share, flat by the problem's candidate
   /// id: the first copy of a path carries its row's fraction, every later
   /// copy 0, and a candidate whose path gets no row 0 — so routing the
   /// shares loads each row once.
   static SplitTable from_weights(
-      const RestrictedProblem& problem,
-      const std::vector<std::vector<double>>& weights,
+      const RestrictedProblem& problem, std::span<const double> weights,
       std::vector<double>* shares = nullptr);
 
   /// Pairs in sorted order.

@@ -46,12 +46,12 @@ CongestionAttribution SemiObliviousRouter::attribute(
 namespace {
 
 std::size_t routing_dilation(const RestrictedProblem& problem,
-                             const std::vector<std::vector<double>>& weights) {
+                             std::span<const double> weights) {
   std::size_t dilation = 0;
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    for (std::size_t p = 0; p < problem.commodities[j].size(); ++p) {
-      if (weights[j][p] > 1e-12) {
-        dilation = std::max(dilation, problem.candidate(j, p).hops());
+  for (const RestrictedCommodity& c : problem.commodities) {
+    for (PathId id = c.begin; id < c.end; ++id) {
+      if (weights[id] > 1e-12) {
+        dilation = std::max(dilation, problem.paths[id].hops());
       }
     }
   }
@@ -168,10 +168,12 @@ IntegralRoute SemiObliviousRouter::route_integral(const Demand& demand,
   };
   std::vector<Packet> packets;
   for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const auto units =
-        static_cast<std::size_t>(std::llround(problem.commodities[j].demand));
+    const RestrictedCommodity& c = problem.commodities[j];
+    const auto units = static_cast<std::size_t>(std::llround(c.demand));
+    const std::span<const double> weights =
+        std::span(fractional.weights).subspan(c.begin, c.size());
     for (std::size_t u = 0; u < units; ++u) {
-      const std::size_t p = rng.next_weighted(fractional.weights[j]);
+      const std::size_t p = rng.next_weighted(weights);
       packets.push_back(Packet{j, p});
       add_path_load(problem.candidate(j, p), 1.0, route.load);
     }

@@ -44,10 +44,11 @@ struct FractionalRoute {
   /// Max hops among paths carrying positive weight.
   std::size_t dilation = 0;
   EdgeLoad load;
-  /// The LP instance (candidates oriented per commodity) and its weights;
-  /// commodity order matches demand.commodities().
+  /// The LP instance (candidates oriented per commodity) and its weights,
+  /// one per candidate id of its path table; commodity order matches
+  /// demand.commodities().
   RestrictedProblem problem;
-  std::vector<std::vector<double>> weights;
+  std::vector<double> weights;
 };
 
 struct IntegralRoute {

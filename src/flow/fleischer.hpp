@@ -17,19 +17,37 @@
 // routing back. A bracket that meets the band keeps scale 1, and the
 // solve its bits.
 //
+// The loop is pipelined. Phase p's dual bound runs on a pool worker (a
+// ClaimableTask on default_pool()) while the calling thread routes phase
+// p+1 speculatively; phase p's stop test is decided when that routing
+// ends. A test that says stop throws the speculative phase away: its
+// lengths and load are restored from copies taken when phase p ended, and
+// its credits, which the oracle holds until commit(), are dropped. A
+// deadline poll that fires resolves the pending test first, so a
+// truncated solve returns confirmed phases only. The bound functions and
+// every sum run serially in the same order as a serial loop; only where
+// and when a bound runs differs, so every solve returns the serial loop's
+// bits at every pool size. The cold bracket's bound overlaps its routing
+// pass the same way.
+//
 // Oracle, called directly (no virtual dispatch per route step):
 //   std::size_t size() const;           double demand(std::size_t j) const;
 //   PathView cheapest(std::size_t j, std::span<const double> lengths);
 //   void credit(std::size_t j, double amount);  // on the last cheapest(j)
+//   void commit();    // applies the credits held since the last commit
+//   void rollback();  // drops them
 //   double dual_bound(std::span<const double> lengths);
 //   void average(double divisor, EdgeLoad& load);  // routes and load
 // demand() and dual_bound() are in the caller's units; the view cheapest()
-// returns is valid only until the oracle's next call.
+// returns is valid only until the next cheapest(). dual_bound() runs on
+// another thread beside cheapest() and credit(), so it must share no
+// mutable state with them.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -38,6 +56,7 @@
 #include "graph/graph.hpp"
 #include "telemetry/observer.hpp"
 #include "util/log.hpp"
+#include "util/parallel.hpp"
 
 namespace sor {
 
@@ -83,18 +102,23 @@ struct PhaseLoopResult {
 };
 
 /// The bracket one pass at lengths 1/c_e gives: the dual bound, and the
-/// congestion of routing every demand whole on its cheapest route.
+/// congestion of routing every demand whole on its cheapest route. The
+/// bound runs beside the routing pass.
 template <class Oracle>
 OptBracket cold_bracket(const Graph& g, Oracle& oracle) {
   std::vector<double> lengths(g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     lengths[e] = 1.0 / g.edge(e).capacity;
   }
+  double bound = 0;
+  ClaimableTask bound_task(default_pool(),
+                           [&] { bound = oracle.dual_bound(lengths); });
   EdgeLoad load = zero_load(g);
   for (std::size_t j = 0; j < oracle.size(); ++j) {
     add_path_load(oracle.cheapest(j, lengths), oracle.demand(j), load);
   }
-  return {oracle.dual_bound(lengths), max_congestion(g, load)};
+  bound_task.run_or_wait();
+  return {bound, max_congestion(g, load)};
 }
 
 /// Runs the loop. The initial lengths are Fleischer's δ/c_e, each times
@@ -124,17 +148,7 @@ PhaseLoopResult run_phase_loop(const Graph& g, Oracle& oracle, double eps,
         delta * (shape.empty() ? 1.0 : shape[e]) / g.edge(e).capacity;
   }
 
-  telemetry::SolveObserver observer(solver, label);
-  double best_lower = 0;
-  std::size_t phase = 0;
-  for (; phase < kMaxPhases; ++phase) {
-    // Poll only after a completed phase: the scaled prefix of completed
-    // phases is a feasible routing.
-    if (phase > 0 && telemetry::solve_deadline_exceeded()) {
-      result.truncated = true;
-      observer.mark_truncated();
-      break;
-    }
+  const auto route_phase = [&] {
     for (std::size_t j = 0; j < oracle.size(); ++j) {
       double remaining = oracle.demand(j) * scale;
       while (remaining > 1e-12) {
@@ -152,8 +166,24 @@ PhaseLoopResult run_phase_loop(const Graph& g, Oracle& oracle, double eps,
         remaining -= send;
       }
     }
+  };
 
-    best_lower = std::max(best_lower, oracle.dual_bound(lengths));
+  telemetry::SolveObserver observer(solver, label);
+  double best_lower = 0;
+  // What phase `phase` left: the lengths its bound reads, and the lengths
+  // and load a stop restores. Declared before the task that reads them.
+  std::vector<double> bound_lengths;
+  std::vector<double> kept_lengths;
+  EdgeLoad kept_load;
+  double bound = 0;
+  std::optional<ClaimableTask> bound_task;
+  route_phase();
+  oracle.commit();
+  std::size_t phase = 0;  // the routed phase whose stop test is pending
+  for (;;) {
+    bound_lengths = lengths;
+    bound_task.emplace(default_pool(),
+                       [&] { bound = oracle.dual_bound(bound_lengths); });
     // The argmin route and the bound are scale-invariant in the lengths:
     // renormalize before long solves overflow (short ones keep their bits).
     double max_len = 0;
@@ -161,18 +191,40 @@ PhaseLoopResult run_phase_loop(const Graph& g, Oracle& oracle, double eps,
     if (max_len > 1e100) {
       for (double& l : lengths) l /= max_len;
     }
-
     const double routed =
         max_congestion(g, result.load) / static_cast<double>(phase + 1);
+    kept_lengths = lengths;
+    kept_load = result.load;
+
+    // Poll only after a completed phase: the scaled prefix of completed
+    // phases is a feasible routing.
+    const bool last = phase + 1 == kMaxPhases;
+    const bool truncate = !last && telemetry::solve_deadline_exceeded();
+    const bool speculate = !last && !truncate;
+    if (speculate) route_phase();
+
+    bound_task->run_or_wait();
+    best_lower = std::max(best_lower, bound);
     const double upper = routed / scale;
     observer.observe(phase + 1, upper, best_lower);
+    ++phase;
     if (routed <= 1e-12 ||  // every route is an empty path
         (best_lower > 0 && upper / best_lower <= 1.0 + eps)) {
-      ++phase;
+      if (speculate) {
+        lengths.swap(kept_lengths);
+        result.load.swap(kept_load);
+        oracle.rollback();
+      }
       break;
     }
+    if (truncate) {
+      result.truncated = true;
+      observer.mark_truncated();
+      break;
+    }
+    if (last) break;
+    oracle.commit();
   }
-  SOR_CHECK(phase > 0);
 
   oracle.average(static_cast<double>(phase) * scale, result.load);
   result.congestion = max_congestion(g, result.load);

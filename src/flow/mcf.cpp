@@ -13,15 +13,21 @@ namespace {
 /// The all-paths oracle: one Dijkstra run per route step, stopped when the
 /// commodity's target settles, and a dual bound with one full run per
 /// distinct source (the routing step re-runs Dijkstra after every length
-/// update, which Fleischer's analysis requires). One search serves the
-/// whole solve. Records the routes in `paths` when it is non-null.
+/// update, which Fleischer's analysis requires). The routing and the bound
+/// each have their own search, kept for the whole solve, since the bound
+/// runs beside the routing. Records the routes in `paths` when it is
+/// non-null.
 class DijkstraOracle {
  public:
   using PathWeights = std::vector<std::unordered_map<Path, double, PathHash>>;
 
   DijkstraOracle(const Graph& g, std::span<const Commodity> commodities,
                  PathWeights* paths)
-      : g_(g), commodities_(commodities), paths_(paths), search_(g) {
+      : g_(g),
+        commodities_(commodities),
+        paths_(paths),
+        search_(g),
+        bound_search_(g) {
     for (std::size_t j = 0; j < commodities.size(); ++j) {
       by_source_[commodities[j].src].push_back(j);
     }
@@ -30,7 +36,7 @@ class DijkstraOracle {
   std::size_t size() const { return commodities_.size(); }
   double demand(std::size_t j) const { return commodities_[j].amount; }
 
-  /// Valid until the next cheapest() or dual_bound().
+  /// Valid until the next cheapest().
   PathView cheapest(std::size_t j, std::span<const double> lengths) {
     const Commodity& c = commodities_[j];
     search_.run(c.src, lengths, c.dst);
@@ -39,18 +45,27 @@ class DijkstraOracle {
   }
 
   void credit(std::size_t j, double amount) {
-    if (paths_ != nullptr) (*paths_)[j][to_path(last_)] += amount;
+    if (paths_ != nullptr) held_.push_back({j, to_path(last_), amount});
   }
+
+  void commit() {
+    for (HeldCredit& c : held_) {
+      (*paths_)[c.commodity][std::move(c.path)] += c.amount;
+    }
+    held_.clear();
+  }
+
+  void rollback() { held_.clear(); }
 
   /// Σ_j d_j · dist_l(s_j, t_j) / Σ_e c_e · l_e — the duality lower bound
   /// on OPT congestion, valid for ANY positive length function l.
   double dual_bound(std::span<const double> lengths) {
     double numerator = 0;
     for (const auto& [src, indices] : by_source_) {
-      search_.run(src, lengths);
+      bound_search_.run(src, lengths);
       for (std::size_t j : indices) {
         const Commodity& c = commodities_[j];
-        numerator += c.amount * search_.dist(c.dst);
+        numerator += c.amount * bound_search_.dist(c.dst);
       }
     }
     double denominator = 0;
@@ -69,12 +84,20 @@ class DijkstraOracle {
   }
 
  private:
+  struct HeldCredit {
+    std::size_t commodity;
+    Path path;
+    double amount;
+  };
+
   const Graph& g_;
   std::span<const Commodity> commodities_;
   PathWeights* paths_;
   std::map<Vertex, std::vector<std::size_t>> by_source_;
-  DijkstraSearch search_;
+  DijkstraSearch search_;        // cheapest()
+  DijkstraSearch bound_search_;  // dual_bound()
   PathView last_;
+  std::vector<HeldCredit> held_;  // since the last commit()
 };
 
 }  // namespace

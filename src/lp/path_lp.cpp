@@ -7,6 +7,7 @@
 #include "flow/fleischer.hpp"
 #include "lp/simplex.hpp"
 #include "telemetry/span.hpp"
+#include "util/parallel.hpp"
 
 namespace sor {
 
@@ -40,14 +41,12 @@ void validate_restricted_problem(const RestrictedProblem& problem) {
 
 namespace {
 
-EdgeLoad load_from_weights(const Graph& g, const RestrictedProblem& problem,
-                           const std::vector<std::vector<double>>& weights) {
-  EdgeLoad load = zero_load(g);
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    for (std::size_t p = 0; p < problem.commodities[j].size(); ++p) {
-      if (weights[j][p] > 0) {
-        add_path_load(problem.candidate(j, p), weights[j][p], load);
-      }
+EdgeLoad load_from_weights(const RestrictedProblem& problem,
+                           std::span<const double> weights) {
+  EdgeLoad load = zero_load(*problem.graph);
+  for (const RestrictedCommodity& c : problem.commodities) {
+    for (PathId id = c.begin; id < c.end; ++id) {
+      if (weights[id] > 0) add_path_load(problem.paths[id], weights[id], load);
     }
   }
   return load;
@@ -73,11 +72,13 @@ bool all_finite(std::span<const double> values) {
 }
 
 /// The restricted LP's oracle: the cheapest of a commodity's candidates
-/// (first minimum in candidate order), and restricted_dual_bound.
+/// (first minimum in candidate order), and restricted_dual_bound, which
+/// only reads the problem. A credit is held as (candidate id, amount)
+/// until commit() adds it to the weights.
 class CandidateOracle {
  public:
   CandidateOracle(const RestrictedProblem& problem,
-                  std::vector<std::vector<double>>& weights)
+                  std::vector<double>& weights)
       : problem_(problem), weights_(weights) {}
 
   std::size_t size() const { return problem_.commodities.size(); }
@@ -88,19 +89,26 @@ class CandidateOracle {
   PathView cheapest(std::size_t j, std::span<const double> lengths) {
     const RestrictedCommodity& c = problem_.commodities[j];
     double best_len = std::numeric_limits<double>::infinity();
-    best_ = 0;
-    for (std::size_t p = 0; p < c.size(); ++p) {
+    best_ = c.begin;
+    for (PathId id = c.begin; id < c.end; ++id) {
       double len = 0;
-      for (EdgeId e : problem_.paths.edges(c.begin + p)) len += lengths[e];
+      for (EdgeId e : problem_.paths.edges(id)) len += lengths[e];
       if (len < best_len) {
         best_len = len;
-        best_ = p;
+        best_ = id;
       }
     }
-    return problem_.candidate(j, best_);
+    return problem_.paths[best_];
   }
 
-  void credit(std::size_t j, double amount) { weights_[j][best_] += amount; }
+  void credit(std::size_t, double amount) { held_.push_back({best_, amount}); }
+
+  void commit() {
+    for (const auto& [id, amount] : held_) weights_[id] += amount;
+    held_.clear();
+  }
+
+  void rollback() { held_.clear(); }
 
   double dual_bound(std::span<const double> lengths) const {
     return restricted_dual_bound(problem_, lengths);
@@ -108,16 +116,15 @@ class CandidateOracle {
 
   void average(double divisor, EdgeLoad& load) {
     const double inverse = 1.0 / divisor;
-    for (auto& per_commodity : weights_) {
-      for (double& w : per_commodity) w *= inverse;
-    }
+    for (double& w : weights_) w *= inverse;
     for (double& l : load) l *= inverse;
   }
 
  private:
   const RestrictedProblem& problem_;
-  std::vector<std::vector<double>>& weights_;
-  std::size_t best_ = 0;
+  std::vector<double>& weights_;
+  PathId best_ = 0;
+  std::vector<std::pair<PathId, double>> held_;  // since the last commit()
 };
 
 }  // namespace
@@ -153,24 +160,21 @@ RestrictedSolution route_restricted_fractions(
                                         << problem.paths.size()
                                         << " candidates");
   RestrictedSolution solution;
-  solution.weights.resize(problem.commodities.size());
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const RestrictedCommodity& c = problem.commodities[j];
+  solution.weights.assign(problem.paths.size(), 0.0);
+  for (const RestrictedCommodity& c : problem.commodities) {
     const std::span<const double> own = fractions.subspan(c.begin, c.size());
     double sum = 0;
     for (double f : own) {
       SOR_CHECK(f >= 0);
       sum += f;
     }
-    solution.weights[j].assign(c.size(), 0.0);
     for (std::size_t p = 0; p < c.size(); ++p) {
       const double share =
           sum > 0 ? own[p] / sum : 1.0 / static_cast<double>(c.size());
-      solution.weights[j][p] = share * c.demand;
+      solution.weights[c.begin + p] = share * c.demand;
     }
   }
-  solution.load =
-      load_from_weights(*problem.graph, problem, solution.weights);
+  solution.load = load_from_weights(problem, solution.weights);
   solution.congestion = max_congestion(*problem.graph, solution.load);
   return solution;
 }
@@ -253,17 +257,15 @@ RestrictedSolution solve_restricted_exact(const RestrictedProblem& problem) {
                     << static_cast<int>(lp_solution.status) << ")");
 
   RestrictedSolution solution;
-  solution.weights.resize(problem.commodities.size());
+  solution.weights.assign(problem.paths.size(), 0.0);
   std::size_t var = 0;
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    const auto& c = problem.commodities[j];
-    solution.weights[j].assign(c.size(), 0.0);
+  for (const RestrictedCommodity& c : problem.commodities) {
     for (std::size_t p = 0; p < c.size(); ++p) {
-      solution.weights[j][p] = std::max(0.0, lp_solution.x[var + p]);
+      solution.weights[c.begin + p] = std::max(0.0, lp_solution.x[var + p]);
     }
     var += c.size();
   }
-  solution.load = load_from_weights(g, problem, solution.weights);
+  solution.load = load_from_weights(problem, solution.weights);
   solution.congestion = max_congestion(g, solution.load);
   solution.lower_bound = lp_solution.objective_value;
   return solution;
@@ -295,11 +297,16 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   // lengths: the bound is scale-invariant and the raw certificate is
   // strictly stronger than the range-clamped one used to init the solve.
   // A failed test still brackets OPT for the phase loop's scaling.
+  // The bound runs beside the warm routing.
   OptBracket bracket;
   if (warm_lengths && !options.warm->fractions.empty()) {
+    double lb = 0;
+    ClaimableTask bound_task(default_pool(), [&] {
+      lb = restricted_dual_bound(problem, raw_warm);
+    });
     RestrictedSolution warm =
         route_restricted_fractions(problem, options.warm->fractions);
-    const double lb = restricted_dual_bound(problem, raw_warm);
+    bound_task.run_or_wait();
     if (lb > 0 && warm.congestion <= (1.0 + eps) * lb) {
       warm.lower_bound = lb;
       warm.warm_accepted = true;
@@ -341,10 +348,7 @@ RestrictedSolution solve_restricted_mwu(const RestrictedProblem& problem,
   // loop lives on warm solves being cheap, so the trace label splits on
   // it.
   RestrictedSolution solution;
-  solution.weights.resize(problem.commodities.size());
-  for (std::size_t j = 0; j < problem.commodities.size(); ++j) {
-    solution.weights[j].assign(problem.commodities[j].size(), 0.0);
-  }
+  solution.weights.assign(problem.paths.size(), 0.0);
   CandidateOracle oracle(problem, solution.weights);
   PhaseLoopResult loop = run_phase_loop(g, oracle, eps, shape, bracket, "mwu",
                                         warm_lengths ? "warm" : "cold");

@@ -63,8 +63,10 @@ struct RestrictedSolution {
   /// Lower bound on the restricted optimum (duality certificate; the
   /// exact backend sets it equal to `congestion`).
   double lower_bound = 0;
-  /// weights[j][p] ≥ 0 with Σ_p weights[j][p] = d_j.
-  std::vector<std::vector<double>> weights;
+  /// weights[id] ≥ 0 for each candidate id of the problem's path table,
+  /// summing to d_j over commodity j's candidates (0 for an id no
+  /// commodity covers).
+  std::vector<double> weights;
   /// Per-edge load of the returned routing.
   EdgeLoad load;
   /// MWU phases executed (0 for the exact backend or a warm accept).

@@ -1,8 +1,7 @@
 #include "util/parallel.hpp"
 
-#include <future>
+#include <deque>
 #include <mutex>
-#include <vector>
 
 #include "telemetry/observer.hpp"
 #include "telemetry/span.hpp"
@@ -96,13 +95,15 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     }
   };
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
+  // The caller runs every chunk no worker has claimed, then waits only on
+  // chunks a worker has started: a nested loop on a busy pool completes.
+  std::deque<ClaimableTask> tasks;
   for (std::size_t c = 1; c < chunks; ++c) {
-    futures.push_back(pool->submit([&run_chunk, c] { run_chunk(c); }));
+    tasks.emplace_back(*pool, [&run_chunk, c] { run_chunk(c); });
   }
   run_chunk(0);
-  for (auto& f : futures) f.wait();
+  for (ClaimableTask& task : tasks) task.try_run();
+  for (ClaimableTask& task : tasks) task.wait();
 
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -3,10 +3,11 @@
 // parallel_for: block-partitioned parallel loop over [0, n).
 //
 // The body receives the loop index. Iterations are divided into
-// contiguous chunks, one future per chunk; the calling thread also works,
-// so parallel_for composes with code already running on a pool thread
-// without deadlocking (the caller never blocks on work it could do itself
-// until all chunks it did not claim are finished).
+// contiguous chunks, one ClaimableTask per chunk beyond the first, which
+// the calling thread runs. It then runs every chunk no worker has claimed
+// and waits only on chunks that workers have started, so parallel_for
+// composes with code already running on a pool thread, or on a pool whose
+// workers are all busy, without deadlocking.
 //
 // Exceptions thrown by the body are propagated (the first one observed).
 

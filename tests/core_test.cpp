@@ -311,7 +311,7 @@ TEST(SplitTable, FromWeightsMergesEqualCandidatesAndRejectsReversedPaths) {
   problem.add_commodity(2.0);
   for (const Path& p : {a, Path{0, 1, {1, 2}}, a}) problem.add_candidate(p);
   const SplitTable table =
-      SplitTable::from_weights(problem, {{0.5, 0.5, 1.0}});
+      SplitTable::from_weights(problem, std::vector<double>{0.5, 0.5, 1.0});
   const SplitRows rows = table.rows(0, 1);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (SplitRow{a, 0.75}));
@@ -320,8 +320,9 @@ TEST(SplitTable, FromWeightsMergesEqualCandidatesAndRejectsReversedPaths) {
   RestrictedProblem reversed_problem;
   reversed_problem.add_commodity(2.0);
   reversed_problem.add_candidate(Path{1, 0, {0}});
-  EXPECT_THROW(SplitTable::from_weights(reversed_problem, {{2.0}}),
-               CheckError);
+  EXPECT_THROW(
+      SplitTable::from_weights(reversed_problem, std::vector<double>{2.0}),
+      CheckError);
 }
 
 TEST(SplitTable, MergedFractionsAreTheRowsFromWeightsInstalls) {
@@ -335,10 +336,9 @@ TEST(SplitTable, MergedFractionsAreTheRowsFromWeightsInstalls) {
   problem.add_commodity(2.0);
   problem.add_candidate(d);
   // b's first copy carries nothing, c carries nothing at all.
-  const std::vector<double> weights = {0.3, 0.0, 0.7, 0.0, 1.1};
+  const std::vector<double> weights = {0.3, 0.0, 0.7, 0.0, 1.1, 2.0};
   std::vector<double> shares;
-  const SplitTable table =
-      SplitTable::from_weights(problem, {weights, {2.0}}, &shares);
+  const SplitTable table = SplitTable::from_weights(problem, weights, &shares);
   // Flat by candidate id: the first copy of a path carries the merged
   // row, later copies and row-less candidates 0.
   EXPECT_EQ(shares, (std::vector<double>{0.3 / 3.0 + 0.7 / 3.0, 1.1 / 3.0,
@@ -360,14 +360,14 @@ TEST(SplitTable, FromWeightsRequiresSortedDistinctPairs) {
   problem.add_candidate(Path{2, 3, {5}});
   problem.add_commodity(1.0);
   problem.add_candidate(Path{0, 1, {0}});
-  EXPECT_THROW(SplitTable::from_weights(problem, {{1.0}, {1.0}}), CheckError);
+  const std::vector<double> weights = {1.0, 1.0};
+  EXPECT_THROW(SplitTable::from_weights(problem, weights), CheckError);
   RestrictedProblem repeated;
   for (int j = 0; j < 2; ++j) {
     repeated.add_commodity(1.0);
     repeated.add_candidate(Path{0, 1, {0}});
   }
-  EXPECT_THROW(SplitTable::from_weights(repeated, {{1.0}, {1.0}}),
-               CheckError);
+  EXPECT_THROW(SplitTable::from_weights(repeated, weights), CheckError);
 }
 
 TEST(Router, EmptyDemandIsZero) {

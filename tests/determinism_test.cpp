@@ -1,14 +1,17 @@
 // Cross-thread-count determinism suite. Everything here asserts
 // bit-identical results when the same computation runs on pools of 1, 2,
 // and 8 workers, with the artifact cache both off and on: the chunked
-// parallel_reduce fold, path-system sampling, the restricted path LP,
-// and a full engine run (controller epochs + replay digest). These are
+// parallel_reduce fold, path-system sampling, the restricted path LP and
+// the MCF (whose phase loops compute their dual bounds on the pool), and
+// a full engine run (controller epochs + replay digest). These are
 // the regression tests for the parallel_reduce combine-order fix and the
 // cache's bit-identical-reuse contract.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,7 +20,9 @@
 #include "core/router.hpp"
 #include "core/sampler.hpp"
 #include "demand/demand.hpp"
+#include "demand/generators.hpp"
 #include "engine/replay.hpp"
+#include "flow/mcf.hpp"
 #include "graph/generators.hpp"
 #include "lp/path_lp.hpp"
 #include "oblivious/valiant.hpp"
@@ -117,6 +122,15 @@ TEST(SamplerDeterminism, IdenticalAcrossThreadCountsAndCacheModes) {
   EXPECT_GE(cache::ArtifactCache::global().stats().hits, 2u);
 }
 
+void expect_same_bits(std::span<const double> a, std::span<const double> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "entry " << i;
+  }
+}
+
 TEST(PathLpDeterminism, MwuSolveBitIdenticalAcrossThreadCounts) {
   const Graph g = make_hypercube(4);
   const ValiantHypercube routing(g, 4);
@@ -138,12 +152,40 @@ TEST(PathLpDeterminism, MwuSolveBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(solutions[s].lower_bound),
               std::bit_cast<std::uint64_t>(reference.lower_bound));
     EXPECT_EQ(solutions[s].phases, reference.phases);
-    ASSERT_EQ(solutions[s].weights.size(), reference.weights.size());
-    for (std::size_t j = 0; j < reference.weights.size(); ++j) {
-      ASSERT_EQ(solutions[s].weights[j].size(), reference.weights[j].size());
-      for (std::size_t p = 0; p < reference.weights[j].size(); ++p) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(solutions[s].weights[j][p]),
-                  std::bit_cast<std::uint64_t>(reference.weights[j][p]));
+    expect_same_bits(solutions[s].weights, reference.weights);
+  }
+}
+
+TEST(McfDeterminism, BitIdenticalAcrossThreadCounts) {
+  const Graph g = make_geant().graph;
+  Rng rng(7);
+  const std::vector<Commodity> commodities =
+      perturbed_gravity_demand(g, all_vertices(g), 40.0, 0.5, rng)
+          .commodities();
+  for (const bool record_paths : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "record_paths " << record_paths);
+    McfOptions options;
+    options.record_paths = record_paths;
+    const auto results = at_pool_sizes(
+        [&] { return min_congestion_routing(g, commodities, options); });
+    const McfResult& reference = results[0];
+    EXPECT_GT(reference.phases, 1u);
+    for (std::size_t s = 1; s < results.size(); ++s) {
+      EXPECT_EQ(results[s].phases, reference.phases);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(results[s].congestion),
+                std::bit_cast<std::uint64_t>(reference.congestion));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(results[s].lower_bound),
+                std::bit_cast<std::uint64_t>(reference.lower_bound));
+      expect_same_bits(results[s].load, reference.load);
+      ASSERT_EQ(results[s].paths.size(), reference.paths.size());
+      for (std::size_t j = 0; j < reference.paths.size(); ++j) {
+        ASSERT_EQ(results[s].paths[j].size(), reference.paths[j].size());
+        for (const auto& [path, weight] : reference.paths[j]) {
+          const auto it = results[s].paths[j].find(path);
+          ASSERT_NE(it, results[s].paths[j].end()) << "commodity " << j;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(it->second),
+                    std::bit_cast<std::uint64_t>(weight));
+        }
       }
     }
   }

@@ -84,24 +84,23 @@ TEST_P(PipelineTest, EndToEndInvariants) {
 
   // Weights cover each commodity's demand exactly.
   const std::vector<Commodity> commodities = demand.commodities();
-  ASSERT_EQ(frac.weights.size(), commodities.size());
+  ASSERT_EQ(frac.problem.commodities.size(), commodities.size());
+  ASSERT_EQ(frac.weights.size(), frac.problem.paths.size());
   for (std::size_t j = 0; j < commodities.size(); ++j) {
+    const RestrictedCommodity& c = frac.problem.commodities[j];
     double total = 0;
-    for (double w : frac.weights[j]) {
-      EXPECT_GE(w, -1e-9);
-      total += w;
+    for (PathId id = c.begin; id < c.end; ++id) {
+      EXPECT_GE(frac.weights[id], -1e-9);
+      total += frac.weights[id];
     }
     EXPECT_NEAR(total, commodities[j].amount, 1e-5);
   }
 
   // Load matches the weights' load (consistency of bookkeeping).
   EdgeLoad recomputed = zero_load(g);
-  for (std::size_t j = 0; j < commodities.size(); ++j) {
-    for (std::size_t p = 0; p < frac.weights[j].size(); ++p) {
-      if (frac.weights[j][p] > 0) {
-        add_path_load(frac.problem.candidate(j, p), frac.weights[j][p],
-                      recomputed);
-      }
+  for (PathId id = 0; id < frac.weights.size(); ++id) {
+    if (frac.weights[id] > 0) {
+      add_path_load(frac.problem.paths[id], frac.weights[id], recomputed);
     }
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

@@ -4,13 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "demand/generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/search.hpp"
 #include "lp/path_lp.hpp"
 #include "lp/simplex.hpp"
 #include "oblivious/ksp.hpp"
+#include "telemetry/observer.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace sor {
 namespace {
@@ -162,8 +169,8 @@ TEST(RestrictedExact, SplitsEvenly) {
   const RestrictedProblem problem = diamond_problem(g, 1.0);
   const RestrictedSolution s = solve_restricted_exact(problem);
   EXPECT_NEAR(s.congestion, 0.5, 1e-8);
-  EXPECT_NEAR(s.weights[0][0] + s.weights[0][1], 1.0, 1e-8);
-  EXPECT_NEAR(s.weights[0][0], 0.5, 1e-6);
+  EXPECT_NEAR(s.weights[0] + s.weights[1], 1.0, 1e-8);
+  EXPECT_NEAR(s.weights[0], 0.5, 1e-6);
   EXPECT_NEAR(s.lower_bound, s.congestion, 1e-6);
 }
 
@@ -244,6 +251,195 @@ TEST(RestrictedMwu, CrossValidatesWithExactOnSampledSystems) {
   EXPECT_LE(mwu.lower_bound, exact.congestion + 1e-6);
 }
 
+/// The instance the pinned solves run on: a 3×4 torus, a random
+/// permutation, two shortest paths per pair (oriented per commodity).
+RestrictedProblem pinned_problem(const Graph& g, double skew) {
+  const KspRouting ksp(g, 2);
+  Rng rng(11);
+  const Demand demand = random_permutation_demand(g, rng);
+  RestrictedProblem problem;
+  problem.graph = &g;
+  std::size_t j = 0;
+  for (const Commodity& c : demand.commodities()) {
+    problem.add_commodity(c.amount * (j++ % 3 == 0 ? skew : 1.0));
+    for (const Path& p : ksp.candidates(c.src, c.dst)) {
+      problem.add_candidate(p.src == c.src ? p : Path{
+          p.dst, p.src, {p.edges.rbegin(), p.edges.rend()}});
+    }
+  }
+  return problem;
+}
+
+/// One MWU solve's every output bit, generated by a reference run of the
+/// serial phase loop and written as hexfloat literals.
+struct MwuPin {
+  std::size_t phases;
+  double congestion;
+  double lower_bound;
+  std::vector<double> dual_lengths;
+  std::vector<double> weights;
+};
+
+void expect_pinned(const RestrictedSolution& s, const MwuPin& pin) {
+  EXPECT_EQ(s.phases, pin.phases);
+  EXPECT_EQ(s.congestion, pin.congestion);
+  EXPECT_EQ(s.lower_bound, pin.lower_bound);
+  EXPECT_FALSE(s.truncated);
+  EXPECT_FALSE(s.warm_accepted);
+  EXPECT_EQ(s.dual_lengths, pin.dual_lengths);
+  EXPECT_EQ(s.weights, pin.weights);
+}
+
+const MwuPin kColdPin = {
+    143, 0x1.8479bbf8d6d34p+0, 0x1.722889b65670fp+0,
+    {0x1p+0, 0x1.a74b3c3fbea75p-16, 0x1.2362a737c6d57p-8, 0x1.2bd86d436d41ep-6,
+     0x1.ba48ebf57ee87p-1, 0x1.bb021c46fc56fp-6, 0x1.150e854947178p-3,
+     0x1.bb021c46fc56fp-6, 0x1.5b1bca018afdcp-6, 0x1.5b1bca018afdcp-6,
+     0x1.ae8246c4ca0d6p-8, 0x1.95e4f4e534964p-7, 0x1.ba48ebf57ee87p-1,
+     0x1.0370fef1aca3fp-11, 0x1.a74b3c3fbea75p-16, 0x1.73e3c7d10da1ap-8,
+     0x1.0d3d595a8630ep-5, 0x1.31f462c75d935p-8, 0x1.3ad672b9ff853p-6,
+     0x1.ae8246c4ca0d6p-8, 0x1.ba48ebf57ee87p-1, 0x1.6c76c74e6b8a7p-6,
+     0x1.31747d30260f1p-3, 0x1.1b29fc7bf2568p-10},
+    {0x1.08f377f1ada68p-1, 0x1.ee19101ca4b3p-2, 0x1.08f377f1ada68p-2,
+     0x1.7b864407292ccp-1, 0x1.e35b4cfaa11e7p-1, 0x1.ca4b3055ee191p-5,
+     0x1.745d1745d1746p-2, 0x1.45d1745d1745dp-1, 0x1.25982af70c881p-2,
+     0x1.6d33ea8479bcp-1, 0x1.745d1745d1746p-2, 0x1.45d1745d1745dp-1,
+     0x1.7f1ada67d508fp-1, 0x1.01ca4b3055ee2p-2, 0x1.ee19101ca4b3p-1,
+     0x1.1e6efe35b4cfbp-5, 0x1.982af70c880e5p-1, 0x1.9f5423cddfc6bp-3,
+     0x1.ca4b3055ee191p-3, 0x1.8d6d33ea8479cp-1, 0x1.fc6b699f5423dp-1,
+     0x1.ca4b3055ee191p-8}};
+
+const MwuPin kWarmPin = {
+    13, 0x1.53b13b13b13b2p+1, 0x1.44ecdf643e36fp+1,
+    {0x1p+0, 0x1.989bdec6030d5p-9, 0x1.78bef3b0daf9ep-8, 0x1.c33a644a119cdp-8,
+     0x1.dcdc0e41f3f61p-1, 0x1.097e419ea2b22p-6, 0x1.d4617bf82008bp-4,
+     0x1.0ff7f84b170ddp-6, 0x1.052d2c834185cp-7, 0x1.052d2c834185cp-7,
+     0x1.813f195cc12c4p-8, 0x1.813f195cc12c4p-8, 0x1.dcdc0e41f3f62p-1,
+     0x1.5e0de481d5de4p-8, 0x1.989bdec6030d5p-9, 0x1.243a705d89563p-7,
+     0x1.952ba026ac065p-7, 0x1.d562ab6f81ca8p-8, 0x1.d9ca1c80f8e4ap-8,
+     0x1.813f195cc12c4p-8, 0x1.dc02526e4b76ep-1, 0x1.123c3b89d1994p-7,
+     0x1.ea56b8d61295bp-4, 0x1.b3defbf92379cp-8},
+    {0x1.89d89d89d89d9p+0, 0x1.ec4ec4ec4ec4fp-1, 0x0p+0, 0x1p+0, 0x1p+0,
+     0x0p+0, 0x1.3b13b13b13b14p+0, 0x1.44ec4ec4ec4edp+0, 0x0p+0, 0x1p+0,
+     0x1.d89d89d89d89ep-2, 0x1.13b13b13b13b2p-1, 0x1.4ec4ec4ec4ec5p+0,
+     0x1.313b13b13b13bp+0, 0x1p+0, 0x0p+0, 0x1p+0, 0x0p+0,
+     0x1.b13b13b13b13cp-1, 0x1.a762762762763p+0, 0x1p+0, 0x0p+0}};
+
+/// The cold solve, then a warm one from its split and lengths on a demand
+/// whose every third commodity grows 2.5× (the accept test fails).
+std::pair<RestrictedSolution, RestrictedSolution> pinned_solves() {
+  const Graph g = make_torus(3, 4);
+  const RestrictedProblem cold_problem = pinned_problem(g, 1.0);
+  RestrictedSolution cold = solve_restricted_mwu(cold_problem);
+  RestrictedWarmStart warm;
+  for (const RestrictedCommodity& c : cold_problem.commodities) {
+    for (PathId id = c.begin; id < c.end; ++id) {
+      warm.fractions.push_back(cold.weights[id] / c.demand);
+    }
+  }
+  warm.lengths = cold.dual_lengths;
+  RestrictedMwuOptions options;
+  options.warm = &warm;
+  RestrictedSolution rerun =
+      solve_restricted_mwu(pinned_problem(g, 2.5), options);
+  return {std::move(cold), std::move(rerun)};
+}
+
+TEST(RestrictedMwu, ColdAndWarmSolveBitsArePinned) {
+  const auto [cold, warm] = pinned_solves();
+  {
+    SCOPED_TRACE("cold");
+    expect_pinned(cold, kColdPin);
+  }
+  {
+    SCOPED_TRACE("warm");
+    expect_pinned(warm, kWarmPin);
+  }
+}
+
+TEST(RestrictedMwu, SolvesInsideParallelForKeepTheirBits) {
+  // Each body's solve submits its bounds to the pool the loop already
+  // occupies: with one worker, or two, the caller runs what none claims.
+  for (const std::size_t workers : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    ScopedDefaultPool scoped(workers);
+    std::vector<std::pair<RestrictedSolution, RestrictedSolution>> solves(3);
+    parallel_for(3, [&](std::size_t i) { solves[i] = pinned_solves(); });
+    for (const auto& [cold, warm] : solves) {
+      expect_pinned(cold, kColdPin);
+      expect_pinned(warm, kWarmPin);
+    }
+  }
+}
+
+TEST(RestrictedMwu, DeadlineTruncatesToConfirmedPhases) {
+  // A deadline a quarter into the solve fires mid-routing, most likely
+  // while a speculative phase is in flight. The solve must return the
+  // confirmed phases alone: a feasible routing, a certified bound, and
+  // the bits of a solve cancelled at the poll after that many phases.
+  const Graph g = make_torus(6, 6);
+  const KspRouting ksp(g, 3);
+  RestrictedProblem problem;
+  problem.graph = &g;
+  for (const Commodity& c : gravity_demand(g, 2000.0).commodities()) {
+    problem.add_commodity(c.amount);
+    for (const Path& p : ksp.candidates(c.src, c.dst)) {
+      problem.add_candidate(p.src == c.src ? p : Path{
+          p.dst, p.src, {p.edges.rbegin(), p.edges.rend()}});
+    }
+  }
+  double seconds = 1e9;
+  RestrictedSolution full;
+  for (int run = 0; run < 2; ++run) {
+    const Stopwatch clock;
+    full = solve_restricted_mwu(problem);
+    seconds = std::min(seconds, clock.seconds());
+  }
+  ASSERT_GE(full.phases, 20u);
+
+  telemetry::ProgressReporter deadline;
+  deadline.deadline_seconds = seconds / 4;
+  RestrictedSolution cut;
+  {
+    const telemetry::ProgressScope scope(deadline);
+    cut = solve_restricted_mwu(problem);
+  }
+  ASSERT_TRUE(cut.truncated);
+  ASSERT_GE(cut.phases, 1u);
+  ASSERT_LT(cut.phases, full.phases);
+  EXPECT_GT(cut.lower_bound, 0.0);
+  EXPECT_LE(cut.lower_bound, cut.congestion);
+  EdgeLoad load = zero_load(g);
+  for (const RestrictedCommodity& c : problem.commodities) {
+    double routed = 0;
+    for (PathId id = c.begin; id < c.end; ++id) {
+      routed += cut.weights[id];
+      add_path_load(problem.paths[id], cut.weights[id], load);
+    }
+    EXPECT_NEAR(routed, c.demand, 1e-12 * c.demand);
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_NEAR(load[e], cut.load[e], 1e-9 * std::max(1.0, load[e]));
+  }
+  EXPECT_EQ(cut.congestion, max_congestion(g, cut.load));
+
+  std::size_t polls = 0;
+  telemetry::ProgressReporter cancel;
+  cancel.cancel = [&] { return ++polls == cut.phases; };
+  RestrictedSolution counted;
+  {
+    const telemetry::ProgressScope scope(cancel);
+    counted = solve_restricted_mwu(problem);
+  }
+  EXPECT_TRUE(counted.truncated);
+  EXPECT_EQ(counted.phases, cut.phases);
+  EXPECT_EQ(counted.congestion, cut.congestion);
+  EXPECT_EQ(counted.lower_bound, cut.lower_bound);
+  EXPECT_EQ(counted.dual_lengths, cut.dual_lengths);
+  EXPECT_EQ(counted.weights, cut.weights);
+  EXPECT_EQ(counted.load, cut.load);
+}
+
 TEST(RestrictedWarm, RepeatSolveIsAcceptedWithoutPhases) {
   // Warm-starting from a solution of the *same* problem must short-circuit:
   // the accept test re-checks exactly the MWU stopping condition.
@@ -259,7 +455,7 @@ TEST(RestrictedWarm, RepeatSolveIsAcceptedWithoutPhases) {
   RestrictedWarmStart warm;
   // One commodity, so its weights are the fractions by candidate id.
   ASSERT_EQ(problem.commodities.size(), 1u);
-  warm.fractions = cold.weights[0];  // renormalized internally
+  warm.fractions = cold.weights;  // renormalized internally
   warm.lengths = cold.dual_lengths;
   options.warm = &warm;
   const RestrictedSolution rerun = solve_restricted_mwu(problem, options);
@@ -356,7 +552,7 @@ TEST(RestrictedExact, WeightsCoverDemand) {
   const RestrictedProblem problem = diamond_problem(g, 7.0);
   const RestrictedSolution s = solve_restricted_exact(problem);
   double total = 0;
-  for (double w : s.weights[0]) total += w;
+  for (double w : s.weights) total += w;
   EXPECT_NEAR(total, 7.0, 1e-6);
 }
 

@@ -4,10 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "telemetry/artifact.hpp"
 #include "util/check.hpp"
@@ -188,6 +196,94 @@ TEST(ParallelFor, PropagatesBodyException) {
           },
           &pool),
       std::runtime_error);
+}
+
+TEST(ParallelFor, NestedOnABusyPoolCompletes) {
+  // Every worker runs an outer body that nests a parallel_for on the same
+  // pool, so no worker is free for the inner chunks: each caller must run
+  // them itself. A watchdog ends the process rather than let a deadlock
+  // hang the suite.
+  ThreadPool pool(2);
+  std::atomic<int> inner_runs{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(5), [&] { return finished; })) {
+      std::fprintf(stderr,
+                   "nested parallel_for hung with %d of 9 inner bodies run\n",
+                   inner_runs.load());
+      std::_Exit(1);
+    }
+  });
+  parallel_for(
+      3,
+      [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        parallel_for(3, [&](std::size_t) { ++inner_runs; }, &pool);
+      },
+      &pool);
+  {
+    std::lock_guard lock(mu);
+    finished = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  EXPECT_EQ(inner_runs.load(), 9);
+}
+
+TEST(ClaimableTask, RunsOnceWhereverItIsClaimed) {
+  ThreadPool pool(2);
+  for (int i = 0; i < 200; ++i) {
+    std::atomic<int> runs{0};
+    ClaimableTask task(pool, [&] { ++runs; });
+    if (i % 2 == 0) std::this_thread::yield();
+    task.run_or_wait();
+    EXPECT_EQ(runs.load(), 1);
+  }
+}
+
+TEST(ClaimableTask, OwnerRunsWhatNoWorkerStarted) {
+  // The only worker is blocked, so the owner must run the task itself.
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<void> blocker = pool.submit([released] { released.wait(); });
+  bool ran = false;
+  ClaimableTask task(pool, [&] { ran = true; });
+  EXPECT_TRUE(task.try_run());
+  task.wait();
+  EXPECT_TRUE(ran);
+  release.set_value();
+  blocker.wait();
+}
+
+TEST(ClaimableTask, ExceptionReachesTheOwner) {
+  ThreadPool pool(1);
+  ClaimableTask task(pool, [] { throw std::runtime_error("bound failed"); });
+  // Most likely the worker has claimed it by now, and wait() rethrows;
+  // if not, the owner runs it and try_run() throws.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  try {
+    task.run_or_wait();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "bound failed");
+  }
+}
+
+TEST(ClaimableTask, DestructionWithoutRunNeverRunsItLater) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<void> blocker = pool.submit([released] { released.wait(); });
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  { ClaimableTask task(pool, [runs] { ++*runs; }); }  // claimed unrun
+  release.set_value();
+  blocker.wait();
+  pool.submit([] {}).wait();  // the worker has dequeued the stale task
+  EXPECT_EQ(runs->load(), 0);
 }
 
 TEST(ParallelReduce, SumsCorrectly) {
