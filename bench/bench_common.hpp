@@ -28,6 +28,7 @@
 #include "core/sampler.hpp"
 #include "demand/demand.hpp"
 #include "flow/mcf.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/buildinfo.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
@@ -39,52 +40,6 @@
 #include "util/table.hpp"
 
 namespace sor::bench {
-
-/// Bumped whenever the artifact gains or changes blocks; check_bench_json
-/// enforces it. v2: added schema_version, the "events" flight-recorder
-/// block, and the optional "attribution" block. v3: added the
-/// "convergence" block (per-solve iteration traces, see
-/// telemetry/observer.hpp) and the cost/<subsystem>/* accounting counters
-/// inside "telemetry" (dropped in v9). v4: added the "cache" block
-/// (artifact-cache hit/miss/eviction counters plus the enabled flag, see
-/// src/cache/) — the warm-vs-cold fixture chain asserts on it.
-// v5: added the "health" block (runtime health registry snapshot:
-// quantile-sketch summaries with bucket counts, per-sketch watermarks
-// (dropped in v9), epoch-windowed series (dropped in v10), recorder drop
-// counters, and the SLO breach list + 0/1 status, see
-// src/telemetry/metrics.hpp) — the SLO fixture chain and `sor_cli slo`
-// evaluate it.
-// v6: added the "provenance" block (compiler id/version, build type,
-// flags, sanitize mode, build fingerprint, git describe — see
-// src/telemetry/buildinfo.hpp) and the "memory" block (current/peak RSS
-// plus per-subsystem live-bytes high-water marks (dropped in v11), see
-// src/telemetry/memory.hpp). Both key the run ledger (`sor_cli ledger
-// append` / `trend`).
-// v7: added the "quality" block (routing-quality observatory: sampled
-// shadow-optimal regret series with p50/p95/max, per-epoch predictor
-// MAPE + worst pair, activation/weight/top-path churn series — see
-// src/engine/quality.hpp). Feeds `sor_cli quality` and the trend gate's
-// regret_p95/predictor_mape metrics.
-// v8: added the "serving" block (snapshot-swapped serving layer, see
-// src/serve/: sustained lookups/sec and lookup-latency quantiles under
-// concurrent epoch churn, torn-answer and byte-identity audit results,
-// snapshot publish + demand-ingestion counters). E17 requires it.
-// v9: one registry, one sketch type, one timer. "telemetry" holds only
-// "counters" and "gauges" (the equal-width "histograms" map is gone; its
-// signals are health sketches), no counter is named cost/... (solver
-// cost is read from the spans block, and every span also feeds the
-// health sketch "<span name>_seconds"), and "health" has no
-// "watermarks" (each sketch's exact max is its watermark).
-// v10: every registry signal has a reader. "health" keeps no per-epoch
-// windows (its "rates" and "gauges" series and their epoch count are
-// gone), and "telemetry" keeps only the counters and gauges something
-// reads (lp/simplex_bytes; engine/ and router/last_congestion).
-// v11: one metric kind. The top-level "telemetry" block is gone: every
-// registry signal is a health sketch ("lp/simplex_bytes",
-// "sampler/sample_path_system_bytes", "router/congestion"; the
-// last-congestion gauges are covered by the engine/ and router/congestion
-// sketches). "memory" is exactly {current_rss_bytes, peak_rss_bytes}.
-inline constexpr int kArtifactSchemaVersion = 11;
 
 namespace detail {
 // Captured at static initialization — close enough to process start for
@@ -160,7 +115,7 @@ inline telemetry::JsonValue artifact_json(const std::string& id,
           .count();
 
   JsonValue doc = JsonValue::object();
-  doc.set("schema_version", kArtifactSchemaVersion);
+  doc.set("schema_version", telemetry::kArtifactSchemaVersion);
   doc.set("experiment", short_id(id));
   doc.set("title", id);
   doc.set("claim", claim);

@@ -152,7 +152,7 @@ int main() {
   extra.emplace_back("e16", std::move(e16));
   extra.emplace_back("attribution", attribution_json(config));
   // Schema v7: the quality block of the canonical (warm) run — regret,
-  // predictor error, and churn series for `sor_cli quality` + the trend
+  // predictor error, and churn series for `sor_cli report` + the trend
   // gate's regret_p95 / predictor_mape metrics.
   extra.emplace_back("quality", sor::engine::quality_to_json(
                                     warm.result, config.engine.quality));

@@ -1,16 +1,22 @@
 // Validates a BENCH_<id>.json artifact against the schema documented in
-// EXPERIMENTS.md. Exits 0 if the document parses and every required key
-// has the right shape; prints the first violation and exits 1 otherwise
-// (a value of the wrong kind deep inside a block included). One schema is
-// accepted, v11: an older artifact exits 1 ("written by an old bench
-// build"), and one stamped NEWER than this checker knows exits with the
-// dedicated code 3: "rebuild the checker", not "the artifact is broken".
-// Usage errors exit 2.
+// EXPERIMENTS.md. Exits 0 if the document parses and every block has the
+// right shape; prints the first violation and exits 1 otherwise (a value
+// of the wrong kind deep inside a block included). One schema is
+// accepted, telemetry::kArtifactSchemaVersion (v11): an older artifact
+// exits 1 ("written by an old bench build"), and one stamped NEWER than
+// this checker knows exits with the dedicated code 3: "rebuild the
+// checker", not "the artifact is broken". Usage errors exit 2.
 //
 // Usage: check_bench_json <path/to/BENCH_E1.json>
 //        check_bench_json --chrome-trace <path/to/trace.json>
 //        check_bench_json --require-cache-hits <path/to/BENCH_E1.json>
 //        check_bench_json --compare-tables <a.json> <b.json>
+//
+// Every block's keys and their JSON kinds are declared once, in kShapes;
+// one walker checks presence, kind and a closed key set from it, so a
+// key v11 does not define anywhere is drift from the version stamp. The
+// invariants no key table can state (sort orders, sums, envelopes, series
+// lengths, the per-experiment requirements) follow as code.
 //
 // The --chrome-trace mode validates a Chrome trace-event document (as
 // written by `sor_cli --trace-out`): a traceEvents array whose entries
@@ -26,6 +32,7 @@
 // one build, must produce bit-identical routing results), except in the
 // columns kWallClockColumns declares: those time the run.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -33,17 +40,19 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "telemetry/artifact.hpp"
 #include "telemetry/json.hpp"
 #include "util/check.hpp"
 
 namespace {
 
 using sor::telemetry::JsonValue;
+using sor::telemetry::kArtifactSchemaVersion;
+using Kind = JsonValue::Kind;
 
-/// The schema_version this checker understands; keep in lockstep with
-/// bench_common.hpp's kArtifactSchemaVersion.
-constexpr int kSchemaVersion = 11;
 /// Exit code for artifacts from a NEWER schema than this build knows.
 /// Distinct from 1 (schema violation) and 2 (usage) so fixtures and CI
 /// can tell "stale checker" apart from "broken artifact".
@@ -56,145 +65,241 @@ void require(bool ok, const std::string& what) {
   }
 }
 
-void check_member(const JsonValue& doc, const char* key, JsonValue::Kind kind,
-                  const char* kind_name) {
-  require(doc.has(key), std::string("missing key \"") + key + "\"");
-  require(doc.at(key).kind() == kind,
-          std::string("key \"") + key + "\" is not a " + kind_name);
+/// One key of a shape: its JSON kind and, for an object or an array of
+/// objects, the shape the value or each element has.
+struct Key {
+  const char* name;
+  Kind kind;
+  const char* shape = nullptr;
+  bool optional = false;
+};
+
+constexpr Kind kNum = Kind::kNumber;
+constexpr Kind kStr = Kind::kString;
+constexpr Kind kBool = Kind::kBool;
+constexpr Kind kArr = Kind::kArray;
+constexpr Kind kObj = Kind::kObject;
+
+/// Every block and element shape of schema v11, each key once. A shape's
+/// key set is closed. Only three maps are free-form: an event's "fields",
+/// a trace's "counters", and "health.sketches", whose values are each a
+/// "sketch".
+const std::map<std::string_view, std::vector<Key>> kShapes = {
+    {"artifact",
+     {{"schema_version", kNum}, {"experiment", kStr}, {"title", kStr},
+      {"claim", kStr}, {"git_describe", kStr}, {"quick_mode", kBool},
+      {"wall_seconds", kNum}, {"table", kObj, "table"},
+      {"spans", kArr, "span"}, {"events", kObj, "events"},
+      {"convergence", kObj, "convergence"}, {"cache", kObj, "cache"},
+      {"health", kObj, "health"}, {"provenance", kObj, "provenance"},
+      {"memory", kObj, "memory"}, {"quality", kObj, "quality", true},
+      {"serving", kObj, "serving", true},
+      {"attribution", kObj, "attribution", true},
+      {"e16", kObj, "e16", true}}},
+    {"table", {{"columns", kArr}, {"rows", kArr}}},
+    {"span",
+     {{"name", kStr}, {"count", kNum}, {"seconds", kNum},
+      {"children", kArr, "span"}}},
+    {"events",
+     {{"capacity", kNum}, {"dropped", kNum}, {"total", kNum},
+      {"events", kArr, "event"}}},
+    {"event", {{"t", kNum}, {"category", kStr}, {"fields", kObj}}},
+    {"convergence",
+     {{"capacity", kNum}, {"dropped", kNum}, {"traces", kArr, "trace"}}},
+    {"trace",
+     {{"solver", kStr}, {"label", kStr}, {"iterations", kNum},
+      {"max_points", kNum}, {"truncated", kBool}, {"counters", kObj},
+      {"points", kArr, "point"}}},
+    {"point",
+     {{"iteration", kNum}, {"t", kNum}, {"objective", kNum},
+      {"bound", kNum}, {"gap", kNum}}},
+    {"cache",
+     {{"enabled", kBool}, {"hits", kNum}, {"misses", kNum},
+      {"disk_hits", kNum}, {"puts", kNum}, {"evictions", kNum},
+      {"corrupt", kNum}, {"bytes", kNum}, {"entries", kNum}}},
+    {"health",
+     {{"enabled", kBool}, {"recorder", kObj, "recorder"},
+      {"sketches", kObj}, {"breaches", kArr, "breach"}, {"status", kNum}}},
+    {"recorder", {{"recorded", kNum}, {"dropped", kNum}}},
+    {"sketch",
+     {{"count", kNum}, {"sum", kNum}, {"min", kNum}, {"max", kNum},
+      {"p50", kNum}, {"p95", kNum}, {"p99", kNum}, {"buckets", kArr}}},
+    {"breach",
+     {{"slo", kStr}, {"epoch", kNum}, {"value", kNum}, {"budget", kNum}}},
+    {"provenance",
+     {{"compiler_id", kStr}, {"compiler_version", kStr},
+      {"build_type", kStr}, {"sanitize", kStr},
+      {"build_fingerprint", kStr}, {"git_describe", kStr},
+      {"cxx_flags", kStr}}},
+    {"memory", {{"current_rss_bytes", kNum}, {"peak_rss_bytes", kNum}}},
+    {"quality",
+     {{"shadow_every", kNum}, {"shadow_epsilon", kNum}, {"epochs", kNum},
+      {"shadow_solves", kNum}, {"regret", kObj, "regret"},
+      {"predictor", kObj, "predictor"}, {"churn", kObj, "churn"}}},
+    {"regret",
+     {{"epochs", kArr}, {"achieved", kArr}, {"shadow_opt", kArr},
+      {"lower_bound", kArr}, {"ratio", kArr}, {"truncated", kNum},
+      {"p50", kNum}, {"p95", kNum}, {"max", kNum}}},
+    {"predictor",
+     {{"mape", kArr}, {"worst_pair_error", kArr}, {"worst_pair", kArr},
+      {"scored_epochs", kNum}, {"mape_mean", kNum}, {"mape_max", kNum}}},
+    {"churn",
+     {{"mask_hamming", kArr}, {"weight_l1", kArr},
+      {"top_path_flips", kArr}, {"total_top_path_flips", kNum}}},
+    {"serving",
+     {{"readers", kNum}, {"epochs", kNum}, {"snapshots_published", kNum},
+      {"lookups", kNum}, {"misses", kNum}, {"torn_lookups", kNum},
+      {"lookups_per_sec", kNum}, {"p50_us", kNum}, {"p95_us", kNum},
+      {"p99_us", kNum}, {"max_us", kNum}, {"updates_enqueued", kNum},
+      {"updates_applied", kNum}, {"identity_ok", kBool}}},
+    {"attribution",
+     {{"top_k", kNum}, {"loaded_links", kNum}, {"max_utilization", kNum},
+      {"links", kArr, "link"}}},
+    {"link",
+     {{"edge", kNum}, {"u", kNum}, {"v", kNum}, {"capacity", kNum},
+      {"load", kNum}, {"utilization", kNum},
+      {"contributors", kArr, "contributor"}}},
+    {"contributor",
+     {{"src", kNum}, {"dst", kNum}, {"commodity", kNum},
+      {"path_index", kNum}, {"hops", kNum}, {"load", kNum},
+      {"share", kNum}}},
+    {"e16", {{"epochs", kNum}, {"modes", kObj, "e16 modes"}}},
+    {"e16 modes", {{"warm", kObj, "e16 mode"}, {"cold", kObj, "e16 mode"}}},
+    {"e16 mode",
+     {{"per_epoch_congestion", kArr}, {"per_epoch_churn", kArr},
+      {"per_epoch_solve_ms", kArr}, {"total_solve_ms", kNum},
+      {"warm_accepts", kNum}}}};
+
+/// JsonValue::Kind names, in the enum's order.
+constexpr const char* kKindNames[] = {"null",   "bool",  "number",
+                                      "string", "array", "object"};
+
+/// `node[key]`, which must exist and be of `kind`.
+const JsonValue& member(const JsonValue& node, const std::string& key,
+                        Kind kind, const std::string& where) {
+  const std::string path = where.empty() ? key : where + "/" + key;
+  require(node.has(key), "missing key \"" + path + "\"");
+  const JsonValue& value = node.at(key);
+  require(value.kind() == kind,
+          "key \"" + path + "\" is not a " +
+              kKindNames[static_cast<int>(kind)]);
+  return value;
 }
 
-/// A block may change shape only with a schema bump, so a key outside
-/// the ones v11 defines for `block` (a re-added "watermarks", say) means
-/// the artifact drifted from its version stamp.
-void check_keys(const JsonValue& block, const std::string& where,
-                const std::set<std::string>& keys) {
-  for (const auto& [key, value] : block.members()) {
-    require(keys.count(key) == 1, where + " carries \"" + key +
-                                      "\", which schema v11 does not define");
+/// Checks `node` against `shape`: each key it declares present (unless
+/// optional) with its kind, each nested shape in turn, and no key it does
+/// not declare.
+void check_shape(const JsonValue& node, std::string_view shape,
+                 const std::string& where) {
+  require(node.is_object(), (where.empty() ? "top level" : where) +
+                                std::string(" is not an object"));
+  const std::vector<Key>& keys = kShapes.at(shape);
+  for (const Key& key : keys) {
+    if (key.optional && !node.has(key.name)) continue;
+    const JsonValue& value = member(node, key.name, key.kind, where);
+    if (key.shape == nullptr) continue;
+    const std::string path = where.empty() ? key.name : where + "/" + key.name;
+    if (!value.is_array()) {
+      check_shape(value, key.shape, path);
+      continue;
+    }
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      check_shape(value.at(i), key.shape,
+                  path + "[" + std::to_string(i) + "]");
+    }
+  }
+  for (const auto& [name, value] : node.members()) {
+    require(std::any_of(keys.begin(), keys.end(),
+                        [&](const Key& key) { return name == key.name; }),
+            (where.empty() ? "the artifact" : where) + " carries \"" + name +
+                "\", which schema v11 does not define");
   }
 }
 
-void check_span_node(const JsonValue& node, const std::string& where) {
-  require(node.is_object(), where + " is not an object");
-  check_member(node, "name", JsonValue::Kind::kString, "string");
-  check_member(node, "count", JsonValue::Kind::kNumber, "number");
-  check_member(node, "seconds", JsonValue::Kind::kNumber, "number");
-  check_member(node, "children", JsonValue::Kind::kArray, "array");
-  // Integrity of the exporter's open/close bookkeeping: a span that was
-  // opened but never closed (or closed twice) exports with count < 1, and
-  // a name can only appear once among its siblings — the exporter
-  // aggregates same-name children into one node, so a duplicate means two
-  // nodes were stitched under mismatched parents.
-  require(node.at("count").as_number() >= 1,
-          where + " has count < 1 (span opened but never closed)");
-  require(node.at("seconds").as_number() >= 0,
-          where + " has negative seconds");
-  const JsonValue& children = node.at("children");
-  std::set<std::string> sibling_names;
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    const std::string child_where = where + "/" + node.at("name").as_string() +
-                                    "[" + std::to_string(i) + "]";
-    check_span_node(children.at(i), child_where);
-    const std::string child_name = children.at(i).at("name").as_string();
-    require(sibling_names.insert(child_name).second,
-            child_where + " duplicates sibling span \"" + child_name +
+/// Span integrity beyond the shape: a span that was opened but never
+/// closed (or closed twice) exports with count < 1, and a name can only
+/// appear once among its siblings — the exporter aggregates same-name
+/// children into one node, so a duplicate means two nodes were stitched
+/// under mismatched parents.
+void check_span_forest(const JsonValue& nodes, const std::string& where) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const JsonValue& node = nodes.at(i);
+    const std::string node_where = where + "[" + std::to_string(i) + "]";
+    const std::string& name = node.at("name").as_string();
+    require(node.at("count").as_number() >= 1,
+            node_where + " has count < 1 (span opened but never closed)");
+    require(node.at("seconds").as_number() >= 0,
+            node_where + " has negative seconds");
+    require(names.insert(name).second,
+            node_where + " duplicates sibling span \"" + name +
                 "\" (mismatched open/close nesting)");
+    check_span_forest(node.at("children"), node_where + "/" + name);
   }
 }
 
 /// Numeric array of exactly `expected` nonnegative entries.
-void check_series(const JsonValue& mode, const char* key, std::size_t expected,
-                  const std::string& where) {
-  check_member(mode, key, JsonValue::Kind::kArray, "array");
-  const JsonValue& series = mode.at(key);
+void check_series(const JsonValue& block, const char* key,
+                  std::size_t expected, const std::string& where) {
+  const JsonValue& series = block.at(key);
   require(series.size() == expected,
           where + "/" + key + " has " + std::to_string(series.size()) +
               " entries, expected " + std::to_string(expected));
   for (std::size_t i = 0; i < series.size(); ++i) {
-    require(series.at(i).kind() == JsonValue::Kind::kNumber,
+    require(series.at(i).kind() == Kind::kNumber,
             where + "/" + key + "[" + std::to_string(i) + "] is not a number");
     require(series.at(i).as_number() >= 0,
             where + "/" + key + "[" + std::to_string(i) + "] is negative");
   }
 }
 
-/// E16 carries the control-loop extension block: per-epoch series for the
-/// warm and cold modes, all of the same length as the declared epoch count.
-void check_e16(const JsonValue& doc) {
-  check_member(doc, "e16", JsonValue::Kind::kObject, "object");
-  const JsonValue& e16 = doc.at("e16");
-  check_member(e16, "epochs", JsonValue::Kind::kNumber, "number");
+/// E16's control-loop extension block: per-epoch series for the warm and
+/// cold modes, all of the same length as the declared epoch count.
+void check_e16(const JsonValue& e16) {
   const double epochs_num = e16.at("epochs").as_number();
   require(epochs_num >= 1, "e16/epochs < 1");
-  const std::size_t epochs = static_cast<std::size_t>(epochs_num);
-  check_member(e16, "modes", JsonValue::Kind::kObject, "object");
-  const JsonValue& modes = e16.at("modes");
-  for (const char* name : {"warm", "cold"}) {
-    const std::string where = std::string("e16/modes/") + name;
-    require(modes.has(name), "missing " + where);
-    const JsonValue& mode = modes.at(name);
-    require(mode.is_object(), where + " is not an object");
+  const auto epochs = static_cast<std::size_t>(epochs_num);
+  for (const auto& [name, mode] : e16.at("modes").members()) {
+    const std::string where = "e16/modes/" + name;
     check_series(mode, "per_epoch_congestion", epochs, where);
     check_series(mode, "per_epoch_churn", epochs, where);
     check_series(mode, "per_epoch_solve_ms", epochs, where);
-    check_member(mode, "total_solve_ms", JsonValue::Kind::kNumber, "number");
-    require(mode.at("total_solve_ms").as_number() >= 0,
-            where + "/total_solve_ms is negative");
-    check_member(mode, "warm_accepts", JsonValue::Kind::kNumber, "number");
-    require(mode.at("warm_accepts").as_number() >= 0,
-            where + "/warm_accepts is negative");
+    for (const char* key : {"total_solve_ms", "warm_accepts"}) {
+      require(mode.at(key).as_number() >= 0,
+              where + "/" + key + " is negative");
+    }
   }
 }
 
-/// The flight-recorder block written by bench_common's artifact_json:
-/// bounded event list with non-decreasing timestamps.
-void check_events(const JsonValue& doc) {
-  check_member(doc, "events", JsonValue::Kind::kObject, "object");
-  const JsonValue& block = doc.at("events");
-  check_member(block, "capacity", JsonValue::Kind::kNumber, "number");
-  check_member(block, "dropped", JsonValue::Kind::kNumber, "number");
-  check_member(block, "total", JsonValue::Kind::kNumber, "number");
-  check_member(block, "events", JsonValue::Kind::kArray, "array");
+/// The flight-recorder block: bounded event list with non-decreasing
+/// timestamps.
+void check_events(const JsonValue& block) {
   const JsonValue& events = block.at("events");
   require(events.size() <= block.at("capacity").as_number(),
           "events/events exceeds events/capacity");
   double last_t = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const std::string where = "events/events[" + std::to_string(i) + "]";
-    const JsonValue& event = events.at(i);
-    require(event.is_object(), where + " is not an object");
-    check_member(event, "t", JsonValue::Kind::kNumber, "number");
-    check_member(event, "category", JsonValue::Kind::kString, "string");
-    check_member(event, "fields", JsonValue::Kind::kObject, "object");
-    const double t = event.at("t").as_number();
+    const double t = events.at(i).at("t").as_number();
     require(t >= 0, where + " has negative timestamp");
     require(t >= last_t, where + " timestamps not non-decreasing");
     last_t = t;
   }
 }
 
-/// The congestion-attribution block: per-link contributor shares must sum
-/// to the link's utilization (both sides recomputed from one weight set,
-/// so the tolerance is pure float noise).
-void check_attribution(const JsonValue& doc) {
-  const JsonValue& attribution = doc.at("attribution");
-  require(attribution.is_object(), "attribution is not an object");
-  check_member(attribution, "max_utilization", JsonValue::Kind::kNumber,
-               "number");
-  check_member(attribution, "loaded_links", JsonValue::Kind::kNumber,
-               "number");
-  check_member(attribution, "links", JsonValue::Kind::kArray, "array");
+/// The congestion-attribution block: links sorted by utilization, the
+/// top one's matching max_utilization, and per-link contributor shares
+/// summing to the link's utilization (both sides recomputed from one
+/// weight set, so the tolerance is pure float noise).
+void check_attribution(const JsonValue& attribution) {
   const JsonValue& links = attribution.at("links");
+  require(attribution.at("top_k").as_number() ==
+              static_cast<double>(links.size()),
+          "attribution/top_k disagrees with the link count");
   double prev_util = -1;
   for (std::size_t i = 0; i < links.size(); ++i) {
     const std::string where = "attribution/links[" + std::to_string(i) + "]";
     const JsonValue& link = links.at(i);
-    require(link.is_object(), where + " is not an object");
-    for (const char* key : {"edge", "u", "v", "capacity", "load",
-                            "utilization"}) {
-      check_member(link, key, JsonValue::Kind::kNumber, "number");
-    }
-    check_member(link, "contributors", JsonValue::Kind::kArray, "array");
     const double utilization = link.at("utilization").as_number();
     require(utilization >= 0, where + " has negative utilization");
     if (i == 0) {
@@ -210,16 +315,10 @@ void check_attribution(const JsonValue& doc) {
     const JsonValue& contributors = link.at("contributors");
     double share_sum = 0;
     for (std::size_t c = 0; c < contributors.size(); ++c) {
-      const std::string cw = where + "/contributors[" + std::to_string(c) + "]";
-      const JsonValue& contributor = contributors.at(c);
-      require(contributor.is_object(), cw + " is not an object");
-      for (const char* key : {"src", "dst", "commodity", "path_index", "hops",
-                              "load", "share"}) {
-        check_member(contributor, key, JsonValue::Kind::kNumber, "number");
-      }
-      require(contributor.at("share").as_number() > 0,
-              cw + " has non-positive share");
-      share_sum += contributor.at("share").as_number();
+      const double share = contributors.at(c).at("share").as_number();
+      require(share > 0, where + "/contributors[" + std::to_string(c) +
+                             "] has non-positive share");
+      share_sum += share;
     }
     require(std::abs(share_sum - utilization) <= 1e-6,
             where + " contributor shares sum to " + std::to_string(share_sum) +
@@ -237,12 +336,7 @@ void check_attribution(const JsonValue& doc) {
 ///    then is non-negative (up to float noise) and non-increasing once a
 ///    bound exists — a positive-going gap means the envelope logic broke.
 /// Returns the set of solver names seen (E12 asserts on it).
-std::set<std::string> check_convergence(const JsonValue& doc) {
-  check_member(doc, "convergence", JsonValue::Kind::kObject, "object");
-  const JsonValue& block = doc.at("convergence");
-  check_member(block, "capacity", JsonValue::Kind::kNumber, "number");
-  check_member(block, "dropped", JsonValue::Kind::kNumber, "number");
-  check_member(block, "traces", JsonValue::Kind::kArray, "array");
+std::set<std::string> check_convergence(const JsonValue& block) {
   const JsonValue& traces = block.at("traces");
   require(traces.size() <= block.at("capacity").as_number(),
           "convergence/traces exceeds convergence/capacity");
@@ -250,14 +344,6 @@ std::set<std::string> check_convergence(const JsonValue& doc) {
   for (std::size_t i = 0; i < traces.size(); ++i) {
     const std::string where = "convergence/traces[" + std::to_string(i) + "]";
     const JsonValue& trace = traces.at(i);
-    require(trace.is_object(), where + " is not an object");
-    check_member(trace, "solver", JsonValue::Kind::kString, "string");
-    check_member(trace, "label", JsonValue::Kind::kString, "string");
-    check_member(trace, "iterations", JsonValue::Kind::kNumber, "number");
-    check_member(trace, "max_points", JsonValue::Kind::kNumber, "number");
-    check_member(trace, "truncated", JsonValue::Kind::kBool, "bool");
-    check_member(trace, "counters", JsonValue::Kind::kObject, "object");
-    check_member(trace, "points", JsonValue::Kind::kArray, "array");
     solvers.insert(trace.at("solver").as_string());
     const JsonValue& points = trace.at("points");
     require(points.size() <= trace.at("max_points").as_number(),
@@ -273,10 +359,6 @@ std::set<std::string> check_convergence(const JsonValue& doc) {
     for (std::size_t p = 0; p < points.size(); ++p) {
       const std::string pw = where + "/points[" + std::to_string(p) + "]";
       const JsonValue& point = points.at(p);
-      require(point.is_object(), pw + " is not an object");
-      for (const char* key : {"iteration", "t", "objective", "bound", "gap"}) {
-        check_member(point, key, JsonValue::Kind::kNumber, "number");
-      }
       const double iteration = point.at("iteration").as_number();
       const double objective = point.at("objective").as_number();
       const double bound = point.at("bound").as_number();
@@ -312,15 +394,10 @@ std::set<std::string> check_convergence(const JsonValue& doc) {
 /// cache::ArtifactCache::global().stats() plus the enabled flag. All
 /// counters are non-negative; a disabled cache must report zero traffic
 /// (the kill switch bypasses both tiers entirely).
-void check_cache(const JsonValue& doc) {
-  check_member(doc, "cache", JsonValue::Kind::kObject, "object");
-  const JsonValue& block = doc.at("cache");
-  check_member(block, "enabled", JsonValue::Kind::kBool, "bool");
-  for (const char* key : {"hits", "misses", "disk_hits", "puts", "evictions",
-                          "corrupt", "bytes", "entries"}) {
-    check_member(block, key, JsonValue::Kind::kNumber, "number");
-    require(block.at(key).as_number() >= 0,
-            std::string("cache/") + key + " is negative");
+void check_cache(const JsonValue& block) {
+  for (const auto& [key, value] : block.members()) {
+    require(!value.is_number() || value.as_number() >= 0,
+            "cache/" + key + " is negative");
   }
   if (!block.at("enabled").as_bool()) {
     for (const char* key : {"hits", "misses", "disk_hits", "puts"}) {
@@ -332,34 +409,23 @@ void check_cache(const JsonValue& doc) {
 }
 
 /// The provenance block (src/telemetry/buildinfo.hpp): the
-/// configure-time build identity, all strings, none empty — "unknown" is
-/// the documented placeholder, an empty field means the block was
-/// assembled by hand.
-void check_provenance(const JsonValue& doc) {
-  check_member(doc, "provenance", JsonValue::Kind::kObject, "object");
-  const JsonValue& provenance = doc.at("provenance");
-  for (const char* key :
-       {"compiler_id", "compiler_version", "build_type", "sanitize",
-        "build_fingerprint", "git_describe"}) {
-    check_member(provenance, key, JsonValue::Kind::kString, "string");
-    require(!provenance.at(key).as_string().empty(),
-            std::string("provenance/") + key + " is empty");
+/// configure-time build identity, none of it empty — "unknown" is the
+/// documented placeholder, an empty field means the block was assembled
+/// by hand. Only cxx_flags may legitimately be empty (a configure with no
+/// extra flags).
+void check_provenance(const JsonValue& provenance) {
+  for (const auto& [key, value] : provenance.members()) {
+    require(key == "cxx_flags" || !value.as_string().empty(),
+            "provenance/" + key + " is empty");
   }
-  // cxx_flags may legitimately be empty (a configure with no extra
-  // flags), so only its type is enforced.
-  check_member(provenance, "cxx_flags", JsonValue::Kind::kString, "string");
   require(provenance.at("build_fingerprint").as_string().size() == 16,
           "provenance/build_fingerprint is not a 16-hex-digit fingerprint");
 }
 
-/// The memory block (src/telemetry/memory.hpp): the two RSS figures and
-/// nothing else, with peak >= current (both sides of one sample).
-void check_memory(const JsonValue& doc) {
-  check_member(doc, "memory", JsonValue::Kind::kObject, "object");
-  const JsonValue& memory = doc.at("memory");
-  check_keys(memory, "memory", {"current_rss_bytes", "peak_rss_bytes"});
+/// The memory block (src/telemetry/memory.hpp): two RSS figures of one
+/// sample, so peak >= current.
+void check_memory(const JsonValue& memory) {
   for (const char* key : {"current_rss_bytes", "peak_rss_bytes"}) {
-    check_member(memory, key, JsonValue::Kind::kNumber, "number");
     require(memory.at(key).as_number() >= 0,
             std::string("memory/") + key + " is negative");
   }
@@ -371,24 +437,13 @@ void check_memory(const JsonValue& doc) {
 /// The routing-quality block (src/engine/quality.hpp): sampled regret
 /// series (parallel arrays over the shadow epochs), per-epoch predictor
 /// scores with -1/null bootstrap sentinels, and per-epoch churn series.
-void check_quality(const JsonValue& doc) {
-  check_member(doc, "quality", JsonValue::Kind::kObject, "object");
-  const JsonValue& quality = doc.at("quality");
-  check_member(quality, "shadow_every", JsonValue::Kind::kNumber, "number");
-  check_member(quality, "shadow_epsilon", JsonValue::Kind::kNumber, "number");
-  check_member(quality, "epochs", JsonValue::Kind::kNumber, "number");
-  check_member(quality, "shadow_solves", JsonValue::Kind::kNumber, "number");
+void check_quality(const JsonValue& quality) {
   const double eps = quality.at("shadow_epsilon").as_number();
   require(eps > 0 && eps < 1, "quality/shadow_epsilon outside (0, 1)");
   const std::size_t epochs =
       static_cast<std::size_t>(quality.at("epochs").as_number());
 
-  check_member(quality, "regret", JsonValue::Kind::kObject, "object");
   const JsonValue& regret = quality.at("regret");
-  for (const char* key : {"epochs", "achieved", "shadow_opt", "lower_bound",
-                          "ratio"}) {
-    check_member(regret, key, JsonValue::Kind::kArray, "array");
-  }
   const std::size_t samples = regret.at("epochs").size();
   require(samples == quality.at("shadow_solves").as_number(),
           "quality/shadow_solves disagrees with quality/regret/epochs");
@@ -426,18 +481,14 @@ void check_quality(const JsonValue& doc) {
     }
   }
   for (const char* key : {"p50", "p95", "max"}) {
-    check_member(regret, key, JsonValue::Kind::kNumber, "number");
     require(regret.at(key).as_number() >= 0,
             std::string("quality/regret/") + key + " is negative");
   }
-  check_member(regret, "truncated", JsonValue::Kind::kNumber, "number");
   require(regret.at("truncated").as_number() <= static_cast<double>(samples),
           "quality/regret/truncated exceeds the sample count");
 
-  check_member(quality, "predictor", JsonValue::Kind::kObject, "object");
   const JsonValue& predictor = quality.at("predictor");
   for (const char* key : {"mape", "worst_pair_error", "worst_pair"}) {
-    check_member(predictor, key, JsonValue::Kind::kArray, "array");
     require(predictor.at(key).size() == epochs,
             std::string("quality/predictor/") + key +
                 " length disagrees with quality/epochs");
@@ -454,23 +505,18 @@ void check_quality(const JsonValue& doc) {
     require(mape >= 0 || pair.is_null(),
             where + " bootstrap epoch carries a worst pair");
   }
-  check_member(predictor, "scored_epochs", JsonValue::Kind::kNumber, "number");
   require(predictor.at("scored_epochs").as_number() ==
               static_cast<double>(scored),
           "quality/predictor/scored_epochs disagrees with the mape series");
   for (const char* key : {"mape_mean", "mape_max"}) {
-    check_member(predictor, key, JsonValue::Kind::kNumber, "number");
     require(predictor.at(key).as_number() >= 0,
             std::string("quality/predictor/") + key + " is negative");
   }
 
-  check_member(quality, "churn", JsonValue::Kind::kObject, "object");
   const JsonValue& churn = quality.at("churn");
   check_series(churn, "mask_hamming", epochs, "quality/churn");
   check_series(churn, "weight_l1", epochs, "quality/churn");
   check_series(churn, "top_path_flips", epochs, "quality/churn");
-  check_member(churn, "total_top_path_flips", JsonValue::Kind::kNumber,
-               "number");
   double total_flips = 0;
   for (std::size_t i = 0; i < epochs; ++i) {
     total_flips += churn.at("top_path_flips").at(i).as_number();
@@ -479,22 +525,17 @@ void check_quality(const JsonValue& doc) {
           "quality/churn/total_top_path_flips disagrees with its series");
 }
 
-/// The serving block (src/serve/): throughput and latency
-/// figures from the snapshot-swapped serving bench, plus the two
-/// correctness audits the serving layer guarantees — zero torn answers
-/// (every lookup matched exactly one published epoch) and byte-identity
-/// between the published snapshot and route_fractional's split.
-void check_serving(const JsonValue& doc) {
-  check_member(doc, "serving", JsonValue::Kind::kObject, "object");
-  const JsonValue& serving = doc.at("serving");
-  for (const char* key :
-       {"readers", "epochs", "snapshots_published", "lookups", "misses",
-        "torn_lookups", "lookups_per_sec", "p50_us", "p95_us", "p99_us",
-        "max_us", "updates_enqueued", "updates_applied"}) {
-    check_member(serving, key, JsonValue::Kind::kNumber, "number");
-    const double v = serving.at(key).as_number();
-    require(std::isfinite(v), std::string("serving/") + key + " is not finite");
-    require(v >= 0, std::string("serving/") + key + " is negative");
+/// The serving block (src/serve/): throughput and latency figures from
+/// the snapshot-swapped serving bench, plus the two correctness audits the
+/// serving layer guarantees — zero torn answers (every lookup matched
+/// exactly one published epoch) and byte-identity between the published
+/// snapshot and route_fractional's split.
+void check_serving(const JsonValue& serving) {
+  for (const auto& [key, value] : serving.members()) {
+    if (!value.is_number()) continue;
+    require(std::isfinite(value.as_number()),
+            "serving/" + key + " is not finite");
+    require(value.as_number() >= 0, "serving/" + key + " is negative");
   }
   require(serving.at("readers").as_number() >= 1, "serving/readers < 1");
   require(serving.at("epochs").as_number() >= 1, "serving/epochs < 1");
@@ -513,7 +554,6 @@ void check_serving(const JsonValue& doc) {
   require(serving.at("torn_lookups").as_number() == 0,
           "serving/torn_lookups is nonzero (a reader saw a table matching "
           "no published epoch — the snapshot-swap contract is broken)");
-  check_member(serving, "identity_ok", JsonValue::Kind::kBool, "bool");
   require(serving.at("identity_ok").as_bool(),
           "serving/identity_ok is false (published snapshot is not "
           "byte-identical to route_fractional on the same matrix)");
@@ -522,33 +562,18 @@ void check_serving(const JsonValue& doc) {
 /// The runtime-health block (src/telemetry/metrics.hpp): sketch
 /// snapshots whose bucket counts reconcile with the reported count and
 /// whose quantiles are ordered, recorder drop accounting, and a breach
-/// list consistent with the 0/1 status — and nothing else (each sketch's
-/// max is its watermark; the registry keeps no per-epoch windows).
-void check_health(const JsonValue& doc) {
-  check_member(doc, "health", JsonValue::Kind::kObject, "object");
-  const JsonValue& health = doc.at("health");
-  check_keys(health, "health",
-             {"enabled", "recorder", "sketches", "breaches", "status"});
-  check_member(health, "enabled", JsonValue::Kind::kBool, "bool");
-  check_member(health, "recorder", JsonValue::Kind::kObject, "object");
+/// list consistent with the 0/1 status.
+void check_health(const JsonValue& health) {
   const JsonValue& recorder = health.at("recorder");
-  check_member(recorder, "recorded", JsonValue::Kind::kNumber, "number");
-  check_member(recorder, "dropped", JsonValue::Kind::kNumber, "number");
   require(recorder.at("dropped").as_number() >= 0,
           "health/recorder/dropped is negative");
   require(recorder.at("dropped").as_number() <=
               recorder.at("recorded").as_number(),
           "health/recorder dropped more events than it recorded");
 
-  check_member(health, "sketches", JsonValue::Kind::kObject, "object");
   for (const auto& [name, sketch] : health.at("sketches").members()) {
     const std::string where = "health/sketches/" + name;
-    require(sketch.is_object(), where + " is not an object");
-    for (const char* key : {"count", "sum", "min", "max", "p50", "p95",
-                            "p99"}) {
-      check_member(sketch, key, JsonValue::Kind::kNumber, "number");
-    }
-    check_member(sketch, "buckets", JsonValue::Kind::kArray, "array");
+    check_shape(sketch, "sketch", where);
     const JsonValue& buckets = sketch.at("buckets");
     double bucket_total = 0;
     double last_index = -1;
@@ -580,19 +605,7 @@ void check_health(const JsonValue& doc) {
     }
   }
 
-  check_member(health, "breaches", JsonValue::Kind::kArray, "array");
-  const JsonValue& breaches = health.at("breaches");
-  for (std::size_t i = 0; i < breaches.size(); ++i) {
-    const std::string where = "health/breaches[" + std::to_string(i) + "]";
-    const JsonValue& breach = breaches.at(i);
-    require(breach.is_object(), where + " is not an object");
-    check_member(breach, "slo", JsonValue::Kind::kString, "string");
-    for (const char* key : {"epoch", "value", "budget"}) {
-      check_member(breach, key, JsonValue::Kind::kNumber, "number");
-    }
-  }
-  check_member(health, "status", JsonValue::Kind::kNumber, "number");
-  const bool breached = breaches.size() > 0;
+  const bool breached = health.at("breaches").size() > 0;
   require((health.at("status").as_number() != 0) == breached,
           "health/status disagrees with the breach list");
 }
@@ -665,39 +678,33 @@ int compare_tables(const JsonValue& a, const JsonValue& b, const char* path_a,
 /// and non-negative durations on complete ("X") events.
 int check_chrome_trace(const JsonValue& doc) {
   require(doc.is_object(), "top level is not an object");
-  check_member(doc, "traceEvents", JsonValue::Kind::kArray, "array");
-  const JsonValue& events = doc.at("traceEvents");
+  const JsonValue& events = member(doc, "traceEvents", Kind::kArray, "");
   double last_ts = 0;
   std::size_t spans = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const std::string where = "traceEvents[" + std::to_string(i) + "]";
     const JsonValue& event = events.at(i);
     require(event.is_object(), where + " is not an object");
-    check_member(event, "name", JsonValue::Kind::kString, "string");
-    check_member(event, "ph", JsonValue::Kind::kString, "string");
-    check_member(event, "ts", JsonValue::Kind::kNumber, "number");
-    check_member(event, "pid", JsonValue::Kind::kNumber, "number");
-    check_member(event, "tid", JsonValue::Kind::kNumber, "number");
-    const double ts = event.at("ts").as_number();
+    member(event, "name", Kind::kString, where);
+    member(event, "pid", Kind::kNumber, where);
+    member(event, "tid", Kind::kNumber, where);
+    const double ts = member(event, "ts", Kind::kNumber, where).as_number();
     require(ts >= 0, where + " has negative ts");
     require(ts >= last_ts, where + " timestamps not non-decreasing");
     last_ts = ts;
-    const std::string& ph = event.at("ph").as_string();
+    const std::string& ph =
+        member(event, "ph", Kind::kString, where).as_string();
     require(ph == "X" || ph == "i" || ph == "C",
             where + " has unexpected phase " + ph);
     if (ph == "X") {
-      check_member(event, "dur", JsonValue::Kind::kNumber, "number");
-      require(event.at("dur").as_number() >= 0, where + " has negative dur");
+      require(member(event, "dur", Kind::kNumber, where).as_number() >= 0,
+              where + " has negative dur");
       ++spans;
     }
   }
   std::printf("ok (%zu events, %zu spans)\n", events.size(), spans);
   return 0;
 }
-
-}  // namespace
-
-namespace {
 
 JsonValue load_json_or_exit(const char* path) {
   std::ifstream in(path);
@@ -739,33 +746,26 @@ int run(int argc, char** argv) {
 
   if (chrome_trace) return check_chrome_trace(doc);
 
+  // The version decides which key table applies, so it is read first.
   require(doc.is_object(), "top level is not an object");
-  check_member(doc, "schema_version", JsonValue::Kind::kNumber, "number");
-  const double version = doc.at("schema_version").as_number();
-  if (version > kSchemaVersion) {
+  const double version =
+      member(doc, "schema_version", Kind::kNumber, "").as_number();
+  if (version > kArtifactSchemaVersion) {
     std::fprintf(stderr,
                  "unknown schema_version %g (this checker understands %d; "
                  "artifact written by a newer bench build — rebuild the "
                  "checker)\n",
-                 version, kSchemaVersion);
+                 version, kArtifactSchemaVersion);
     return kExitUnknownVersion;
   }
-  require(version == kSchemaVersion,
+  require(version == kArtifactSchemaVersion,
           "schema_version " + std::to_string(static_cast<int>(version)) +
-              " < " + std::to_string(kSchemaVersion) +
+              " < " + std::to_string(kArtifactSchemaVersion) +
               " (artifact written by an old bench build)");
-  check_member(doc, "experiment", JsonValue::Kind::kString, "string");
-  check_member(doc, "title", JsonValue::Kind::kString, "string");
-  check_member(doc, "claim", JsonValue::Kind::kString, "string");
-  check_member(doc, "git_describe", JsonValue::Kind::kString, "string");
-  check_member(doc, "quick_mode", JsonValue::Kind::kBool, "bool");
-  check_member(doc, "wall_seconds", JsonValue::Kind::kNumber, "number");
-  require(doc.at("wall_seconds").as_number() >= 0, "wall_seconds is negative");
+  check_shape(doc, "artifact", "");
 
-  check_member(doc, "table", JsonValue::Kind::kObject, "object");
+  require(doc.at("wall_seconds").as_number() >= 0, "wall_seconds is negative");
   const JsonValue& table = doc.at("table");
-  check_member(table, "columns", JsonValue::Kind::kArray, "array");
-  check_member(table, "rows", JsonValue::Kind::kArray, "array");
   const std::size_t num_cols = table.at("columns").size();
   require(num_cols > 0, "table has no columns");
   const JsonValue& rows = table.at("rows");
@@ -777,36 +777,20 @@ int run(int argc, char** argv) {
                 std::to_string(row.size()) + " cells, expected " +
                 std::to_string(num_cols));
   }
-
-  // Every registry signal is a health sketch: no counters or gauges.
-  require(!doc.has("telemetry"),
-          "artifact carries a \"telemetry\" block, which schema v11 does "
-          "not define (registry signals are health sketches)");
-
-  check_member(doc, "spans", JsonValue::Kind::kArray, "array");
-  const JsonValue& spans = doc.at("spans");
-  std::set<std::string> root_names;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const std::string where = "spans[" + std::to_string(i) + "]";
-    check_span_node(spans.at(i), where);
-    const std::string name = spans.at(i).at("name").as_string();
-    require(root_names.insert(name).second,
-            where + " duplicates root span \"" + name +
-                "\" (mismatched open/close nesting)");
-  }
-
-  check_events(doc);
-  const std::set<std::string> solvers = check_convergence(doc);
-  check_cache(doc);
-  check_health(doc);
-  check_provenance(doc);
-  check_memory(doc);
-  // The quality block is per-bench opt-in (only control-loop benches have
-  // an epoch structure to observe), so validate it wherever it appears.
-  if (doc.has("quality")) check_quality(doc);
-  // Likewise the serving block: only the serving bench carries it, but it
-  // must validate wherever present (and E17 requires it below).
-  if (doc.has("serving")) check_serving(doc);
+  check_span_forest(doc.at("spans"), "spans");
+  check_events(doc.at("events"));
+  const std::set<std::string> solvers =
+      check_convergence(doc.at("convergence"));
+  check_cache(doc.at("cache"));
+  check_health(doc.at("health"));
+  check_provenance(doc.at("provenance"));
+  check_memory(doc.at("memory"));
+  // The optional blocks validate wherever they appear; the experiments
+  // that must carry one require it below.
+  if (doc.has("quality")) check_quality(doc.at("quality"));
+  if (doc.has("serving")) check_serving(doc.at("serving"));
+  if (doc.has("attribution")) check_attribution(doc.at("attribution"));
+  if (doc.has("e16")) check_e16(doc.at("e16"));
   if (require_cache_hits) {
     const JsonValue& cache = doc.at("cache");
     require(cache.at("enabled").as_bool(),
@@ -817,8 +801,10 @@ int run(int argc, char** argv) {
             "--require-cache-hits: artifact reports zero cache hits (warm "
             "run rebuilt its artifacts from scratch)");
   }
-  if (doc.has("attribution")) check_attribution(doc);
-  if (doc.at("experiment").as_string() == "E12") {
+
+  const std::string& experiment = doc.at("experiment").as_string();
+  const JsonValue& sketches = doc.at("health").at("sketches");
+  if (experiment == "E12") {
     // E12 exercises MCF (opt baselines), MWU (semi-oblivious routing), and
     // the exact simplex (cross-check block), so a telemetry-enabled run
     // must carry a trace from each of the iterative solvers.
@@ -831,21 +817,20 @@ int run(int argc, char** argv) {
     require(solvers.count("mwu") == 1,
             "E12 artifact has no mwu convergence trace");
     // ... and the simplex charged its tableau bytes, the figure the
-    // bytes column of `sor_cli profile` prints for lp/simplex.
-    const JsonValue& sketches = doc.at("health").at("sketches");
+    // bytes column of `sor_cli report`'s per-span cost prints for
+    // lp/simplex.
     require(sketches.has("lp/simplex_bytes") &&
                 sketches.at("lp/simplex_bytes").at("count").as_number() > 0,
             "E12 health block has no lp/simplex_bytes observation");
   }
-  if (doc.at("experiment").as_string() == "E16") {
-    check_e16(doc);
+  if (experiment == "E16") {
+    require(doc.has("e16"), "E16 artifact is missing the e16 block");
     require(doc.has("attribution"), "E16 artifact is missing attribution");
     require(doc.at("events").at("events").size() > 0,
             "E16 artifact has no recorder events (controller instrumentation "
             "or SOR_TELEMETRY off)");
     // The control loop must have fed the health layer: solve-latency
     // quantiles and a congestion watermark.
-    const JsonValue& sketches = doc.at("health").at("sketches");
     require(sketches.has("engine/solve_seconds"),
             "E16 health block has no engine/solve_seconds sketch");
     require(sketches.at("engine/solve_seconds").at("count").as_number() > 0,
@@ -864,8 +849,7 @@ int run(int argc, char** argv) {
     require(quality.at("predictor").at("scored_epochs").as_number() > 0,
             "E16 quality block scored no predictions");
   }
-
-  if (doc.at("experiment").as_string() == "E17") {
+  if (experiment == "E17") {
     require(doc.has("serving"), "E17 artifact is missing the serving block");
     require(doc.at("events").at("events").size() > 0,
             "E17 artifact has no recorder events (publish instrumentation "
@@ -873,8 +857,7 @@ int run(int argc, char** argv) {
   }
 
   std::printf("%s: ok (%zu spans, %zu sketches, %zu recorder events)\n",
-              path, spans.size(),
-              doc.at("health").at("sketches").members().size(),
+              path, doc.at("spans").size(), sketches.members().size(),
               doc.at("events").at("events").size());
   return 0;
 }

@@ -7,10 +7,8 @@
 //   sor_cli monitor       [engine-run options]
 //   sor_cli serve-bench   [engine-run options] [serve options]
 //   sor_cli slo BENCH_x.json [--slo-config FILE]
-//   sor_cli quality BENCH_x.json
 //   sor_cli report BENCH_x.json
 //   sor_cli diff OLD.json NEW.json [diff options]
-//   sor_cli profile BENCH_x.json
 //   sor_cli ledger append LEDGER.jsonl BENCH_x.json [ledger options]
 //   sor_cli ledger ls LEDGER.jsonl
 //   sor_cli trend LEDGER.jsonl [trend options]
@@ -80,19 +78,20 @@
 //     --health-jsonl FILE         append one JSONL health snapshot per
 //                                 epoch (telemetry::epoch_health_json)
 //   sor_cli slo BENCH_x.json [--slo-config FILE]
-//                                 offline SLO check of an artifact's
-//                                 health block: reports run-time breaches
-//                                 and re-evaluates the config's bounds
-//                                 (including max_regret /
-//                                 max_predictor_mape vs the quality
-//                                 block); exits nonzero on any violation
-//   sor_cli quality BENCH_x.json  per-epoch regret / predictor-error /
-//                                 churn table from the artifact's quality
-//                                 block (schema v7)
+//                                 offline SLO check of an artifact: reports
+//                                 run-time breaches and applies the
+//                                 config's bounds to the artifact's ledger
+//                                 summary (congestion watermark, solve
+//                                 p99, cache hit rate, worst regret, worst
+//                                 predictor MAPE); exits nonzero on any
+//                                 violation
 //
 // Artifact tooling:
-//   sor_cli report BENCH_x.json   human-readable artifact summary (table,
-//                                 top spans, bottleneck links, recorder)
+//   sor_cli report BENCH_x.json   the one view of an artifact, each block
+//                                 once: header, table, per-span cost,
+//                                 convergence traces, health, memory,
+//                                 bottleneck links, flight recorder, and
+//                                 the per-epoch quality observatory
 //   sor_cli diff OLD NEW          regression check between two artifacts
 //                                 of the same experiment; exits 1 when a
 //                                 metric regressed beyond threshold, 2
@@ -100,10 +99,6 @@
 //     --congestion-threshold X    relative congestion slack  (default 0.02)
 //     --span-threshold X          relative time slack        (default 0.50)
 //     --span-min-seconds X        time-metric noise floor    (default 0.05)
-//   sor_cli profile BENCH_x.json  solver-introspection view: per-span
-//                                 cost (calls/time from the spans block,
-//                                 bytes) and the schema-v3 convergence
-//                                 traces
 //
 // Run ledger / trend gate:
 //   sor_cli ledger append LEDGER.jsonl BENCH_x.json
@@ -260,29 +255,7 @@ int report_main(int argc, char** argv) {
   }
   const auto doc = load_json(argv[2]);
   if (!doc) return 2;
-  sor::telemetry::render_artifact_report(*doc, std::cout);
-  return 0;
-}
-
-int quality_main(int argc, char** argv) {
-  if (argc != 3) {
-    std::cerr << "usage: sor_cli quality BENCH_x.json\n";
-    return 2;
-  }
-  const auto doc = load_json(argv[2]);
-  if (!doc) return 2;
-  sor::telemetry::render_artifact_quality(*doc, std::cout);
-  return 0;
-}
-
-int profile_main(int argc, char** argv) {
-  if (argc != 3) {
-    std::cerr << "usage: sor_cli profile BENCH_x.json\n";
-    return 2;
-  }
-  const auto doc = load_json(argv[2]);
-  if (!doc) return 2;
-  sor::telemetry::render_artifact_profile(*doc, std::cout);
+  sor::telemetry::render_artifact(*doc, std::cout);
   return 0;
 }
 
@@ -468,10 +441,8 @@ int trend_main(int argc, char** argv) {
                "[--readers N] [--lookups N] [--update-every N] "
                "[--update-amount X]\n"
                "       sor_cli slo BENCH_x.json [--slo-config FILE]\n"
-               "       sor_cli quality BENCH_x.json\n"
                "       sor_cli report BENCH_x.json\n"
                "       sor_cli diff OLD.json NEW.json [options]\n"
-               "       sor_cli profile BENCH_x.json\n"
                "       sor_cli ledger append LEDGER.jsonl BENCH_x.json "
                "[options]\n"
                "       sor_cli ledger ls LEDGER.jsonl\n"
@@ -989,8 +960,8 @@ int serve_bench_main(int argc, char** argv) {
 }
 
 /// `sor_cli slo` — offline SLO check of a BENCH_*.json artifact: reports
-/// the breaches the run recorded, then (with --slo-config) re-evaluates
-/// the bounds against the artifact's health block. Exits nonzero on any
+/// the breaches the run recorded, then (with --slo-config) applies the
+/// bounds to the artifact's ledger summary. Exits nonzero on any
 /// violation — the CI gate the bench fixture chain drives.
 int slo_main(int argc, char** argv) {
   std::string artifact_path;
@@ -1060,14 +1031,8 @@ int dispatch(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "report") == 0) {
     return report_main(argc, argv);
   }
-  if (argc >= 2 && std::strcmp(argv[1], "quality") == 0) {
-    return quality_main(argc, argv);
-  }
   if (argc >= 2 && std::strcmp(argv[1], "diff") == 0) {
     return diff_main(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "profile") == 0) {
-    return profile_main(argc, argv);
   }
   if (argc >= 2 && std::strcmp(argv[1], "ledger") == 0) {
     return ledger_main(argc, argv);

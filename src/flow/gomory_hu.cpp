@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 
-#include "cache/binary.hpp"
-#include "cache/cache.hpp"
 #include "flow/maxflow.hpp"
+#include "util/check.hpp"
 
 namespace sor {
 
@@ -40,21 +38,6 @@ GomoryHuTree::GomoryHuTree(const Graph& g) {
     }
   }
 
-  compute_depths();
-}
-
-GomoryHuTree::GomoryHuTree(GraphFingerprint fingerprint,
-                           std::vector<Vertex> parent, std::vector<double> cut)
-    : fingerprint_(fingerprint),
-      parent_(std::move(parent)),
-      cut_(std::move(cut)) {
-  SOR_CHECK_MSG(!parent_.empty() && parent_[0] == kInvalidVertex &&
-                    parent_.size() == cut_.size(),
-                "malformed Gomory–Hu tree parts");
-  for (Vertex v = 1; v < parent_.size(); ++v) {
-    SOR_CHECK_MSG(parent_[v] < parent_.size() && parent_[v] != v,
-                  "malformed Gomory–Hu parent array");
-  }
   compute_depths();
 }
 
@@ -98,57 +81,6 @@ double GomoryHuTree::min_cut(Vertex s, Vertex t) const {
     }
   }
   return best;
-}
-
-std::string serialize_gomory_hu(const GomoryHuTree& tree) {
-  cache::BinaryWriter w;
-  const GraphFingerprint& fp = tree.fingerprint();
-  w.u64(fp.num_vertices);
-  w.u64(fp.num_edges);
-  w.u64(fp.digest);
-  std::vector<std::uint32_t> parent(fp.num_vertices);
-  std::vector<double> cut(fp.num_vertices);
-  for (Vertex v = 0; v < fp.num_vertices; ++v) {
-    parent[v] = tree.parent(v);
-    cut[v] = tree.parent_cut(v);
-  }
-  w.u32_vec(parent);
-  w.f64_vec(cut);
-  return w.take();
-}
-
-GomoryHuTree deserialize_gomory_hu(std::string_view payload) {
-  cache::BinaryReader r(payload);
-  GraphFingerprint fp;
-  fp.num_vertices = r.u64();
-  fp.num_edges = r.u64();
-  fp.digest = r.u64();
-  std::vector<Vertex> parent = r.u32_vec();
-  std::vector<double> cut = r.f64_vec();
-  r.expect_done();
-  SOR_CHECK_MSG(parent.size() == fp.num_vertices,
-                "Gomory–Hu payload size mismatch");
-  return GomoryHuTree(fp, std::move(parent), std::move(cut));
-}
-
-std::shared_ptr<const GomoryHuTree> cached_gomory_hu(const Graph& g) {
-  if (!cache::ArtifactCache::enabled()) {
-    return std::make_shared<const GomoryHuTree>(g);
-  }
-  cache::ArtifactCache& cache = cache::ArtifactCache::global();
-  const cache::CacheKey key{"gomory_hu", fingerprint_graph(g), 0};
-  if (auto payload = cache.get(key)) {
-    // A corrupt-but-checksum-valid payload is effectively impossible, but
-    // deserialization still validates structure; treat failure as a miss.
-    try {
-      return std::make_shared<const GomoryHuTree>(
-          deserialize_gomory_hu(*payload));
-    } catch (const CheckError&) {
-    }
-  }
-  auto tree = std::make_shared<const GomoryHuTree>(g);
-  cache.put(key, serialize_gomory_hu(*tree));
-  return tree;
 }
 
 }  // namespace sor

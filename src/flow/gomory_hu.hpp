@@ -11,12 +11,9 @@
 // Every tree is stamped with the fingerprint of the graph it was built
 // on. A cut tree queried against a different graph returns silently wrong
 // λ values — the stamp lets consumers (sample_path_system) turn that into
-// a CheckError, and keys the artifact cache (cached_gomory_hu).
+// a CheckError.
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/fingerprint.hpp"
@@ -28,11 +25,6 @@ class GomoryHuTree {
  public:
   /// Builds the tree with n−1 max-flow calls. Graph must be connected.
   explicit GomoryHuTree(const Graph& g);
-
-  /// Reassembles a tree from its stored parts (deserialization); `parent`
-  /// must encode a valid tree rooted at vertex 0.
-  GomoryHuTree(GraphFingerprint fingerprint, std::vector<Vertex> parent,
-               std::vector<double> cut);
 
   /// Min s-t cut capacity (== max flow) for any pair, from the tree.
   double min_cut(Vertex s, Vertex t) const;
@@ -53,15 +45,5 @@ class GomoryHuTree {
   std::vector<double> cut_;   // cut value to parent
   std::vector<std::uint32_t> depth_;
 };
-
-/// Cache payload round-trip (src/cache binary format; bit-exact cuts).
-std::string serialize_gomory_hu(const GomoryHuTree& tree);
-GomoryHuTree deserialize_gomory_hu(std::string_view payload);
-
-/// Builds the cut tree through the global artifact cache: returns the
-/// cached tree for this graph if present (memory or disk tier), otherwise
-/// builds with n−1 max flows and stores it. Falls back to a plain build
-/// when the cache is disabled (SOR_CACHE=off).
-std::shared_ptr<const GomoryHuTree> cached_gomory_hu(const Graph& g);
 
 }  // namespace sor

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -29,43 +28,12 @@ constexpr std::pair<const char*, const char*> kSolverCostMetrics[] = {
     {"lp/shadow", "cost_lp_shadow_seconds"},
 };
 
-/// Metric names drive their own formatting: *_seconds and *_ms render as
-/// durations, *_bytes and everything else as quantities.
-std::string format_metric(const std::string& name, double value) {
-  const auto ends_with = [&](const char* suffix) {
-    const std::size_t len = std::strlen(suffix);
-    return name.size() >= len &&
-           name.compare(name.size() - len, len, suffix) == 0;
-  };
-  if (ends_with("_seconds")) return format_seconds(value);
-  if (ends_with("_ms")) return format_seconds(value / 1e3);
-  return format_quantity(value);
-}
-
 double median(std::vector<double> values) {
   SOR_CHECK(!values.empty());
   std::sort(values.begin(), values.end());
   const std::size_t mid = values.size() / 2;
   if (values.size() % 2 == 1) return values[mid];
   return (values[mid - 1] + values[mid]) / 2;
-}
-
-const JsonValue* find_path(const JsonValue& doc,
-                           std::initializer_list<const char*> path) {
-  const JsonValue* node = &doc;
-  for (const char* key : path) {
-    if (!node->is_object() || !node->has(key)) return nullptr;
-    node = &node->at(key);
-  }
-  return node;
-}
-
-double number_at(const JsonValue* node, const char* key, double fallback) {
-  if (node == nullptr || !node->is_object() || !node->has(key) ||
-      !node->at(key).is_number()) {
-    return fallback;
-  }
-  return node->at(key).as_number();
 }
 
 }  // namespace
@@ -107,52 +75,54 @@ LedgerRecord summarize_artifact(const JsonValue& artifact,
 
   // Build identity: the v6 provenance block's fingerprint. Older
   // artifacts fall back to git_describe — weaker, but still a key.
-  if (const JsonValue* prov = find_path(artifact, {"provenance"})) {
-    if (prov->has("build_fingerprint") &&
-        prov->at("build_fingerprint").is_string()) {
-      record.build = prov->at("build_fingerprint").as_string();
-    }
+  const JsonValue* build =
+      find_path(artifact, {"provenance", "build_fingerprint"});
+  if (build == nullptr || !build->is_string()) {
+    build = find_path(artifact, {"git_describe"});
   }
-  if (record.build.empty()) {
-    record.build = artifact.has("git_describe") &&
-                           artifact.at("git_describe").is_string()
-                       ? artifact.at("git_describe").as_string()
-                       : "unknown";
-  }
+  record.build =
+      build != nullptr && build->is_string() ? build->as_string() : "unknown";
 
   // Congestion watermark: the health sketch's exact max.
   if (const JsonValue* sketch =
           find_path(artifact, {"health", "sketches", "engine/congestion"})) {
-    record.metrics["congestion_max"] = number_at(sketch, "max", 0);
+    record.metrics["congestion_max"] = number_at(*sketch, {"max"}, 0);
   }
   // Solve-latency quantiles, sketch seconds -> milliseconds.
   if (const JsonValue* sketch = find_path(
           artifact, {"health", "sketches", "engine/solve_seconds"})) {
-    record.metrics["solve_p50_ms"] = number_at(sketch, "p50", 0) * 1e3;
-    record.metrics["solve_p95_ms"] = number_at(sketch, "p95", 0) * 1e3;
-    record.metrics["solve_p99_ms"] = number_at(sketch, "p99", 0) * 1e3;
+    record.metrics["solve_p50_ms"] = number_at(*sketch, {"p50"}, 0) * 1e3;
+    record.metrics["solve_p95_ms"] = number_at(*sketch, {"p95"}, 0) * 1e3;
+    record.metrics["solve_p99_ms"] = number_at(*sketch, {"p99"}, 0) * 1e3;
   }
   // Cache hit rate over the artifact's own cache block (survives
   // SOR_TELEMETRY=off); -1 marks "no traffic", skipped by the trend.
   if (const JsonValue* cache = find_path(artifact, {"cache"})) {
-    record.metrics[kCacheHitRate] = hit_rate(
-        number_at(cache, "hits", 0) + number_at(cache, "disk_hits", 0),
-        number_at(cache, "misses", 0));
+    record.metrics[kCacheHitRate] =
+        hit_rate(number_at(*cache, {"hits"}, 0) +
+                     number_at(*cache, {"disk_hits"}, 0),
+                 number_at(*cache, {"misses"}, 0));
   }
-  // Routing-quality figures (schema v7 quality block): the sampled-regret
-  // p95 and the mean predictor MAPE. Both higher-is-worse, so they enter
-  // the trend gate's default set like the latency quantiles do. Skipped
-  // (not zeroed) when the observatory was off or produced no samples —
-  // a 0 would read as "perfect routing" and poison the trend baseline.
+  // Routing-quality figures (schema v7 quality block): the sampled
+  // regret's p95 and max, and the predictor MAPE's mean and max. All
+  // higher-is-worse, so they enter the trend gate's default set like the
+  // latency quantiles do. Skipped (not zeroed) when the observatory was
+  // off or produced no samples — a 0 would read as "perfect routing" and
+  // poison the trend baseline.
   if (const JsonValue* regret = find_path(artifact, {"quality", "regret"})) {
-    if (regret->has("epochs") && regret->at("epochs").size() > 0) {
-      record.metrics["regret_p95"] = number_at(regret, "p95", 0);
+    const JsonValue* sampled = find_path(*regret, {"epochs"});
+    if (sampled != nullptr && sampled->size() > 0) {
+      record.metrics["regret_p95"] = number_at(*regret, {"p95"}, 0);
+      record.metrics["regret_max"] = number_at(*regret, {"max"}, 0);
     }
   }
   if (const JsonValue* predictor =
           find_path(artifact, {"quality", "predictor"})) {
-    if (number_at(predictor, "scored_epochs", 0) > 0) {
-      record.metrics["predictor_mape"] = number_at(predictor, "mape_mean", 0);
+    if (number_at(*predictor, {"scored_epochs"}, 0) > 0) {
+      record.metrics["predictor_mape"] =
+          number_at(*predictor, {"mape_mean"}, 0);
+      record.metrics["predictor_mape_max"] =
+          number_at(*predictor, {"mape_max"}, 0);
     }
   }
   // Solver cost totals from the solver entry spans, under the ledger's
@@ -171,13 +141,40 @@ LedgerRecord summarize_artifact(const JsonValue& artifact,
   // Peak memory from the v6 memory block.
   if (const JsonValue* memory = find_path(artifact, {"memory"})) {
     record.metrics["peak_rss_bytes"] =
-        number_at(memory, "peak_rss_bytes", 0);
+        number_at(*memory, {"peak_rss_bytes"}, 0);
   }
-  if (artifact.has("wall_seconds") &&
-      artifact.at("wall_seconds").is_number()) {
-    record.metrics["wall_seconds"] = artifact.at("wall_seconds").as_number();
+  if (const JsonValue* wall = find_path(artifact, {"wall_seconds"});
+      wall != nullptr && wall->is_number()) {
+    record.metrics["wall_seconds"] = wall->as_number();
   }
   return record;
+}
+
+ArtifactSloReport evaluate_artifact_slo(const JsonValue& artifact,
+                                        const SloConfig& config) {
+  ArtifactSloReport report;
+  if (const JsonValue* recorded =
+          find_path(artifact, {"health", "breaches"})) {
+    for (std::size_t i = 0; i < recorded->size(); ++i) {
+      const JsonValue& row = recorded->at(i);
+      report.recorded.push_back(
+          {row.at("slo").as_string(),
+           static_cast<std::uint64_t>(row.at("epoch").as_number()),
+           row.at("value").as_number(), row.at("budget").as_number()});
+    }
+  }
+  const LedgerRecord summary = summarize_artifact(artifact, {});
+  const auto figure = [&](const char* metric) {
+    const auto it = summary.metrics.find(metric);
+    return it == summary.metrics.end() ? -1.0 : it->second;
+  };
+  report.evaluated = slo_breaches(
+      config, 0, figure("congestion_max"), figure("solve_p99_ms"),
+      figure("cache_hit_rate"), figure("regret_max"),
+      figure("predictor_mape_max"));
+  report.status =
+      report.recorded.empty() && report.evaluated.empty() ? 0 : 1;
+  return report;
 }
 
 JsonValue record_to_json(const LedgerRecord& record) {

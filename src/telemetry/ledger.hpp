@@ -24,7 +24,8 @@
 //   threshold * |baseline| + mad_factor * MAD.
 // Every metric is higher-is-worse except cache_hit_rate (lower is
 // worse; its -1 no-traffic sentinel is skipped entirely). This is the
-// library half of `sor_cli ledger append|ls` and `sor_cli trend`.
+// library half of `sor_cli ledger append|ls`, `sor_cli trend` and, through
+// evaluate_artifact_slo, `sor_cli slo`.
 
 #include <iosfwd>
 #include <map>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
+#include "telemetry/slo.hpp"
 
 namespace sor::telemetry {
 
@@ -67,12 +69,27 @@ std::string artifact_config_digest(const JsonValue& artifact);
 ///   (lp/simplex), cost_mcf_seconds (mcf/solve), cost_lp_shadow_seconds
 ///   (lp/shadow) plus their sum cost_total_seconds,
 ///   peak_rss_bytes (schema v6 "memory" block), wall_seconds,
-///   regret_p95 + predictor_mape (schema v7 "quality" block; omitted
-///   when the observatory recorded no samples).
+///   regret_p95 + regret_max (schema v7 "quality" block; omitted when
+///   the observatory sampled no epoch), predictor_mape (the mean) +
+///   predictor_mape_max (omitted when it scored no epoch).
 /// Metrics whose source block is absent are simply omitted. Throws
 /// CheckError when `artifact` is not artifact-shaped (no "experiment").
 LedgerRecord summarize_artifact(const JsonValue& artifact,
                                 const LedgerProvenance& provenance);
+
+/// Offline evaluation of `config` against a BENCH_*.json artifact
+/// (`sor_cli slo`): the breaches recorded in the artifact's health block
+/// at run time, plus slo_breaches() over summarize_artifact()'s
+/// congestion_max, solve_p99_ms, cache_hit_rate, regret_max and
+/// predictor_mape_max, each absent when the summary omits it. Throws
+/// CheckError when `artifact` has no "experiment".
+struct ArtifactSloReport {
+  std::vector<SloBreach> recorded;   // from the artifact's breach list
+  std::vector<SloBreach> evaluated;  // re-checked against `config`
+  int status = 0;                    // nonzero when either list is non-empty
+};
+ArtifactSloReport evaluate_artifact_slo(const JsonValue& artifact,
+                                        const SloConfig& config);
 
 JsonValue record_to_json(const LedgerRecord& record);
 

@@ -61,10 +61,6 @@ SolveObserver::~SolveObserver() {
   // Flush only traces that recorded something; counts-only traces (e.g.
   // the sampler's) are kept too.
   if (!active_ || (trace_.iterations == 0 && trace_.counters.empty())) return;
-  if (ProgressReporter* reporter = current_reporter();
-      reporter != nullptr && reporter->on_trace) {
-    reporter->on_trace(trace_);
-  }
   ConvergenceCollector::global().add(std::move(trace_));
 }
 
@@ -77,19 +73,13 @@ void SolveObserver::observe(std::uint64_t iteration, double objective,
   best_objective_ = std::min(best_objective_, objective);
   if (bound > 0) best_bound_ = std::max(best_bound_, bound);
 
-  const bool retain = (trace_.iterations - 1) % stride_ == 0;
-  ProgressReporter* reporter = current_reporter();
-  const bool callback = reporter != nullptr && !!reporter->on_point;
-  if (!retain && !callback) return;
+  if ((trace_.iterations - 1) % stride_ != 0) return;
 
   ConvergencePoint point;
   point.iteration = iteration;
   point.objective = best_objective_;
   point.bound = best_bound_;
   if (best_bound_ > 0) point.gap = best_objective_ / best_bound_ - 1.0;
-  if (callback) reporter->on_point(trace_, point);
-  if (!retain) return;
-
   point.seconds = monotonic_seconds();
   trace_.points.push_back(point);
   if (trace_.points.size() >= trace_.max_points) {

@@ -21,17 +21,16 @@
 //    them. Destruction flushes the finished trace into the global
 //    ConvergenceCollector. Honors the SOR_TELEMETRY kill switch: when
 //    telemetry is off at construction, every method is a no-op on a
-//    cached bool and no callback is ever invoked.
+//    cached bool.
 //
 //  * ProgressReporter / ProgressScope — installed BY a caller around a
 //    solve (thread-local, RAII, propagated into parallel_for workers like
-//    span cursors). Carries optional per-point/per-trace callbacks and
-//    the solve budget: deadline_seconds and/or a cancel() predicate make
-//    solve_deadline_exceeded() true, which solvers poll at safe points
-//    (phase boundaries, every 64 pivots) and answer with a *truncated*
-//    status instead of stalling the caller. The budget is control-plane
-//    behavior, not observability: it works with SOR_TELEMETRY=off (the
-//    callbacks, like all recording, do not).
+//    span cursors). Carries the solve budget: deadline_seconds and/or a
+//    cancel() predicate make solve_deadline_exceeded() true, which
+//    solvers poll at safe points (phase boundaries, every 64 pivots) and
+//    answer with a *truncated* status instead of stalling the caller. The
+//    budget is control-plane behavior, not observability: it works with
+//    SOR_TELEMETRY=off.
 //
 //  * ConvergenceCollector — process-global bounded sink of completed
 //    traces (first-come keep, overflow counted in dropped()), serialized
@@ -78,24 +77,15 @@ struct ConvergenceTrace {
   std::vector<ConvergencePoint> points;
 };
 
-class SolveObserver;
-
-/// Caller-side budget and hooks for the solves running beneath it.
-/// Install with ProgressScope; solvers find it through current_reporter()
-/// / solve_deadline_exceeded().
+/// Caller-side budget for the solves running beneath it. Install with
+/// ProgressScope; solvers find it through current_reporter() /
+/// solve_deadline_exceeded().
 struct ProgressReporter {
   /// Wall-clock budget measured from ProgressScope installation;
   /// 0 = unlimited.
   double deadline_seconds = 0;
   /// Optional external cancellation; polled together with the deadline.
   std::function<bool()> cancel;
-  /// Invoked for every observe() call of every solve under the scope
-  /// (before downsampling), only while telemetry is enabled.
-  std::function<void(const ConvergenceTrace&, const ConvergencePoint&)>
-      on_point;
-  /// Invoked with each finished trace at observer destruction, only while
-  /// telemetry is enabled.
-  std::function<void(const ConvergenceTrace&)> on_trace;
 };
 
 namespace detail {

@@ -15,9 +15,11 @@ const std::chrono::steady_clock::time_point g_epoch =
 }  // namespace
 
 double monotonic_seconds() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       g_epoch)
-      .count();
+  return monotonic_seconds(std::chrono::steady_clock::now());
+}
+
+double monotonic_seconds(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration<double>(t - g_epoch).count();
 }
 
 Recorder& Recorder::global() {

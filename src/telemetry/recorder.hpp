@@ -20,6 +20,7 @@
 //    "fields": {"epoch": 7, "accepted": true, "gap": 0.013}}
 // Categories follow the metric naming scheme: "<subsystem>/<event>".
 
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <mutex>
@@ -44,6 +45,10 @@ struct RecorderEvent {
 /// Monotonic seconds since process start — the shared time base for the
 /// flight recorder and the span timeline.
 double monotonic_seconds();
+
+/// `t` on the monotonic_seconds() base: a stamp taken earlier converts
+/// without a second clock read.
+double monotonic_seconds(std::chrono::steady_clock::time_point t);
 
 class Recorder {
  public:

@@ -17,17 +17,17 @@
 // solve_deadline_ms, SLO evaluation reads wall-clock latency sketches, so
 // breach sets are not byte-replayable and must not enter the digest.
 //
-// evaluate_artifact_slo() re-applies a config offline to a BENCH_*.json
-// artifact's `health` block — the `sor_cli slo` subcommand, which exits
-// nonzero when the artifact violates the config or recorded breaches at
-// run time.
+// One rule, slo_breaches(), applies the bounds to five figures, both per
+// epoch (SloTracker) and offline: evaluate_artifact_slo()
+// (telemetry/ledger.hpp) applies it to a BENCH_*.json artifact's
+// run-ledger summary — the `sor_cli slo` subcommand, which exits nonzero
+// when the artifact violates the config or recorded breaches at run time.
 
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sor::telemetry {
@@ -67,6 +67,17 @@ SloConfig parse_slo_config(const std::string& text);
 /// Reads and parses a config file (throws CheckError when unreadable).
 SloConfig load_slo_config(const std::string& path);
 
+/// The one SLO rule: the bounds of `config` applied to one set of
+/// figures, in the order congestion, solve p99, cache hit rate, regret,
+/// predictor MAPE. A negative figure means "absent" and skips its bound
+/// (`cache_hit_rate < 0` = no cache traffic, `regret < 0` = not a
+/// shadow-sampled epoch, `predictor_mape < 0` = bootstrap epoch). Pure:
+/// returns the breaches, stamped `epoch`, and records nothing.
+std::vector<SloBreach> slo_breaches(const SloConfig& config,
+                                    std::uint64_t epoch, double congestion,
+                                    double solve_p99_ms, double cache_hit_rate,
+                                    double regret, double predictor_mape);
+
 class SloTracker {
  public:
   SloTracker() = default;
@@ -75,13 +86,9 @@ class SloTracker {
   const SloConfig& config() const { return config_; }
   bool active() const { return config_.any_set(); }
 
-  /// Evaluates the config against one epoch's health and quality figures
+  /// Applies slo_breaches() to one epoch's health and quality figures
   /// and records every violation (registry breach list + flight
-  /// recorder). Negative values mean "no figure this epoch"
-  /// and skip the matching check: `cache_hit_rate < 0` = no cache
-  /// traffic, `regret < 0` = not a shadow-sampled epoch,
-  /// `predictor_mape < 0` = bootstrap epoch. Returns this epoch's
-  /// breaches.
+  /// recorder). Returns this epoch's breaches.
   std::vector<SloBreach> check_epoch(std::uint64_t epoch, double congestion,
                                      double solve_p99_ms,
                                      double cache_hit_rate,
@@ -91,17 +98,5 @@ class SloTracker {
  private:
   SloConfig config_;
 };
-
-/// Offline evaluation of `config` against a BENCH_*.json artifact: the
-/// breaches recorded in the artifact's health block at run time, plus
-/// re-checks of the solve-latency sketch p99, the congestion watermark,
-/// and the cache block's hit rate against the config's bounds.
-struct ArtifactSloReport {
-  std::vector<SloBreach> recorded;   // from the artifact's breach list
-  std::vector<SloBreach> evaluated;  // re-checked against `config`
-  int status = 0;                    // nonzero when either list is non-empty
-};
-ArtifactSloReport evaluate_artifact_slo(const JsonValue& artifact,
-                                        const SloConfig& config);
 
 }  // namespace sor::telemetry

@@ -106,7 +106,10 @@ ScopedSpan::~ScopedSpan() {
     TimelineEvent event;
     event.name = node_->name;
     event.thread = detail::timeline_thread_index();
-    event.start_seconds = monotonic_seconds() - elapsed;
+    // The open stamp itself, not "now - elapsed": a later clock read
+    // would land after the lock and the sketch observe above, late by
+    // this span's own close overhead.
+    event.start_seconds = monotonic_seconds(start_);
     event.duration_seconds = elapsed;
     auto& t = detail::timeline();
     std::lock_guard lock(t.mu);

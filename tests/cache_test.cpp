@@ -1,8 +1,8 @@
 // Unit tests for the routing-artifact cache: graph fingerprints, the
 // binary payload codec, the byte-bounded LRU memory tier, the checksummed
 // disk tier (including corruption quarantine), the SOR_CACHE kill switch,
-// and the typed serializers (Gomory–Hu trees, Räcke ensembles, path
-// systems) whose round-trips must be bit-identical.
+// and the typed serializers (Räcke ensembles, path systems) whose
+// round-trips must be bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -269,33 +269,6 @@ TEST(ArtifactCache, ConcurrentMixedAccessIsSafe) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_LE(cache.stats().bytes, 1024u);
-}
-
-TEST(GomoryHuSerialization, RoundTripsBitIdentical) {
-  const Graph g = make_random_geometric(24, 0.35, 7);
-  const GomoryHuTree tree(g);
-  const GomoryHuTree restored = deserialize_gomory_hu(serialize_gomory_hu(tree));
-  EXPECT_EQ(restored.fingerprint(), tree.fingerprint());
-  for (Vertex s = 0; s < g.num_vertices(); ++s) {
-    for (Vertex t = s + 1; t < g.num_vertices(); ++t) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(restored.min_cut(s, t)),
-                std::bit_cast<std::uint64_t>(tree.min_cut(s, t)));
-    }
-  }
-}
-
-TEST(GomoryHuSerialization, CachedBuilderHitsOnSecondCall) {
-  cache::ArtifactCache::global().clear();
-  cache::ArtifactCache::set_enabled(true);
-  const Graph g = make_grid(4, 4);
-  const auto first = cached_gomory_hu(g);
-  const auto second = cached_gomory_hu(g);
-  EXPECT_GE(cache::ArtifactCache::global().stats().hits, 1u);
-  for (Vertex v = 1; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(first->parent_cut(v)),
-              std::bit_cast<std::uint64_t>(second->parent_cut(v)));
-    EXPECT_EQ(first->parent(v), second->parent(v));
-  }
 }
 
 TEST(SampleOptions, GomoryHuFromDifferentGraphThrows) {

@@ -28,6 +28,7 @@
 #include "serve/service.hpp"
 #include "telemetry/artifact.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/ledger.hpp"
 #include "telemetry/memory.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
@@ -490,6 +491,62 @@ TEST(Slo, EvaluateArtifactReportsRecordedAndReEvaluatedBreaches) {
                            "sketches": {}, "status": 0}})"),
       telemetry::SloConfig{});
   EXPECT_EQ(ok.status, 0);
+}
+
+// One rule: the offline check of an artifact and the per-epoch tracker
+// return the same breaches, in the same order, for the same five figures.
+TEST(Slo, ArtifactAndEpochChecksApplyOneRule) {
+  using telemetry::JsonValue;
+  reset_health();
+  const ScopedEnable enable;
+  // Congestion watermark 1.9, solve p99 125 ms, cache hit rate 0.1, worst
+  // sampled regret 1.4, worst scored MAPE 0.5.
+  const JsonValue artifact = JsonValue::parse(R"({
+    "experiment": "E16",
+    "health": {
+      "breaches": [],
+      "sketches": {
+        "engine/solve_seconds": {"count": 8, "p50": 0.04, "p95": 0.1,
+                                 "p99": 0.125, "max": 0.2},
+        "engine/congestion": {"count": 8, "p50": 1.0, "p95": 1.75,
+                              "p99": 1.875, "max": 1.9}
+      },
+      "status": 0
+    },
+    "cache": {"hits": 1, "disk_hits": 0, "misses": 9},
+    "quality": {
+      "regret": {"epochs": [0, 2], "p95": 1.3, "max": 1.4},
+      "predictor": {"scored_epochs": 3, "mape_mean": 0.2, "mape_max": 0.5}
+    }
+  })");
+  telemetry::SloConfig tight;
+  tight.max_congestion = 1.5;
+  tight.solve_p99_ms = 100;
+  tight.min_cache_hit_rate = 0.5;
+  tight.max_regret = 1.2;
+  tight.max_predictor_mape = 0.4;
+  telemetry::SloConfig mixed;
+  mixed.max_congestion = 2.5;
+  mixed.solve_p99_ms = 100;
+  mixed.max_predictor_mape = 0.6;
+  for (const telemetry::SloConfig& config :
+       {tight, mixed, telemetry::SloConfig{}}) {
+    const std::vector<telemetry::SloBreach> offline =
+        telemetry::evaluate_artifact_slo(artifact, config).evaluated;
+    telemetry::SloTracker tracker(config);
+    const std::vector<telemetry::SloBreach> online =
+        tracker.check_epoch(0, 1.9, 125.0, 0.1, 1.4, 0.5);
+    ASSERT_EQ(offline.size(), online.size());
+    for (std::size_t i = 0; i < online.size(); ++i) {
+      EXPECT_EQ(offline[i].slo, online[i].slo);
+      EXPECT_EQ(offline[i].epoch, online[i].epoch);
+      EXPECT_DOUBLE_EQ(offline[i].value, online[i].value);
+      EXPECT_DOUBLE_EQ(offline[i].budget, online[i].budget);
+    }
+  }
+  telemetry::SloTracker tracker(tight);
+  EXPECT_EQ(tracker.check_epoch(0, 1.9, 125.0, 0.1, 1.4, 0.5).size(), 5u);
+  reset_health();
 }
 
 TEST(Exporters, PrometheusTextExposesCountersAndSketchSummaries) {

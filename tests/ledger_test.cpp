@@ -179,6 +179,29 @@ TEST(Ledger, SummarizeSkipsQualityMetricsWithoutSamples) {
   EXPECT_EQ(record.metrics.count("predictor_mape"), 0u);
 }
 
+// The worst sampled regret and worst scored MAPE follow the same rule as
+// their p95 and mean: present only when the observatory sampled/scored.
+TEST(Ledger, SummarizeCarriesWorstQualityFiguresOnlyWhenSampled) {
+  JsonValue doc = make_artifact(1.5, 12.0);
+  doc.set("quality", JsonValue::parse(R"({
+    "regret": {"epochs": [0, 2], "p95": 1.08, "max": 1.12},
+    "predictor": {"scored_epochs": 3, "mape_mean": 0.12, "mape_max": 0.4}
+  })"));
+  const LedgerRecord sampled =
+      telemetry::summarize_artifact(doc, fixed_provenance());
+  EXPECT_DOUBLE_EQ(sampled.metrics.at("regret_max"), 1.12);
+  EXPECT_DOUBLE_EQ(sampled.metrics.at("predictor_mape_max"), 0.4);
+
+  doc.set("quality", JsonValue::parse(R"({
+    "regret": {"epochs": [], "p95": 0, "max": 0},
+    "predictor": {"scored_epochs": 0, "mape_mean": 0, "mape_max": 0}
+  })"));
+  const LedgerRecord unsampled =
+      telemetry::summarize_artifact(doc, fixed_provenance());
+  EXPECT_EQ(unsampled.metrics.count("regret_max"), 0u);
+  EXPECT_EQ(unsampled.metrics.count("predictor_mape_max"), 0u);
+}
+
 TEST(Ledger, ConfigDigestIgnoresResultsButNotConfig) {
   const JsonValue a = make_artifact(1.5, 12.0);
   const JsonValue b = make_artifact(9.9, 1.0);  // different RESULTS

@@ -1,6 +1,6 @@
 // Tests for the analysis utilities added on top of the core pipeline:
-// exact Räcke mixture loads, path-overlap diversity, Gomory–Hu cut lower
-// bounds, and the greedy online integral router.
+// exact Räcke mixture loads, path-overlap diversity, and the greedy
+// online integral router.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "core/oracle.hpp"
 #include "core/router.hpp"
 #include "core/sampler.hpp"
-#include "demand/cut_bound.hpp"
 #include "demand/generators.hpp"
 #include "flow/mcf.hpp"
 #include "graph/generators.hpp"
@@ -118,44 +117,6 @@ TEST(Overlap, KspIsMoreCorrelatedThanRacke) {
 
   EXPECT_GT(mean_pairwise_overlap(ksp_system),
             mean_pairwise_overlap(racke_system));
-}
-
-TEST(CutBound, SingleEdgeCut) {
-  // Path graph: 2 units over the middle edge → OPT >= 2.
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  Demand d;
-  d.add(0, 2, 2.0);
-  const GomoryHuTree tree(g);
-  const CutBound bound = best_gomory_hu_cut_bound(g, tree, d);
-  EXPECT_DOUBLE_EQ(bound.bound, 2.0);
-  EXPECT_DOUBLE_EQ(bound.cut_capacity, 1.0);
-  EXPECT_DOUBLE_EQ(bound.demand_across, 2.0);
-}
-
-TEST(CutBound, DumbbellBridgeDominates) {
-  const Graph g = make_dumbbell(4, 2);
-  Demand d;
-  d.add(1, 5, 3.0);  // across the 2-capacity bridge cut
-  const GomoryHuTree tree(g);
-  const CutBound bound = best_gomory_hu_cut_bound(g, tree, d);
-  EXPECT_DOUBLE_EQ(bound.bound, 1.5);
-}
-
-TEST(CutBound, NeverExceedsOptAndOftenMatches) {
-  // Validity: the cut bound is a lower bound on the MCF OPT; on
-  // bottleneck-dominated instances it is tight.
-  const Graph g = make_path_of_cliques(3, 4);
-  Rng rng(7);
-  const Demand d = random_permutation_demand(g, rng);
-  const GomoryHuTree tree(g);
-  const CutBound bound = best_gomory_hu_cut_bound(g, tree, d);
-  const McfResult opt = min_congestion_routing(g, d.commodities());
-  EXPECT_LE(bound.bound, opt.congestion * 1.01 + 1e-9);
-  // On a path-of-cliques the bridge cuts dominate: the bound is within a
-  // small factor of OPT.
-  EXPECT_GE(bound.bound, opt.congestion * 0.5);
 }
 
 TEST(GreedyIntegral, RoutesAllPacketsDeterministically) {

@@ -100,7 +100,7 @@ TEST(TelemetrySpan, PropagatesAcrossPoolWorkers) {
 
 // Spans are the one timer: every invocation also lands in the registry
 // sketch "<name>_seconds", so one name opened under two parents feeds
-// one sketch, and the profile's per-span row sums both nodes.
+// one sketch, and the view's per-span cost row sums both nodes.
 TEST(TelemetrySpan, SameNameUnderTwoParentsFeedsOneSketch) {
   const ScopedEnable enable;
   telemetry::reset_spans();
@@ -137,9 +137,9 @@ TEST(TelemetrySpan, SameNameUnderTwoParentsFeedsOneSketch) {
   EXPECT_DOUBLE_EQ(totals.at("test/shared").calls, 3.0);
   EXPECT_DOUBLE_EQ(totals.at("test/shared").seconds,
                    under_a->seconds + under_b->seconds);
-  std::ostringstream profile;
-  telemetry::render_artifact_profile(doc, profile);
-  const std::string text = profile.str();
+  std::ostringstream view;
+  telemetry::render_artifact(doc, view);
+  const std::string text = view.str();
   const std::size_t row = text.find("\n  test/shared ");
   ASSERT_NE(row, std::string::npos) << text;
   const std::string line =
